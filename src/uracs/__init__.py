@@ -3,20 +3,47 @@
 from .channel import (MimoChannelConfig, SisoChannelConfig, ebn0_to_amplitude,
                       ebn0_to_power, gmac_transmit, mimo_block_transmit)
 from .ccs import (SensingMatrix, build_complex_sensing_matrix,
-                  build_sensing_matrix, ccs_slot_encode, decode_siso,
-                  fragment_of, index_of, prune_columns, top_k_support)
-from .errors import ConfigError, DeadPathsError, ResourceRefusalError
-from .harness import (ExperimentConfig, genie_path_stats, load_config,
-                      parse_config, pupe, run_experiment, run_mimo,
-                      run_mimo_trial, run_predict, run_siso, run_siso_trial)
-from .mimo import (AdmissibleIndexSet, CovarianceState, activity_detect,
-                   decode_mimo, sample_covariance, support_from_gamma)
+                  build_sensing_matrix, decode_siso, prune_columns,
+                  top_k_support, user_signals)
+from .errors import ConfigError, ResourceRefusalError
+from .harness import (ExperimentConfig, genie_path_stats, genie_tree_trial,
+                      load_config, parse_config, pupe, run_experiment,
+                      run_mimo_trial, run_siso_trial)
+from .mimo import (CovarianceState, activity_detect, decode_mimo,
+                   sample_covariance, support_from_gamma)
 from .nnls import NnlsResult, nnls_solve
 from .predictors import (PredictorInput, expected_admissible_patterns,
                          expected_column_reduction_ratio,
                          expected_erroneous_paths, expected_partial_paths)
-from .tree import (DEFAULT_MIMO_PROFILE, DEFAULT_SISO_PROFILE, FragmentLists,
-                   ParityProfile, Path, TreeCodebook, admissible_parities,
-                   compute_parity, extend_paths, outer_encode, tree_decode)
+from .tree import (DEFAULT_MIMO_PROFILE, DEFAULT_SISO_PROFILE,
+                   AdmissibleIndexSet, DecodeResult, FragmentLists,
+                   ParityProfile, PathTracker, TreeCodebook, encode_messages,
+                   interleaved_decode, tree_decode)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # channel
+    "MimoChannelConfig", "SisoChannelConfig", "ebn0_to_amplitude",
+    "ebn0_to_power", "gmac_transmit", "mimo_block_transmit",
+    # scalar inner code
+    "SensingMatrix", "build_complex_sensing_matrix", "build_sensing_matrix",
+    "decode_siso", "prune_columns", "top_k_support", "user_signals",
+    # errors
+    "ConfigError", "ResourceRefusalError",
+    # experiments
+    "ExperimentConfig", "genie_path_stats", "genie_tree_trial", "load_config",
+    "parse_config", "pupe", "run_experiment", "run_mimo_trial",
+    "run_siso_trial",
+    # MIMO inner code
+    "CovarianceState", "activity_detect", "decode_mimo", "sample_covariance",
+    "support_from_gamma",
+    # NNLS
+    "NnlsResult", "nnls_solve",
+    # predictors
+    "PredictorInput", "expected_admissible_patterns",
+    "expected_column_reduction_ratio", "expected_erroneous_paths",
+    "expected_partial_paths",
+    # outer tree code and the interleaved decode loop
+    "DEFAULT_MIMO_PROFILE", "DEFAULT_SISO_PROFILE", "AdmissibleIndexSet",
+    "DecodeResult", "FragmentLists", "ParityProfile", "PathTracker",
+    "TreeCodebook", "encode_messages", "interleaved_decode", "tree_decode",
+]

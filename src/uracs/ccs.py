@@ -2,42 +2,32 @@
 
 Each slot transmits the superposition of sensing-matrix columns indexed by
 the users' coded fragments. Recovery is per-slot NNLS followed by a top-K
-support estimate. In enhanced mode the surviving tree paths shrink the
-admissible parity set, and the sensing matrix is pruned to the matching
-columns before the next slot is solved.
+support estimate, over the columns in the slot's admissible index set; in
+enhanced mode that set shrinks with the surviving tree paths.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import bits_to_int, int_to_bits, ints_to_rows
-from .errors import DeadPathsError, ResourceRefusalError
+from .bits import ints_to_rows, rows_to_ints
+from .errors import ResourceRefusalError
 from .nnls import nnls_solve
-from .tree import DEFAULT_PATH_CAP, PathTracker, TreeCodebook, TreeDecodeResult
+from .tree import (DEFAULT_PATH_CAP, AdmissibleIndexSet, DecodeResult,
+                   TreeCodebook, interleaved_decode)
 
 DEFAULT_MEMORY_BUDGET = 256 << 20  # bytes
 
 
-def index_of(fragment: np.ndarray) -> int:
-    """Global column index of a coded fragment (radix-2, MSB first)."""
-    return bits_to_int(np.asarray(fragment, dtype=np.uint8))
-
-
-def fragment_of(index: int, v: int) -> np.ndarray:
-    """Inverse of index_of for v-bit fragments."""
-    return int_to_bits(index, v)
-
-
 @dataclass
 class SensingMatrix:
-    """Dense sensing matrix with a map from column position to fragment index."""
+    """Dense sensing matrix; column j belongs to the fragment with index j,
+    or to fragment S.indices[j] once restricted by prune_columns(A, S)."""
 
     columns: np.ndarray      # (rows, cols)
-    index_map: np.ndarray    # (cols,) global fragment indices, injective
     v: int                   # fragment bit width; indices live in [0, 2^v)
 
     @property
@@ -53,20 +43,26 @@ def _seed_key(seed) -> tuple:
     return (int(seed),) if np.isscalar(seed) else tuple(int(s) for s in seed)
 
 
+def check_memory_budget(n: int, widths: Iterable[int], dtype,
+                        memory_budget: int) -> None:
+    """Refuse, before anything is allocated, a set of full n x 2^v matrices
+    (one per entry of ``widths``) whose total size exceeds the budget."""
+    need = sum(n * (1 << v) for v in widths) * np.dtype(dtype).itemsize
+    if need > memory_budget:
+        raise ResourceRefusalError(
+            f"sensing matrices need {need} bytes, budget is {memory_budget}")
+
+
 def build_sensing_matrix(n: int, v: int, seed,
                          memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SensingMatrix:
     """Full 2^v-column real Gaussian matrix with unit-norm columns."""
     if n < 1 or v < 1:
         raise ValueError("need n >= 1 and v >= 1")
-    cols = 1 << v
-    need = n * cols * 8
-    if need > memory_budget:
-        raise ResourceRefusalError(
-            f"sensing matrix needs {need} bytes, budget is {memory_budget}")
+    check_memory_budget(n, (v,), np.float64, memory_budget)
     rng = np.random.default_rng(_seed_key(seed) + (n, v))
-    A = rng.standard_normal((n, cols))
+    A = rng.standard_normal((n, 1 << v))
     A /= np.linalg.norm(A, axis=0)
-    return SensingMatrix(columns=A, index_map=np.arange(cols, dtype=np.int64), v=v)
+    return SensingMatrix(columns=A, v=v)
 
 
 def build_complex_sensing_matrix(n: int, v: int, radius: float, seed,
@@ -76,150 +72,61 @@ def build_complex_sensing_matrix(n: int, v: int, radius: float, seed,
         raise ValueError("need n >= 1 and v >= 1")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    cols = 1 << v
-    need = n * cols * 16
-    if need > memory_budget:
-        raise ResourceRefusalError(
-            f"sensing matrix needs {need} bytes, budget is {memory_budget}")
+    check_memory_budget(n, (v,), np.complex128, memory_budget)
     rng = np.random.default_rng(_seed_key(seed) + (n, v))
+    cols = 1 << v
     A = rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
     A *= radius / np.linalg.norm(A, axis=0)
-    return SensingMatrix(columns=A, index_map=np.arange(cols, dtype=np.int64), v=v)
-
-
-def ccs_slot_encode(fragments: np.ndarray, A: SensingMatrix, d: float = 1.0) -> np.ndarray:
-    """Noiseless slot signal d * A * (sum of the users' one-hot index vectors)."""
-    fragments = np.atleast_2d(np.asarray(fragments, dtype=np.uint8))
-    if fragments.shape[1] != A.v:
-        raise ValueError(f"fragments must be {A.v} bits wide")
-    out = np.zeros(A.rows, dtype=A.columns.dtype)
-    pos = _positions_of(A, np.array([index_of(f) for f in fragments]))
-    for p in pos:
-        out += A.columns[:, p]
-    return d * out
-
-
-def _positions_of(A: SensingMatrix, global_indices: np.ndarray) -> np.ndarray:
-    """Column positions of the given global fragment indices (must be present)."""
-    order = np.argsort(A.index_map)
-    pos = order[np.searchsorted(A.index_map, global_indices, sorter=order)]
-    if not np.array_equal(A.index_map[pos], global_indices):
-        raise KeyError("fragment index not present in pruned matrix")
-    return pos
+    return SensingMatrix(columns=A, v=v)
 
 
 def user_signals(fragments: np.ndarray, A: SensingMatrix) -> np.ndarray:
     """Per-user slot signals (one row per user), unscaled columns of A."""
     fragments = np.atleast_2d(np.asarray(fragments, dtype=np.uint8))
-    idx = np.array([index_of(f) for f in fragments], dtype=np.int64)
-    if idx.size == 0:
-        return np.zeros((0, A.rows), dtype=A.columns.dtype)
-    return A.columns[:, _positions_of(A, idx)].T
+    if fragments.shape[1] != A.v:
+        raise ValueError(f"fragments must be {A.v} bits wide")
+    return A.columns[:, rows_to_ints(fragments)].T
 
 
-def top_k_support(x: np.ndarray, list_size: int, A: SensingMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Fragments behind the ``list_size`` largest entries of x.
+def top_k_support(x: np.ndarray, list_size: int, S: AdmissibleIndexSet,
+                  v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fragments behind the ``list_size`` largest entries of x, where x[j]
+    scores the v-bit fragment S.indices[j].
 
     Returns (bit rows, global indices). Ties go to the lower global index.
     """
     if list_size < 1:
         raise ValueError("list_size must be at least 1")
-    x = np.asarray(x)
-    order = np.lexsort((A.index_map, -x))[:list_size]
-    idx = A.index_map[order]
-    return ints_to_rows(idx, A.v), idx
+    order = np.lexsort((S.indices, -np.asarray(x)))[:list_size]
+    idx = S.indices[order]
+    return ints_to_rows(idx, v), idx
 
 
-def prune_columns(A_full: SensingMatrix, patterns: np.ndarray, m: int, l: int) -> SensingMatrix:
-    """Keep only columns whose low-order l parity bits lie in ``patterns``."""
-    patterns = np.asarray(patterns, dtype=np.int64)
-    if patterns.size == 0:
-        raise DeadPathsError("admissible parity set is empty")
-    if m + l != A_full.v:
-        raise ValueError("profile widths do not match the matrix fragment width")
-    parity = A_full.index_map & ((1 << l) - 1)
-    keep = np.isin(parity, patterns)
-    return SensingMatrix(columns=A_full.columns[:, keep],
-                         index_map=A_full.index_map[keep], v=A_full.v)
-
-
-@dataclass
-class SisoDecodeDiagnostics:
-    active_cols: list[int] = field(default_factory=list)
-    nnls_iterations: list[int] = field(default_factory=list)
-    live_paths: list[int] = field(default_factory=list)
-    # deterministic work model: nnls iterations * rows * cols, summed over slots
-    work_units: int = 0
-    wall_ms: float = 0.0
-
-
-@dataclass
-class SisoDecodeResult:
-    messages: list[int]
-    failures: int
-    diagnostics: SisoDecodeDiagnostics
+def prune_columns(A: SensingMatrix, S: AdmissibleIndexSet) -> SensingMatrix:
+    """The columns of A indexed by S, in S order; A itself when S is full."""
+    if S.size == A.cols:
+        return A
+    return SensingMatrix(columns=A.columns[:, S.indices], v=A.v)
 
 
 def decode_siso(y_slots: list[np.ndarray], matrices: list[SensingMatrix],
                 codebook: TreeCodebook, K: int, mode: str = "original",
                 list_size: int | None = None, force_full_patterns: bool = False,
-                path_cap: int = DEFAULT_PATH_CAP, nnls_tol: float = 1e-8) -> SisoDecodeResult:
-    """Recover messages from L slot observations.
+                path_cap: int = DEFAULT_PATH_CAP, nnls_tol: float = 1e-8) -> DecodeResult:
+    """Recover messages from L slot observations (modes: see interleaved_decode).
 
-    mode="original" solves every slot on the full matrix and then runs the
-    tree decoder; mode="enhanced" interleaves the tree search with recovery
-    and prunes each slot's matrix down to the admissible parity patterns.
-    ``force_full_patterns`` keeps enhanced-mode plumbing but substitutes the
-    full pattern set, which must reproduce original-mode output exactly.
+    Each slot runs NNLS on the matrix columns of its index set and keeps the
+    top ``list_size`` (default K) fragments.
     """
-    prof = codebook.profile
-    if mode not in ("original", "enhanced"):
-        raise ValueError("mode must be 'original' or 'enhanced'")
-    if len(y_slots) != prof.L or len(matrices) != prof.L:
-        raise ValueError(f"need exactly L={prof.L} observations and matrices")
     if list_size is None:
         list_size = K
-    diag = SisoDecodeDiagnostics()
-    t0 = time.perf_counter()
-    tracker = PathTracker(codebook, path_cap=path_cap)
-    dead = False
-    for ell in range(1, prof.L + 1):
-        m, l = prof.m[ell - 1], prof.l[ell - 1]
-        if dead:
-            diag.active_cols.append(0)
-            diag.nnls_iterations.append(0)
-            if ell == 1:
-                tracker.start(np.zeros((0, m), dtype=np.uint8))
-            else:
-                tracker.advance(np.zeros((0, m + l), dtype=np.uint8))
-            continue
-        A = matrices[ell - 1]
-        if A.v != m + l:
-            raise ValueError(f"slot {ell} matrix fragment width mismatch")
-        if mode == "enhanced" and ell >= 2:
-            if force_full_patterns:
-                patterns = np.arange(1 << l, dtype=np.int64)
-            else:
-                patterns = tracker.admissible()
-            if patterns.size == 0:
-                # every path died: nothing is recoverable from here on
-                dead = True
-                diag.active_cols.append(0)
-                diag.nnls_iterations.append(0)
-                tracker.advance(np.zeros((0, m + l), dtype=np.uint8))
-                continue
-            A = prune_columns(A, patterns, m, l)
-        res = nnls_solve(A.columns, y_slots[ell - 1], tol=nnls_tol)
-        bits, _ = top_k_support(res.x, list_size, A)
-        if ell == 1:
-            tracker.start(bits)
-        else:
-            tracker.advance(bits)
-        diag.active_cols.append(A.cols)
-        diag.nnls_iterations.append(res.iterations)
-        diag.work_units += res.iterations * A.rows * A.cols
-    tree = tracker.finalize()
-    diag.live_paths = tracker.diagnostics.live_paths
-    diag.wall_ms = (time.perf_counter() - t0) * 1e3
-    return SisoDecodeResult(messages=tree.messages, failures=tree.failures,
-                            diagnostics=diag)
+
+    def solve_slot(y, A, S):
+        A_S = prune_columns(A, S)
+        res = nnls_solve(A_S.columns, y, tol=nnls_tol)
+        bits, _ = top_k_support(res.x, list_size, S, A.v)
+        # work model: nnls iterations * rows * cols
+        return bits, res.iterations, res.iterations * A_S.rows * A_S.cols
+
+    return interleaved_decode(y_slots, matrices, codebook, mode,
+                              force_full_patterns, path_cap, solve_slot)

@@ -7,7 +7,3 @@ class ConfigError(ValueError):
 
 class ResourceRefusalError(RuntimeError):
     """A requested allocation exceeds the configured memory budget."""
-
-
-class DeadPathsError(RuntimeError):
-    """Every partial path died: the admissible parity set is empty."""

@@ -20,7 +20,8 @@ import numpy as np
 
 from .bits import random_bits, rows_to_ints
 from .ccs import (DEFAULT_MEMORY_BUDGET, build_complex_sensing_matrix,
-                  build_sensing_matrix, decode_siso, user_signals)
+                  build_sensing_matrix, check_memory_budget, decode_siso,
+                  user_signals)
 from .channel import (MimoChannelConfig, SisoChannelConfig, ebn0_to_amplitude,
                       ebn0_to_power, gmac_transmit, mimo_block_transmit)
 from .errors import ConfigError
@@ -228,7 +229,7 @@ def load_config(path: str) -> ExperimentConfig:
 class ModeOutcome:
     decoded: list[int]
     pupe: float
-    per_slot: list[int]     # active columns (siso) or |S_l| (mimo)
+    per_slot: list[int]     # |S_l|: columns the slot solver searched
     work_units: int
     wall_ms: float
 
@@ -240,20 +241,32 @@ class TrialResult:
     outcomes: dict[str, ModeOutcome] = field(default_factory=dict)
 
 
+def _draw_messages(cfg: ExperimentConfig, K: int, trial: int):
+    """The trial's codebook, sent messages (as integers) and coded fragments."""
+    codebook = TreeCodebook(cfg.profile, derive_seed(cfg.master_seed, trial, CODEBOOK))
+    msg_rng = np.random.default_rng((cfg.master_seed, trial, MESSAGES))
+    W = random_bits(msg_rng, (K, cfg.profile.B))
+    return codebook, [int(x) for x in rows_to_ints(W)], encode_messages(W, codebook)
+
+
+def _outcome(dec, sent: list[int], K: int) -> ModeOutcome:
+    d = dec.diagnostics
+    return ModeOutcome(decoded=dec.messages, pupe=pupe(sent, dec.messages, K),
+                       per_slot=d.cols, work_units=d.work_units, wall_ms=d.wall_ms)
+
+
 def run_siso_trial(cfg: ExperimentConfig, K: int, ebn0_db: float,
                    trial: int) -> TrialResult:
     """One scalar-channel trial; decodes every mode in cfg.modes on the same
     messages, matrices, and noise."""
     prof = cfg.profile
-    codebook = TreeCodebook(prof, derive_seed(cfg.master_seed, trial, CODEBOOK))
-    msg_rng = np.random.default_rng((cfg.master_seed, trial, MESSAGES))
-    W = random_bits(msg_rng, (K, prof.B))
-    sent = [int(x) for x in rows_to_ints(W)]
-    frags = encode_messages(W, codebook)
-
+    # one matrix per distinct fragment width, shared by the slots of that width
+    widths = set(prof.v)
+    check_memory_budget(cfg.n, widths, np.float64, cfg.memory_budget)
+    codebook, sent, frags = _draw_messages(cfg, K, trial)
     mat_seed = derive_seed(cfg.master_seed, trial, MATRIX)
     by_width = {v: build_sensing_matrix(cfg.n, v, mat_seed, cfg.memory_budget)
-                for v in set(prof.v)}
+                for v in widths}
     matrices = [by_width[v] for v in prof.v]
 
     ch = SisoChannelConfig(d=ebn0_to_amplitude(ebn0_db, prof.B, prof.L),
@@ -268,11 +281,7 @@ def run_siso_trial(cfg: ExperimentConfig, K: int, ebn0_db: float,
         dec = decode_siso(y, matrices, codebook, K, mode=mode,
                           list_size=cfg.list_size, path_cap=cfg.path_cap,
                           nnls_tol=cfg.nnls_tol)
-        result.outcomes[mode] = ModeOutcome(
-            decoded=dec.messages, pupe=pupe(sent, dec.messages, K),
-            per_slot=dec.diagnostics.active_cols,
-            work_units=dec.diagnostics.work_units,
-            wall_ms=dec.diagnostics.wall_ms)
+        result.outcomes[mode] = _outcome(dec, sent, K)
     return result
 
 
@@ -280,12 +289,8 @@ def run_mimo_trial(cfg: ExperimentConfig, K: int, M: int,
                    trial: int) -> TrialResult:
     """One MIMO trial; always decodes both modes so the runtime ratio is paired."""
     prof = cfg.profile
-    codebook = TreeCodebook(prof, derive_seed(cfg.master_seed, trial, CODEBOOK))
-    msg_rng = np.random.default_rng((cfg.master_seed, trial, MESSAGES))
-    W = random_bits(msg_rng, (K, prof.B))
-    sent = [int(x) for x in rows_to_ints(W)]
-    frags = encode_messages(W, codebook)
-
+    check_memory_budget(cfg.n, prof.v, np.complex128, cfg.memory_budget)
+    codebook, sent, frags = _draw_messages(cfg, K, trial)
     P = ebn0_to_power(cfg.ebn0_db[0], prof.B, prof.L, cfg.n, cfg.N0)
     radius = float(np.sqrt(cfg.n * P))
     mat_seed = derive_seed(cfg.master_seed, trial, MATRIX)
@@ -305,11 +310,7 @@ def run_mimo_trial(cfg: ExperimentConfig, K: int, M: int,
         dec = decode_mimo(Y, matrices, codebook, K, cfg.N0, mode=mode,
                           list_size=cfg.list_size, sweeps=cfg.sweeps,
                           tol=cfg.cd_tol, path_cap=cfg.path_cap)
-        result.outcomes[mode] = ModeOutcome(
-            decoded=dec.messages, pupe=pupe(sent, dec.messages, K),
-            per_slot=dec.diagnostics.S_sizes,
-            work_units=dec.diagnostics.work_units,
-            wall_ms=dec.diagnostics.wall_ms)
+        result.outcomes[mode] = _outcome(dec, sent, K)
     return result
 
 

@@ -9,38 +9,16 @@ generated by the admissible parity patterns of the surviving tree paths.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bits import ints_to_rows
 from .ccs import SensingMatrix
-from .tree import DEFAULT_PATH_CAP, PathTracker, TreeCodebook
+from .tree import (DEFAULT_PATH_CAP, AdmissibleIndexSet, DecodeResult,
+                   TreeCodebook, interleaved_decode)
 
 TAU_SING = 1e-12
-
-
-@dataclass(frozen=True)
-class AdmissibleIndexSet:
-    """Sorted global fragment indices to sweep during one block."""
-
-    indices: np.ndarray
-
-    @classmethod
-    def full(cls, v: int) -> "AdmissibleIndexSet":
-        return cls(np.arange(1 << v, dtype=np.int64))
-
-    @classmethod
-    def from_patterns(cls, patterns: np.ndarray, m: int, l: int) -> "AdmissibleIndexSet":
-        """All indices whose low-order l bits lie in ``patterns``: w*2^l + p."""
-        patterns = np.asarray(patterns, dtype=np.int64)
-        w = np.arange(1 << m, dtype=np.int64) << l
-        return cls(np.sort((w[:, None] + patterns[None, :]).ravel()))
-
-    @property
-    def size(self) -> int:
-        return int(self.indices.size)
 
 
 def sample_covariance(Y: np.ndarray) -> np.ndarray:
@@ -161,82 +139,26 @@ def support_from_gamma(gamma: np.ndarray, list_size: int, v: int) -> tuple[np.nd
     return ints_to_rows(idx.astype(np.int64), v), idx.astype(np.int64)
 
 
-@dataclass
-class MimoDecodeDiagnostics:
-    S_sizes: list[int] = field(default_factory=list)
-    sweeps_run: list[int] = field(default_factory=list)
-    updates: list[int] = field(default_factory=list)
-    live_paths: list[int] = field(default_factory=list)
-    # deterministic work model: coordinate updates * n^2, summed over blocks
-    work_units: int = 0
-    wall_ms: float = 0.0
-
-
-@dataclass
-class MimoDecodeResult:
-    messages: list[int]
-    failures: int
-    diagnostics: MimoDecodeDiagnostics
-
-
 def decode_mimo(Y_blocks: list[np.ndarray], matrices: list[SensingMatrix],
                 codebook: TreeCodebook, K: int, N0: float,
                 mode: str = "original", list_size: int | None = None,
                 sweeps: int = 10, tol: float = 1e-6,
                 force_full_patterns: bool = False,
-                path_cap: int = DEFAULT_PATH_CAP) -> MimoDecodeResult:
-    """Recover messages from L block observations via per-block activity detection.
+                path_cap: int = DEFAULT_PATH_CAP) -> DecodeResult:
+    """Recover messages from L block observations (modes: see interleaved_decode).
 
-    mode="original" sweeps every fragment index in every block;
-    mode="enhanced" sweeps only the index set implied by the admissible
-    parity patterns of the live tree paths. ``force_full_patterns`` keeps the
-    enhanced plumbing but substitutes the full index set, which must
-    reproduce original-mode output exactly.
+    Each block runs activity detection over its index set and keeps the top
+    ``list_size`` (default K) fragments.
     """
-    prof = codebook.profile
-    if mode not in ("original", "enhanced"):
-        raise ValueError("mode must be 'original' or 'enhanced'")
-    if len(Y_blocks) != prof.L or len(matrices) != prof.L:
-        raise ValueError(f"need exactly L={prof.L} blocks and matrices")
     if list_size is None:
         list_size = K
-    diag = MimoDecodeDiagnostics()
-    t0 = time.perf_counter()
-    tracker = PathTracker(codebook, path_cap=path_cap)
-    dead = False
-    for ell in range(1, prof.L + 1):
-        m, l = prof.m[ell - 1], prof.l[ell - 1]
-        v = m + l
-        if not dead and matrices[ell - 1].v != v:
-            raise ValueError(f"block {ell} matrix fragment width mismatch")
-        S = AdmissibleIndexSet.full(v)
-        if not dead and mode == "enhanced" and ell >= 2 and not force_full_patterns:
-            patterns = tracker.admissible()
-            if patterns.size == 0:
-                dead = True
-            else:
-                S = AdmissibleIndexSet.from_patterns(patterns, m, l)
-        if dead:
-            diag.S_sizes.append(0)
-            diag.sweeps_run.append(0)
-            diag.updates.append(0)
-            tracker.advance(np.zeros((0, v), dtype=np.uint8))
-            continue
-        A = matrices[ell - 1]
-        cov = sample_covariance(Y_blocks[ell - 1])
-        gamma, adiag = activity_detect(cov, A, S, N0, sweeps=sweeps, tol=tol)
-        bits, _ = support_from_gamma(gamma, list_size, v)
-        if ell == 1:
-            tracker.start(bits)
-        else:
-            tracker.advance(bits)
-        diag.S_sizes.append(S.size)
-        diag.sweeps_run.append(adiag.sweeps_run)
-        diag.updates.append(adiag.updates)
+
+    def solve_slot(Y, A, S):
+        gamma, adiag = activity_detect(sample_covariance(Y), A, S, N0,
+                                       sweeps=sweeps, tol=tol)
+        bits, _ = support_from_gamma(gamma, list_size, A.v)
         # every visited coordinate costs an n^2 matvec whether or not it moves
-        diag.work_units += adiag.sweeps_run * S.size * A.rows ** 2
-    tree = tracker.finalize()
-    diag.live_paths = tracker.diagnostics.live_paths
-    diag.wall_ms = (time.perf_counter() - t0) * 1e3
-    return MimoDecodeResult(messages=tree.messages, failures=tree.failures,
-                            diagnostics=diag)
+        return bits, adiag.sweeps_run, adiag.sweeps_run * S.size * A.rows ** 2
+
+    return interleaved_decode(Y_blocks, matrices, codebook, mode,
+                              force_full_patterns, path_cap, solve_slot)

@@ -4,16 +4,19 @@ A B-bit message is split into L sections; section ``l`` (1-based) carries
 ``m[l]`` information bits followed by ``l[l]`` parity bits, where the parity
 is a random GF(2) linear function of all earlier information sections. The
 list decoder walks the per-slot fragment lists and keeps every
-parity-consistent partial path.
+parity-consistent partial path. ``interleaved_decode`` runs the same search
+slot by slot, between the inner decodes of each slot, and hands every slot
+solver the set of column indices whose parity the live paths admit.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import bits_to_int, ints_to_rows, rows_to_ints
+from .bits import rows_to_ints
 
 DEFAULT_PATH_CAP = 1 << 16
 
@@ -111,16 +114,6 @@ class TreeCodebook:
         return ((prefixes @ self._stack[ell - 1]) & 1).astype(np.uint8)
 
 
-def compute_parity(info_prefix: np.ndarray, ell: int, codebook: TreeCodebook) -> np.ndarray:
-    """Parity bits of section ``ell`` given the info bits of sections 1..ell-1."""
-    return codebook.parity_rows(np.asarray(info_prefix, dtype=np.uint8), ell)[0]
-
-
-def outer_encode(w: np.ndarray, codebook: TreeCodebook) -> list[np.ndarray]:
-    """Encode one B-bit message into L coded fragments."""
-    return [f[0] for f in encode_messages(np.atleast_2d(np.asarray(w, dtype=np.uint8)), codebook)]
-
-
 def encode_messages(W: np.ndarray, codebook: TreeCodebook) -> list[np.ndarray]:
     """Encode a batch of messages (rows of W); returns L arrays of shape (K, v_l)."""
     W = np.atleast_2d(np.asarray(W, dtype=np.uint8))
@@ -161,19 +154,6 @@ class FragmentLists:
         return cls(encode_messages(W, codebook))
 
 
-@dataclass
-class Path:
-    """A parity-consistent partial path through the first ``stage`` lists."""
-
-    stage: int
-    info_bits: np.ndarray
-    fragment_indices: tuple[int, ...]
-
-    @property
-    def root(self) -> int:
-        return self.fragment_indices[0]
-
-
 def _parity_buckets(fragments: np.ndarray, m: int) -> dict[int, np.ndarray]:
     """Group fragment row indices by the integer value of their parity bits."""
     parity_ints = rows_to_ints(fragments[:, m:])
@@ -181,43 +161,6 @@ def _parity_buckets(fragments: np.ndarray, m: int) -> dict[int, np.ndarray]:
     for row, p in enumerate(parity_ints):
         buckets.setdefault(int(p), []).append(row)
     return {p: np.asarray(rows, dtype=np.int64) for p, rows in buckets.items()}
-
-
-def extend_paths(paths: list[Path], fragments: np.ndarray,
-                 codebook: TreeCodebook) -> list[Path]:
-    """All parity-consistent one-step extensions of ``paths`` into the next list."""
-    if not paths:
-        return []
-    stage = paths[0].stage
-    if any(p.stage != stage for p in paths):
-        raise ValueError("paths must all be at the same stage")
-    ell = stage + 1
-    m = codebook.profile.m[ell - 1]
-    fragments = np.atleast_2d(np.asarray(fragments, dtype=np.uint8))
-    if fragments.shape[0] == 0:
-        return []
-    buckets = _parity_buckets(fragments, m)
-    prefixes = np.vstack([p.info_bits for p in paths])
-    parities = rows_to_ints(codebook.parity_rows(prefixes, ell))
-    out: list[Path] = []
-    for path, p in zip(paths, parities):
-        for row in buckets.get(int(p), ()):
-            out.append(Path(
-                stage=ell,
-                info_bits=np.concatenate([path.info_bits, fragments[row, :m]]),
-                fragment_indices=path.fragment_indices + (int(row),),
-            ))
-    return out
-
-
-def admissible_parities(paths: list[Path], ell: int, codebook: TreeCodebook) -> np.ndarray:
-    """Deduplicated parity patterns (as integers) that stage-``ell`` fragments may carry."""
-    if not 2 <= ell <= codebook.profile.L:
-        raise ValueError(f"stage {ell} out of range [2, {codebook.profile.L}]")
-    if not paths:
-        return np.empty(0, dtype=np.int64)
-    prefixes = np.vstack([p.info_bits for p in paths])
-    return np.unique(rows_to_ints(codebook.parity_rows(prefixes, ell)))
 
 
 @dataclass
@@ -229,13 +172,21 @@ class TreeDiagnostics:
 
 
 @dataclass
-class TreeDecodeResult:
+class DecodeDiagnostics(TreeDiagnostics):
+    """Tree bookkeeping plus the per-slot effort of a slot-interleaved decode."""
+
+    cols: list[int] = field(default_factory=list)        # |S_l|, 0 once every path died
+    iterations: list[int] = field(default_factory=list)  # inner-solver iterations or sweeps
+    # deterministic work model of the slot solver, summed over slots
+    work_units: int = 0
+    wall_ms: float = 0.0
+
+
+@dataclass
+class DecodeResult:
     messages: list[int]          # radix-2 message values, in root order
     failures: int
     diagnostics: TreeDiagnostics
-
-    def message_bits(self, B: int) -> np.ndarray:
-        return ints_to_rows(np.asarray(self.messages, dtype=np.int64), B)
 
 
 class PathTracker:
@@ -325,7 +276,7 @@ class PathTracker:
         self.stage = ell
         self.diagnostics.live_paths.append(int(self._roots.shape[0]))
 
-    def finalize(self) -> TreeDecodeResult:
+    def finalize(self) -> DecodeResult:
         """Settle per-root books: one surviving message per root, else a failure."""
         if self.stage != self.codebook.profile.L:
             raise ValueError("finalize called before the final stage")
@@ -345,7 +296,7 @@ class PathTracker:
                 if msg not in seen:
                     seen.add(msg)
                     messages.append(msg)
-        return TreeDecodeResult(
+        return DecodeResult(
             messages=messages,
             failures=self.root_count - successes,
             diagnostics=self.diagnostics,
@@ -353,7 +304,7 @@ class PathTracker:
 
 
 def tree_decode(lists: FragmentLists, codebook: TreeCodebook,
-                path_cap: int = DEFAULT_PATH_CAP) -> TreeDecodeResult:
+                path_cap: int = DEFAULT_PATH_CAP) -> DecodeResult:
     """List-decode the outer code: follow every parity-consistent path.
 
     A root yields a message iff exactly one message survives to the last
@@ -368,6 +319,70 @@ def tree_decode(lists: FragmentLists, codebook: TreeCodebook,
     return tracker.finalize()
 
 
-def message_int(w: np.ndarray) -> int:
-    """Radix-2 value of a full B-bit message."""
-    return bits_to_int(np.asarray(w, dtype=np.uint8))
+@dataclass(frozen=True)
+class AdmissibleIndexSet:
+    """Sorted, distinct global fragment indices a slot solver may select."""
+
+    indices: np.ndarray
+
+    @classmethod
+    def full(cls, v: int) -> "AdmissibleIndexSet":
+        return cls(np.arange(1 << v, dtype=np.int64))
+
+    @classmethod
+    def from_patterns(cls, patterns: np.ndarray, m: int, l: int) -> "AdmissibleIndexSet":
+        """All indices whose low-order l bits lie in ``patterns``: w*2^l + p."""
+        patterns = np.asarray(patterns, dtype=np.int64)
+        w = np.arange(1 << m, dtype=np.int64) << l
+        return cls(np.sort((w[:, None] + patterns[None, :]).ravel()))
+
+    @property
+    def size(self) -> int:
+        return int(self.indices.size)
+
+
+def interleaved_decode(observations: list, matrices: list, codebook: TreeCodebook,
+                       mode: str, force_full_patterns: bool, path_cap: int,
+                       solve_slot) -> DecodeResult:
+    """Recover messages slot by slot, advancing the tree search after each slot.
+
+    ``solve_slot(observation, matrix, S)`` recovers one slot's fragment list
+    from the matrix columns indexed by S and returns (fragment bit rows,
+    solver iterations, work units). mode="original" hands every slot the full
+    index set; mode="enhanced" restricts slots 2..L to the indices whose
+    parity bits the live paths admit. ``force_full_patterns`` keeps the
+    enhanced plumbing but substitutes the full set, which must reproduce
+    original-mode output exactly. Once every path has died the set is empty
+    and the remaining slots are not solved.
+    """
+    prof = codebook.profile
+    if mode not in ("original", "enhanced"):
+        raise ValueError("mode must be 'original' or 'enhanced'")
+    if len(observations) != prof.L or len(matrices) != prof.L:
+        raise ValueError(f"need exactly L={prof.L} observations and matrices")
+    for ell, (A, v) in enumerate(zip(matrices, prof.v), start=1):
+        if A.v != v:
+            raise ValueError(f"slot {ell} matrix fragment width mismatch")
+    t0 = time.perf_counter()
+    tracker = PathTracker(codebook, path_cap=path_cap)
+    tracker.diagnostics = diag = DecodeDiagnostics()
+    for ell in range(1, prof.L + 1):
+        m, l = prof.m[ell - 1], prof.l[ell - 1]
+        if ell == 1 or mode == "original" or force_full_patterns:
+            S = AdmissibleIndexSet.full(m + l)
+        else:
+            S = AdmissibleIndexSet.from_patterns(tracker.admissible(), m, l)
+        bits, iterations, work = np.zeros((0, m + l), dtype=np.uint8), 0, 0
+        if S.size:
+            bits, iterations, work = solve_slot(observations[ell - 1],
+                                                matrices[ell - 1], S)
+        if ell == 1:
+            tracker.start(bits)
+        else:
+            tracker.advance(bits)
+        diag.cols.append(S.size)
+        diag.iterations.append(iterations)
+        diag.work_units += work
+    result = tracker.finalize()
+    diag.wall_ms = (time.perf_counter() - t0) * 1e3
+    return result

@@ -4,31 +4,30 @@ recovery, column pruning, and the two slot decoders."""
 import numpy as np
 import pytest
 
-from uracs.bits import int_to_bits, ints_to_rows, random_bits, rows_to_ints
+from uracs.bits import bits_to_int, int_to_bits, ints_to_rows, random_bits, rows_to_ints
 from uracs.ccs import (
-    SensingMatrix,
     build_complex_sensing_matrix,
     build_sensing_matrix,
-    ccs_slot_encode,
+    check_memory_budget,
     decode_siso,
-    fragment_of,
-    index_of,
     prune_columns,
     top_k_support,
     user_signals,
 )
-from uracs.errors import DeadPathsError, ResourceRefusalError
-from uracs.tree import FragmentLists, ParityProfile, TreeCodebook, encode_messages, tree_decode
+from uracs.errors import ResourceRefusalError
+from uracs.tree import AdmissibleIndexSet, ParityProfile, TreeCodebook, encode_messages
 
 
 def test_index_fragment_bijection():
+    # A fragment's column index is its radix-2 value, MSB first.
     for v in (1, 3, 8):
         for idx in range(1 << v):
-            frag = fragment_of(idx, v)
+            frag = int_to_bits(idx, v)
             assert frag.shape == (v,)
-            assert index_of(frag) == idx
-    # MSB-first: [1,0,1] -> 5.
-    assert index_of(np.array([1, 0, 1], dtype=np.uint8)) == 5
+            assert bits_to_int(frag) == idx
+        rows = ints_to_rows(np.arange(1 << v), v)
+        np.testing.assert_array_equal(rows_to_ints(rows), np.arange(1 << v))
+    assert bits_to_int(np.array([1, 0, 1], dtype=np.uint8)) == 5
 
 
 def test_build_sensing_matrix_properties():
@@ -36,7 +35,7 @@ def test_build_sensing_matrix_properties():
     assert A.columns.shape == (16, 64)
     assert A.rows == 16 and A.cols == 64
     np.testing.assert_allclose(np.linalg.norm(A.columns, axis=0), 1.0, atol=1e-12)
-    np.testing.assert_array_equal(A.index_map, np.arange(64))
+    assert A.v == 6
     B = build_sensing_matrix(16, 6, seed=0)
     np.testing.assert_array_equal(A.columns, B.columns)
     C = build_sensing_matrix(16, 6, seed=1)
@@ -64,6 +63,10 @@ def test_memory_budget_refusal():
                                      memory_budget=1 << 20)
     # A matrix that fits is built without complaint.
     build_sensing_matrix(8, 4, seed=0, memory_budget=1 << 20)
+    # The check bounds the sum over a set of widths, not each matrix alone.
+    check_memory_budget(8, (4, 4), np.float64, 2 * 8 * 16 * 8)
+    with pytest.raises(ResourceRefusalError):
+        check_memory_budget(8, (4, 4), np.float64, 2 * 8 * 16 * 8 - 1)
 
 
 def test_column_cross_correlation_is_small():
@@ -74,10 +77,15 @@ def test_column_cross_correlation_is_small():
     assert off.mean() < 0.08
 
 
+def slot_signal(frags, A, d=1.0):
+    """Noiseless slot signal d * A * (sum of the users' one-hot index vectors)."""
+    return d * user_signals(frags, A).sum(axis=0)
+
+
 def test_slot_encode_matches_dense_oracle():
     A = build_sensing_matrix(12, 5, seed=4)
     frags = ints_to_rows(np.array([3, 17, 3]), 5)  # duplicate fragment
-    y = ccs_slot_encode(frags, A, d=2.5)
+    y = slot_signal(frags, A, d=2.5)
     x = np.zeros(32)
     x[3] += 1.0
     x[17] += 1.0
@@ -93,54 +101,46 @@ def test_user_signals_rows_are_columns():
     for k, idx in enumerate((7, 0, 15)):
         np.testing.assert_array_equal(S[k], A.columns[:, idx])
     assert user_signals(np.zeros((0, 4), dtype=np.uint8), A).shape == (0, 10)
+    with pytest.raises(ValueError):
+        user_signals(ints_to_rows(np.array([7]), 5), A)
 
 
 def test_top_k_support_tie_rules():
-    A = build_sensing_matrix(6, 2, seed=6)
+    full = AdmissibleIndexSet.full(2)
     x = np.array([0.1, 0.9, 0.5, 0.9])
-    bits, idx = top_k_support(x, 2, A)
+    bits, idx = top_k_support(x, 2, full, 2)
     assert idx.tolist() == [1, 3]  # tie on 0.9 goes to the lower index
     np.testing.assert_array_equal(bits, ints_to_rows(np.array([1, 3]), 2))
-    # On a pruned matrix ties resolve by global fragment index, not position.
-    P = SensingMatrix(columns=A.columns[:, [3, 1]],
-                      index_map=np.array([3, 1], dtype=np.int64), v=2)
-    _, idx2 = top_k_support(np.array([0.7, 0.7]), 1, P)
+    # On a restricted set, x[j] scores fragment S.indices[j]; ties still go
+    # to the lower global index.
+    S = AdmissibleIndexSet(np.array([1, 3], dtype=np.int64))
+    bits2, idx2 = top_k_support(np.array([0.7, 0.7]), 1, S, 2)
     assert idx2.tolist() == [1]
+    np.testing.assert_array_equal(bits2, ints_to_rows(np.array([1]), 2))
+    _, idx3 = top_k_support(np.array([0.2, 0.9]), 1, S, 2)
+    assert idx3.tolist() == [3]
     with pytest.raises(ValueError):
-        top_k_support(x, 0, A)
+        top_k_support(x, 0, full, 2)
 
 
 def test_top_k_support_truncates_to_available_columns():
-    A = build_sensing_matrix(6, 2, seed=7)
-    bits, idx = top_k_support(np.array([1.0, 2.0, 3.0, 4.0]), 9, A)
+    full = AdmissibleIndexSet.full(2)
+    bits, idx = top_k_support(np.array([1.0, 2.0, 3.0, 4.0]), 9, full, 2)
     assert idx.tolist() == [3, 2, 1, 0]
     assert bits.shape == (4, 2)
 
 
 def test_prune_columns_matches_filter_oracle():
     A = build_sensing_matrix(8, 6, seed=8)  # fragments: 4 info + 2 parity bits
-    patterns = np.array([1, 2], dtype=np.int64)
-    P = prune_columns(A, patterns, m=4, l=2)
+    S = AdmissibleIndexSet.from_patterns(np.array([1, 2], dtype=np.int64), m=4, l=2)
+    P = prune_columns(A, S)
     keep = [i for i in range(64) if (i & 0b11) in (1, 2)]
-    assert P.index_map.tolist() == keep
+    assert S.indices.tolist() == keep
     np.testing.assert_array_equal(P.columns, A.columns[:, keep])
     assert P.v == A.v
-    # Full pattern set is the identity pruning: bit-identical columns.
-    F = prune_columns(A, np.arange(4, dtype=np.int64), m=4, l=2)
-    np.testing.assert_array_equal(F.columns, A.columns)
-    np.testing.assert_array_equal(F.index_map, A.index_map)
-    with pytest.raises(DeadPathsError):
-        prune_columns(A, np.array([], dtype=np.int64), m=4, l=2)
-    with pytest.raises(ValueError):
-        prune_columns(A, patterns, m=3, l=2)
-
-
-def test_positions_of_rejects_missing_fragment():
-    A = build_sensing_matrix(8, 4, seed=9)
-    P = prune_columns(A, np.array([0], dtype=np.int64), m=3, l=1)
-    # Fragment 3 has parity bit 1, which was pruned away.
-    with pytest.raises(KeyError):
-        user_signals(int_to_bits(3, 4)[None, :], P)
+    # Full pattern set is the identity pruning: the matrix itself.
+    F = prune_columns(A, AdmissibleIndexSet.from_patterns(np.arange(4), m=4, l=2))
+    assert F is A
 
 
 def make_noiseless_instance(seed_cb, seed_msg, K=2):
@@ -151,7 +151,7 @@ def make_noiseless_instance(seed_cb, seed_msg, K=2):
     frags = encode_messages(W, cb)
     mats = [build_sensing_matrix(24, prof.v[ell], seed=(10, ell))
             for ell in range(prof.L)]
-    y = [ccs_slot_encode(frags[ell], mats[ell], d=1.0) for ell in range(prof.L)]
+    y = [slot_signal(frags[ell], mats[ell]) for ell in range(prof.L)]
     return prof, cb, W, mats, y
 
 
@@ -163,16 +163,16 @@ def test_decode_siso_noiseless_roundtrip_both_modes():
         res = decode_siso(y, mats, cb, K=2, mode=mode)
         assert res.failures == 0
         assert sorted(res.messages) == sent
-        assert len(res.diagnostics.active_cols) == prof.L
-        assert len(res.diagnostics.nnls_iterations) == prof.L
+        assert len(res.diagnostics.cols) == prof.L
+        assert len(res.diagnostics.iterations) == prof.L
     # Enhanced mode never solves a larger system than original mode.
     orig = decode_siso(y, mats, cb, K=2, mode="original")
     enh = decode_siso(y, mats, cb, K=2, mode="enhanced")
     assert all(e <= o for e, o in
-               zip(enh.diagnostics.active_cols, orig.diagnostics.active_cols))
-    assert enh.diagnostics.active_cols[0] == orig.diagnostics.active_cols[0]
+               zip(enh.diagnostics.cols, orig.diagnostics.cols))
+    assert enh.diagnostics.cols[0] == orig.diagnostics.cols[0]
     assert any(e < o for e, o in
-               zip(enh.diagnostics.active_cols[1:], orig.diagnostics.active_cols[1:]))
+               zip(enh.diagnostics.cols[1:], orig.diagnostics.cols[1:]))
 
 
 def test_decode_siso_forced_full_patterns_equals_original():
@@ -184,8 +184,8 @@ def test_decode_siso_forced_full_patterns_equals_original():
                     force_full_patterns=True)
     assert a.messages == b.messages
     assert a.failures == b.failures
-    assert a.diagnostics.active_cols == b.diagnostics.active_cols
-    assert a.diagnostics.nnls_iterations == b.diagnostics.nnls_iterations
+    assert a.diagnostics.cols == b.diagnostics.cols
+    assert a.diagnostics.iterations == b.diagnostics.iterations
     assert a.diagnostics.work_units == b.diagnostics.work_units
 
 
@@ -193,7 +193,7 @@ def test_decode_siso_work_model_is_iterations_times_size():
     prof, cb, W, mats, y = make_noiseless_instance(seed_cb=21, seed_msg=4)
     res = decode_siso(y, mats, cb, K=2, mode="enhanced")
     d = res.diagnostics
-    expect = sum(it * 24 * c for it, c in zip(d.nnls_iterations, d.active_cols))
+    expect = sum(it * 24 * c for it, c in zip(d.iterations, d.cols))
     assert d.work_units == expect
     assert d.wall_ms > 0.0
 
@@ -209,14 +209,14 @@ def test_decode_siso_dead_paths_after_total_cap():
     frags = encode_messages(W, cb)
     mats = [build_sensing_matrix(16, prof.v[ell], seed=(20, ell))
             for ell in range(prof.L)]
-    y = [ccs_slot_encode(frags[ell], mats[ell]) for ell in range(prof.L)]
+    y = [slot_signal(frags[ell], mats[ell]) for ell in range(prof.L)]
     res = decode_siso(y, mats, cb, K=1, mode="enhanced", list_size=4, path_cap=3)
     assert res.messages == []
     # Every slot-1 list entry opens a root; all four roots blow past the cap.
     assert res.failures == 4
     assert res.diagnostics.live_paths == [4, 0, 0]
-    assert res.diagnostics.active_cols[2] == 0
-    assert res.diagnostics.nnls_iterations[2] == 0
+    assert res.diagnostics.cols[2] == 0
+    assert res.diagnostics.iterations[2] == 0
 
 
 def test_decode_siso_input_validation():

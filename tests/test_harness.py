@@ -1,11 +1,13 @@
 """Tests for the experiment harness: configs, seeding, metrics, CSV output."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from uracs.errors import ConfigError
+from uracs import harness
+from uracs.errors import ConfigError, ResourceRefusalError
 from uracs.harness import (
     CODEBOOK,
     MESSAGES,
@@ -188,6 +190,30 @@ def test_mimo_trial_runs_both_modes_always():
     r = run_mimo_trial(cfg, 2, 32, 0)
     assert set(r.outcomes) == {"original", "enhanced"}
     assert len(r.outcomes["enhanced"].per_slot) == 3
+
+
+def test_memory_budget_bounds_the_whole_trial(monkeypatch):
+    # Four MIMO blocks of 4-bit fragments: each 8 x 16 complex matrix needs
+    # 2048 bytes, the trial 8192. A budget that fits one matrix but not four
+    # refuses the trial before any matrix is built.
+    data = {"scenario": "mimo", "profile": {"m": [4, 2, 2, 2], "l": [0, 2, 2, 2]},
+            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 4096}
+    cfg = parse_config(data)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a matrix was built before the refusal")
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "build_complex_sensing_matrix", no_build)
+        with pytest.raises(ResourceRefusalError):
+            run_mimo_trial(cfg, 2, 16, 0)
+    run_mimo_trial(replace(cfg, memory_budget=8192), 2, 16, 0)
+    # The scalar trial builds one matrix per distinct width (3 and 4 bits
+    # here): 12 x (8 + 16) doubles, 2304 bytes in all.
+    siso = parse_config(siso_config(memory_budget=2303))
+    with pytest.raises(ResourceRefusalError):
+        run_siso_trial(siso, 1, 10.0, 0)
+    run_siso_trial(replace(siso, memory_budget=2304), 1, 10.0, 0)
 
 
 def test_run_experiment_siso_csv_shape_and_determinism(tmp_path):

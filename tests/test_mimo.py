@@ -41,8 +41,7 @@ def test_sample_covariance_matches_definition():
 
 
 def scalar_state(sample_value, N0=1.0):
-    A = SensingMatrix(columns=np.array([[1.0 + 0j]]),
-                      index_map=np.array([0], dtype=np.int64), v=1)
+    A = SensingMatrix(columns=np.array([[1.0 + 0j]]), v=1)
     cov = np.array([[sample_value + 0j]])
     return CovarianceState(cov, A, N0=N0)
 
@@ -172,12 +171,12 @@ def test_decode_mimo_roundtrip_both_modes():
         assert res.failures == 0
     orig = decode_mimo(blocks, mats, cb, K=2, N0=N0, mode="original")
     enh = decode_mimo(blocks, mats, cb, K=2, N0=N0, mode="enhanced")
-    assert orig.diagnostics.S_sizes == [8, 16, 16]
-    assert enh.diagnostics.S_sizes[0] == 8
+    assert orig.diagnostics.cols == [8, 16, 16]
+    assert enh.diagnostics.cols[0] == 8
     assert all(e <= o for e, o in
-               zip(enh.diagnostics.S_sizes, orig.diagnostics.S_sizes))
+               zip(enh.diagnostics.cols, orig.diagnostics.cols))
     assert any(e < o for e, o in
-               zip(enh.diagnostics.S_sizes[1:], orig.diagnostics.S_sizes[1:]))
+               zip(enh.diagnostics.cols[1:], orig.diagnostics.cols[1:]))
     assert enh.diagnostics.work_units < orig.diagnostics.work_units
 
 
@@ -188,8 +187,8 @@ def test_decode_mimo_forced_full_equals_original():
                     force_full_patterns=True)
     assert a.messages == b.messages
     assert a.failures == b.failures
-    assert a.diagnostics.S_sizes == b.diagnostics.S_sizes
-    assert a.diagnostics.updates == b.diagnostics.updates
+    assert a.diagnostics.cols == b.diagnostics.cols
+    assert a.diagnostics.iterations == b.diagnostics.iterations
     assert a.diagnostics.work_units == b.diagnostics.work_units
 
 
@@ -197,7 +196,7 @@ def test_decode_mimo_work_model():
     prof, cb, W, mats, blocks, N0 = make_mimo_instance()
     res = decode_mimo(blocks, mats, cb, K=2, N0=N0, mode="enhanced")
     d = res.diagnostics
-    expect = sum(s * sz * 64 for s, sz in zip(d.sweeps_run, d.S_sizes))
+    expect = sum(s * sz * 64 for s, sz in zip(d.iterations, d.cols))
     assert d.work_units == expect
 
 
@@ -207,3 +206,7 @@ def test_decode_mimo_input_validation():
         decode_mimo(blocks, mats, cb, K=2, N0=N0, mode="turbo")
     with pytest.raises(ValueError):
         decode_mimo(blocks[:2], mats, cb, K=2, N0=N0)
+    bad = list(mats)
+    bad[1] = build_complex_sensing_matrix(8, 5, radius=1.0, seed=0)
+    with pytest.raises(ValueError):
+        decode_mimo(blocks, bad, cb, K=2, N0=N0)

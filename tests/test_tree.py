@@ -11,14 +11,9 @@ from uracs.tree import (
     DEFAULT_SISO_PROFILE,
     FragmentLists,
     ParityProfile,
-    Path,
     PathTracker,
     TreeCodebook,
-    admissible_parities,
-    compute_parity,
     encode_messages,
-    extend_paths,
-    outer_encode,
     tree_decode,
 )
 
@@ -39,7 +34,7 @@ def brute_force_decode(lists, codebook, path_cap=1 << 16):
             frag = lists.lists[ell - 1][row]
             m = prof.m[ell - 1]
             if ell > 1:
-                expect = compute_parity(np.concatenate(info), ell, codebook)
+                expect = codebook.parity_rows(np.concatenate(info), ell)[0]
                 if not np.array_equal(frag[m:], expect):
                     ok = False
                     break
@@ -97,7 +92,7 @@ def test_parity_matches_generator_algebra():
     G = cb.generator(1, 2)  # section-1 info feeding section-2 parity
     assert G.shape == (2, 2)
     expect = (w @ G) % 2
-    got = compute_parity(w, 2, cb)
+    got = cb.parity_rows(w, 2)[0]
     assert np.array_equal(got, expect.astype(np.uint8))
 
 
@@ -111,9 +106,9 @@ def test_parity_linearity_over_gf2():
         w2 = random_bits(rng, 7)
         for ell in (2, 3):
             n = prof.prefix_bits(ell)
-            p1 = compute_parity(w1[:n], ell, cb)
-            p2 = compute_parity(w2[:n], ell, cb)
-            p12 = compute_parity((w1 ^ w2)[:n], ell, cb)
+            p1 = cb.parity_rows(w1[:n], ell)[0]
+            p2 = cb.parity_rows(w2[:n], ell)[0]
+            p12 = cb.parity_rows((w1 ^ w2)[:n], ell)[0]
             assert np.array_equal(p12, p1 ^ p2)
 
 
@@ -122,10 +117,10 @@ def test_outer_encode_bit_layout():
     prof = ParityProfile(m=(3, 2), l=(0, 2))
     cb = TreeCodebook(prof, seed=5)
     w = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
-    frags = outer_encode(w, cb)
-    assert np.array_equal(frags[0], w[:3])
-    parity = compute_parity(w[:3], 2, cb)
-    assert np.array_equal(frags[1], np.concatenate([w[3:], parity]))
+    frags = encode_messages(w, cb)
+    assert np.array_equal(frags[0][0], w[:3])
+    parity = cb.parity_rows(w[:3], 2)[0]
+    assert np.array_equal(frags[1][0], np.concatenate([w[3:], parity]))
 
 
 def test_encode_messages_matches_scalar_path():
@@ -135,9 +130,9 @@ def test_encode_messages_matches_scalar_path():
     W = random_bits(rng, (5, prof.B))
     batch = encode_messages(W, cb)
     for k in range(5):
-        single = outer_encode(W[k], cb)
+        single = encode_messages(W[k], cb)
         for ell in range(prof.L):
-            assert np.array_equal(batch[ell][k], single[ell])
+            assert np.array_equal(batch[ell][k], single[ell][0])
 
 
 def test_roundtrip_decode_noiseless():
@@ -177,50 +172,42 @@ def test_decode_matches_brute_force():
         assert res.failures == ref_fail
 
 
-def test_extend_paths_brute_force():
+def test_tracker_advance_matches_brute_force():
+    # Every parity-consistent (root, fragment) pair, and no other, becomes a
+    # live path carrying the concatenated info bits.
     prof = ParityProfile(m=(2, 2), l=(0, 2))
     cb = TreeCodebook(prof, seed=31)
     roots = ints_to_rows(np.arange(4), 2)
-    paths = [
-        Path(stage=1, info_bits=roots[i], fragment_indices=(i,))
-        for i in range(4)
-    ]
     frags = ints_to_rows(np.arange(16), 4)
-    got = {
-        (p.fragment_indices[0], p.fragment_indices[1])
-        for p in extend_paths(paths, frags, cb)
-    }
+    tracker = PathTracker(cb)
+    tracker.start(roots)
+    tracker.advance(frags)
+    got = set(zip(tracker._roots.tolist(), rows_to_ints(tracker._info).tolist()))
     expect = set()
     for i in range(4):
+        parity = cb.parity_rows(roots[i], 2)[0]
         for row in range(16):
-            parity = compute_parity(roots[i], 2, cb)
             if np.array_equal(frags[row, 2:], parity):
-                expect.add((i, row))
+                expect.add((i, bits_to_int(np.concatenate([roots[i], frags[row, :2]]))))
     assert got == expect
-    # Extended paths carry the concatenated info bits.
-    for p in extend_paths(paths, frags, cb):
-        assert p.stage == 2
-        assert np.array_equal(
-            p.info_bits,
-            np.concatenate(
-                [roots[p.fragment_indices[0]], frags[p.fragment_indices[1], :2]]
-            ),
-        )
+    assert tracker.live_path_count() == len(expect)
 
 
 def test_admissible_parities_small():
+    # PathTracker.admissible() is exactly the deduplicated set of parity
+    # patterns the live paths predict for the next stage.
     prof = ParityProfile(m=(2, 2, 2), l=(0, 1, 2))
     cb = TreeCodebook(prof, seed=17)
     info = ints_to_rows(np.array([0, 3]), 2)
-    paths = [
-        Path(stage=1, info_bits=info[i], fragment_indices=(i,))
-        for i in range(2)
-    ]
-    pats = admissible_parities(paths, 2, cb)
-    expect = sorted({bits_to_int(compute_parity(row, 2, cb)) for row in info})
+    tracker = PathTracker(cb)
+    tracker.start(info)
+    pats = tracker.admissible()
+    expect = sorted({bits_to_int(cb.parity_rows(row, 2)[0]) for row in info})
     assert pats.tolist() == expect
     assert pats.dtype == np.int64
-    assert admissible_parities([], 2, cb).size == 0
+    # Once every path has died no pattern is admissible.
+    tracker.advance(np.zeros((0, 3), dtype=np.uint8))
+    assert tracker.admissible().size == 0
 
 
 def test_tracker_admissible_never_misses_true_path():
