@@ -16,8 +16,8 @@ from .predictors import (PredictorInput, expected_admissible_patterns,
                          expected_column_reduction_ratio,
                          expected_erroneous_paths, expected_partial_paths)
 from .tree import (DEFAULT_MIMO_PROFILE, DEFAULT_SISO_PROFILE,
-                   AdmissibleIndexSet, DecodeResult, FragmentLists,
-                   ParityProfile, PathTracker, TreeCodebook, encode_messages,
+                   AdmissibleIndexSet, DecodeResult, ParityProfile,
+                   PathTracker, TreeCodebook, encode_messages,
                    interleaved_decode, tree_decode)
 
 __all__ = [
@@ -44,6 +44,6 @@ __all__ = [
     "expected_partial_paths",
     # outer tree code and the interleaved decode loop
     "DEFAULT_MIMO_PROFILE", "DEFAULT_SISO_PROFILE", "AdmissibleIndexSet",
-    "DecodeResult", "FragmentLists", "ParityProfile", "PathTracker",
-    "TreeCodebook", "encode_messages", "interleaved_decode", "tree_decode",
+    "DecodeResult", "ParityProfile", "PathTracker", "TreeCodebook",
+    "encode_messages", "interleaved_decode", "tree_decode",
 ]

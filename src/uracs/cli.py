@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .errors import ConfigError, ResourceRefusalError
 from .harness import load_config, run_experiment
@@ -22,7 +21,8 @@ def build_parser() -> argparse.ArgumentParser:
         s = sub.add_parser(name, help=blurb)
         s.add_argument("--config", required=True, help="JSON config file")
         s.add_argument("--out", help="output CSV path (default: stdout)")
-        s.add_argument("--seed", type=int, help="override master_seed")
+        s.add_argument("--seed", type=int, dest="master_seed",
+                       help="override master_seed")
         s.add_argument("--trials", type=int, help="override trial count")
         s.add_argument("--workers", type=int, help="override worker count")
     return parser
@@ -30,26 +30,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # each override replaces its config key before the config is validated
+    overrides = {key: getattr(args, key) for key in
+                 ("out", "master_seed", "trials", "workers")
+                 if getattr(args, key) is not None}
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, **overrides)
         if cfg.scenario != args.scenario:
             raise ConfigError(f"scenario: config says {cfg.scenario!r} but the "
                               f"command is {args.scenario!r}")
-        overrides = {}
-        if args.out is not None:
-            overrides["out"] = args.out
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if args.trials is not None:
-            if args.trials < 1:
-                raise ConfigError("trials: must be at least 1")
-            overrides["trials"] = args.trials
-        if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError("workers: must be at least 1")
-            overrides["workers"] = args.workers
-        if overrides:
-            cfg = replace(cfg, **overrides)
         text = run_experiment(cfg)
         if not cfg.out:
             sys.stdout.write(text)

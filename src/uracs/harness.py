@@ -28,8 +28,7 @@ from .errors import ConfigError
 from .mimo import decode_mimo
 from .predictors import PredictorInput, predict_table
 from .tree import (DEFAULT_MIMO_PROFILE, DEFAULT_PATH_CAP, DEFAULT_SISO_PROFILE,
-                   FragmentLists, ParityProfile, PathTracker, TreeCodebook,
-                   encode_messages)
+                   ParityProfile, PathTracker, TreeCodebook, encode_messages)
 
 # purpose tags for per-trial substreams
 MESSAGES, CODEBOOK, MATRIX, NOISE, FADING = range(5)
@@ -210,7 +209,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, **overrides) -> ExperimentConfig:
+    """Parse a JSON config file; ``overrides`` replace its keys before parsing."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -218,6 +218,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
+    if isinstance(data, dict):
+        data.update(overrides)
     return parse_config(data)
 
 
@@ -347,7 +349,6 @@ def genie_tree_trial(profile: ParityProfile, K: int, master_seed: int,
             break
     else:
         raise RuntimeError("could not draw distinct fragments; sections too small")
-    FragmentLists(frags).validate(profile)
     tracker = PathTracker(codebook)
     tracker.start(frags[0])
     patterns = []

@@ -19,6 +19,10 @@ from .tree import (DEFAULT_PATH_CAP, AdmissibleIndexSet, DecodeResult,
                    TreeCodebook, interleaved_decode)
 
 TAU_SING = 1e-12
+# every REFRESH_EVERY rank-one updates the tracked inverse is checked against
+# the covariance it should invert, and recomputed if it drifted past TAU_INV
+REFRESH_EVERY = 32
+TAU_INV = 1e-8
 
 
 def sample_covariance(Y: np.ndarray) -> np.ndarray:
@@ -32,21 +36,18 @@ def sample_covariance(Y: np.ndarray) -> np.ndarray:
 class CovarianceState:
     """Running gamma estimate and inverse of N0*I + A diag(gamma) A^H."""
 
-    def __init__(self, sample_cov: np.ndarray, A: SensingMatrix, N0: float,
-                 tau_inv: float = 1e-8, refresh_every: int = 32):
+    def __init__(self, sample_cov: np.ndarray, A: SensingMatrix, N0: float):
         n = A.rows
         if sample_cov.shape != (n, n):
             raise ValueError("sample covariance shape must match matrix rows")
         self.sample_cov = np.asarray(sample_cov, dtype=np.complex128)
         self.A = A
         self.N0 = float(N0)
-        self.tau_inv = tau_inv
-        self.refresh_every = refresh_every
         self.sigma_inv = np.eye(n, dtype=np.complex128) / self.N0
         self.gamma = np.zeros(A.cols)
         self.updates = 0
         self.skipped = 0
-        self._since_refresh = 0
+        self._since_check = 0
 
     def covariance(self) -> np.ndarray:
         """The covariance N0*I + A diag(gamma) A^H implied by the current gamma."""
@@ -71,7 +72,6 @@ class CovarianceState:
 
     def refresh_inverse(self) -> None:
         self.sigma_inv = np.linalg.inv(self.covariance())
-        self._since_refresh = 0
 
     def coordinate_step(self, k: int) -> float:
         """One clamped descent step on gamma[k]; returns the applied change."""
@@ -92,9 +92,11 @@ class CovarianceState:
             # stays the inverse of the covariance implied by gamma
             self.sigma_inv -= (d_eff / denom) * np.outer(s, s.conj())
             self.updates += 1
-            self._since_refresh += 1
-            if self._since_refresh >= self.refresh_every and self.drift() > self.tau_inv:
-                self.refresh_inverse()
+            self._since_check += 1
+            if self._since_check == REFRESH_EVERY:
+                self._since_check = 0
+                if self.drift() > TAU_INV:
+                    self.refresh_inverse()
         return d_eff
 
 

@@ -32,8 +32,7 @@ class PredictorInput:
     def __post_init__(self):
         if self.K < 1:
             raise ValueError("K must be at least 1")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
+        _check_variant(self.variant)
 
 
 def _check_slot(profile: ParityProfile, ell: int) -> None:
@@ -89,26 +88,19 @@ def expected_admissible_patterns(K: int, profile: ParityProfile, ell: int,
 def expected_column_reduction_ratio(K: int, profile: ParityProfile, ell: int,
                                     variant: str = "full") -> float:
     """Expected fraction of slot-``ell`` columns kept by parity-based pruning."""
-    p = expected_partial_paths(K, profile, ell, variant)
-    l = profile.l[ell - 1]
-    if l == 0:
-        return 1.0
-    return float(-np.expm1(p * np.log1p(-(2.0 ** -l))))
+    patterns = expected_admissible_patterns(K, profile, ell, variant)
+    return patterns / 2.0 ** profile.l[ell - 1]
 
 
 def predict_table(inp: PredictorInput) -> list[dict]:
     """All four statistics for every slot; one dict per slot."""
-    rows = []
-    for ell in range(1, inp.profile.L + 1):
-        e = expected_erroneous_paths(inp.K, inp.profile, ell, inp.variant)
-        p = inp.K * (1.0 + e)
-        rows.append({
-            "K": inp.K,
-            "slot": ell,
-            "variant": inp.variant,
-            "E_L": e,
-            "P": p,
-            "P_patterns": admissible_pattern_mean(p, inp.profile.l[ell - 1]),
-            "R": expected_column_reduction_ratio(inp.K, inp.profile, ell, inp.variant),
-        })
-    return rows
+    K, prof, variant = inp.K, inp.profile, inp.variant
+    return [{
+        "K": K,
+        "slot": ell,
+        "variant": variant,
+        "E_L": expected_erroneous_paths(K, prof, ell, variant),
+        "P": expected_partial_paths(K, prof, ell, variant),
+        "P_patterns": expected_admissible_patterns(K, prof, ell, variant),
+        "R": expected_column_reduction_ratio(K, prof, ell, variant),
+    } for ell in range(1, prof.L + 1)]

@@ -85,23 +85,18 @@ class TreeCodebook:
     def __init__(self, profile: ParityProfile, seed: int):
         self.profile = profile
         self.seed = int(seed)
-        self._gen: dict[tuple[int, int], np.ndarray] = {}
-        stacks = [None]  # 1-based stage index
+        # _stack[ell - 1] maps the info prefix of sections 1..ell-1 to parity
+        # ell: the blocks G[1][ell], ..., G[ell-1][ell] stacked by rows
+        self._stack = [None]
         for ell in range(2, profile.L + 1):
-            blocks = []
-            for j in range(1, ell):
-                rng = np.random.default_rng((self.seed, j, ell))
-                g = rng.integers(0, 2, size=(profile.m[j - 1], profile.l[ell - 1]),
-                                 dtype=np.uint8)
-                self._gen[(j, ell)] = g
-                blocks.append(g)
-            stacked = np.vstack(blocks) if blocks else np.zeros((0, profile.l[ell - 1]), np.uint8)
-            stacks.append(stacked.astype(np.int32))
-        # _stack[ell] maps the full info prefix of sections 1..ell-1 to parity ell
-        self._stack: list = stacks
+            blocks = [np.random.default_rng((self.seed, j, ell)).integers(
+                0, 2, size=(profile.m[j - 1], profile.l[ell - 1]), dtype=np.uint8)
+                for j in range(1, ell)]
+            self._stack.append(np.vstack(blocks).astype(np.int32))
 
     def generator(self, j: int, ell: int) -> np.ndarray:
-        return self._gen[(j, ell)]
+        prof = self.profile
+        return self._stack[ell - 1][prof.prefix_bits(j):prof.prefix_bits(j + 1)]
 
     def parity_rows(self, prefixes: np.ndarray, ell: int) -> np.ndarray:
         """Parity bits of section ``ell`` for a batch of info prefixes (rows)."""
@@ -136,45 +131,12 @@ def encode_messages(W: np.ndarray, codebook: TreeCodebook) -> list[np.ndarray]:
 
 
 @dataclass
-class FragmentLists:
-    """The L per-slot lists of recovered coded fragments (one 2-D array each)."""
-
-    lists: list[np.ndarray]
-
-    def validate(self, profile: ParityProfile) -> None:
-        if len(self.lists) != profile.L:
-            raise ValueError(f"{len(self.lists)} lists for an L={profile.L} profile")
-        for ell, (arr, v) in enumerate(zip(self.lists, profile.v), start=1):
-            if arr.ndim != 2 or arr.shape[1] != v:
-                raise ValueError(f"list {ell} fragments must be {v} bits wide")
-
-    @classmethod
-    def genie(cls, W: np.ndarray, codebook: TreeCodebook) -> "FragmentLists":
-        """Lists holding exactly the encoded fragments of the given messages."""
-        return cls(encode_messages(W, codebook))
-
-
-def _parity_buckets(fragments: np.ndarray, m: int) -> dict[int, np.ndarray]:
-    """Group fragment row indices by the integer value of their parity bits."""
-    parity_ints = rows_to_ints(fragments[:, m:])
-    buckets: dict[int, list[int]] = {}
-    for row, p in enumerate(parity_ints):
-        buckets.setdefault(int(p), []).append(row)
-    return {p: np.asarray(rows, dtype=np.int64) for p, rows in buckets.items()}
-
-
-@dataclass
-class TreeDiagnostics:
-    """Per-stage bookkeeping of the path search."""
+class DecodeDiagnostics:
+    """Per-stage bookkeeping of the path search, plus the per-slot effort
+    of a slot-interleaved decode (empty for ``tree_decode``)."""
 
     live_paths: list[int] = field(default_factory=list)
     capped_roots: int = 0
-
-
-@dataclass
-class DecodeDiagnostics(TreeDiagnostics):
-    """Tree bookkeeping plus the per-slot effort of a slot-interleaved decode."""
-
     cols: list[int] = field(default_factory=list)        # |S_l|, 0 once every path died
     iterations: list[int] = field(default_factory=list)  # inner-solver iterations or sweeps
     # deterministic work model of the slot solver, summed over slots
@@ -186,7 +148,7 @@ class DecodeDiagnostics(TreeDiagnostics):
 class DecodeResult:
     messages: list[int]          # radix-2 message values, in root order
     failures: int
-    diagnostics: TreeDiagnostics
+    diagnostics: DecodeDiagnostics
 
 
 class PathTracker:
@@ -204,29 +166,36 @@ class PathTracker:
         self.root_count = 0
         self._info = np.zeros((0, 0), dtype=np.uint8)
         self._roots = np.zeros(0, dtype=np.int64)
+        # parity integer each live path expects in the next stage's fragment
+        self._next = np.zeros(0, dtype=np.int64)
         self._failed: set[int] = set()
-        self.diagnostics = TreeDiagnostics()
+        self.diagnostics = DecodeDiagnostics()
+
+    def _enter(self, stage: int, info: np.ndarray, roots: np.ndarray) -> None:
+        self.stage = stage
+        self._info = info
+        self._roots = roots
+        self.diagnostics.live_paths.append(int(roots.shape[0]))
+        if stage < self.codebook.profile.L:
+            self._next = rows_to_ints(self.codebook.parity_rows(info, stage + 1))
 
     def start(self, root_fragments: np.ndarray) -> None:
         roots = np.atleast_2d(np.asarray(root_fragments, dtype=np.uint8))
         m1 = self.codebook.profile.m[0]
         if roots.shape[0] and roots.shape[1] != m1:
             raise ValueError(f"root fragments must be {m1} bits wide")
-        self.stage = 1
         self.root_count = roots.shape[0]
-        self._info = roots.reshape(self.root_count, m1)
-        self._roots = np.arange(self.root_count, dtype=np.int64)
-        self.diagnostics.live_paths.append(self.root_count)
+        self._enter(1, roots.reshape(self.root_count, m1),
+                    np.arange(self.root_count, dtype=np.int64))
 
     def live_path_count(self) -> int:
         return self._roots.shape[0]
 
     def admissible(self) -> np.ndarray:
         """Admissible parity patterns for the next stage, as sorted integers."""
-        ell = self.stage + 1
-        if self._info.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(rows_to_ints(self.codebook.parity_rows(self._info, ell)))
+        if self.stage >= self.codebook.profile.L:
+            raise ValueError("already at the final stage")
+        return np.unique(self._next)
 
     def advance(self, fragments: np.ndarray) -> None:
         """Extend every live path into the next list, pruning inconsistent branches."""
@@ -235,31 +204,18 @@ class PathTracker:
         if ell > prof.L:
             raise ValueError("already at the final stage")
         m = prof.m[ell - 1]
-        fragments = np.atleast_2d(np.asarray(fragments, dtype=np.uint8))
-        if fragments.size == 0:
-            fragments = fragments.reshape(0, prof.v[ell - 1])
-        if fragments.shape[0] == 0 or self._info.shape[0] == 0:
-            self._info = np.zeros((0, prof.prefix_bits(ell + 1) if ell < prof.L
-                                   else prof.B), dtype=np.uint8)
-            self._roots = np.zeros(0, dtype=np.int64)
-            self.stage = ell
-            self.diagnostics.live_paths.append(0)
-            return
-        buckets = _parity_buckets(fragments, m)
-        parities = rows_to_ints(self.codebook.parity_rows(self._info, ell))
-        counts = np.zeros(self._info.shape[0], dtype=np.int64)
-        rows_per_path: list[np.ndarray] = []
-        for i, p in enumerate(parities):
-            rows = buckets.get(int(p))
-            if rows is None:
-                rows_per_path.append(np.empty(0, dtype=np.int64))
-            else:
-                rows_per_path.append(rows)
-                counts[i] = rows.shape[0]
-        rep = np.repeat(np.arange(self._info.shape[0]), counts)
-        frag_rows = (np.concatenate(rows_per_path) if rows_per_path
-                     else np.empty(0, dtype=np.int64))
-        new_info = np.hstack([self._info[rep], fragments[frag_rows][:, :m]])
+        fragments = np.asarray(fragments, dtype=np.uint8).reshape(-1, prof.v[ell - 1])
+        # each path continues into the list rows that carry its parity, in row
+        # order: one contiguous run of the stably sorted list parities
+        parities = rows_to_ints(fragments[:, m:])
+        order = np.argsort(parities, kind="stable")
+        parities = parities[order]
+        lo = np.searchsorted(parities, self._next, side="left")
+        counts = np.searchsorted(parities, self._next, side="right") - lo
+        rep = np.repeat(np.arange(self._next.shape[0]), counts)
+        run_start = np.cumsum(counts) - counts
+        frag_rows = order[np.repeat(lo - run_start, counts) + np.arange(rep.shape[0])]
+        new_info = np.hstack([self._info[rep], fragments[frag_rows, :m]])
         new_roots = self._roots[rep]
         # worst-case branching is exponential; abandon roots that blow up
         per_root = np.bincount(new_roots, minlength=self.root_count)
@@ -271,10 +227,7 @@ class PathTracker:
             keep = ~np.isin(new_roots, over)
             new_info = new_info[keep]
             new_roots = new_roots[keep]
-        self._info = new_info
-        self._roots = new_roots
-        self.stage = ell
-        self.diagnostics.live_paths.append(int(self._roots.shape[0]))
+        self._enter(ell, new_info, new_roots)
 
     def finalize(self) -> DecodeResult:
         """Settle per-root books: one surviving message per root, else a failure."""
@@ -284,8 +237,7 @@ class PathTracker:
         seen: set[int] = set()
         successes = 0
         by_root: dict[int, set[int]] = {}
-        msg_ints = rows_to_ints(self._info) if self._info.shape[0] else np.empty(0, np.int64)
-        for root, msg in zip(self._roots, msg_ints):
+        for root, msg in zip(self._roots, rows_to_ints(self._info)):
             by_root.setdefault(int(root), set()).add(int(msg))
         for root in range(self.root_count):
             survivors = by_root.get(root)
@@ -303,19 +255,25 @@ class PathTracker:
         )
 
 
-def tree_decode(lists: FragmentLists, codebook: TreeCodebook,
+def tree_decode(lists: list[np.ndarray], codebook: TreeCodebook,
                 path_cap: int = DEFAULT_PATH_CAP) -> DecodeResult:
-    """List-decode the outer code: follow every parity-consistent path.
+    """List-decode the outer code over L per-slot fragment lists (2-D bit
+    arrays): follow every parity-consistent path.
 
     A root yields a message iff exactly one message survives to the last
     stage; roots with no survivors, distinct survivors, or a capped search
     count as failures.
     """
-    lists.validate(codebook.profile)
+    prof = codebook.profile
+    if len(lists) != prof.L:
+        raise ValueError(f"{len(lists)} lists for an L={prof.L} profile")
+    for ell, (arr, v) in enumerate(zip(lists, prof.v), start=1):
+        if arr.ndim != 2 or arr.shape[1] != v:
+            raise ValueError(f"list {ell} fragments must be {v} bits wide")
     tracker = PathTracker(codebook, path_cap=path_cap)
-    tracker.start(lists.lists[0])
-    for ell in range(2, codebook.profile.L + 1):
-        tracker.advance(lists.lists[ell - 1])
+    tracker.start(lists[0])
+    for fragments in lists[1:]:
+        tracker.advance(fragments)
     return tracker.finalize()
 
 
@@ -365,7 +323,7 @@ def interleaved_decode(observations: list, matrices: list, codebook: TreeCodeboo
             raise ValueError(f"slot {ell} matrix fragment width mismatch")
     t0 = time.perf_counter()
     tracker = PathTracker(codebook, path_cap=path_cap)
-    tracker.diagnostics = diag = DecodeDiagnostics()
+    diag = tracker.diagnostics
     for ell in range(1, prof.L + 1):
         m, l = prof.m[ell - 1], prof.l[ell - 1]
         if ell == 1 or mode == "original" or force_full_patterns:

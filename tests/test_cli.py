@@ -75,6 +75,7 @@ def test_main_overrides_take_effect(tmp_path, capsys):
     assert main(["siso", "--config", cfg, "--seed", "4", "--trials", "2"]) == 0
     assert capsys.readouterr().out != first
     assert main(["siso", "--config", cfg, "--trials", "0"]) == 2
+    assert main(["siso", "--config", cfg, "--workers", "0"]) == 2
 
 
 def test_main_predict_subcommand(tmp_path, capsys):

@@ -1,15 +1,24 @@
 """Golden decode outcomes for a few seeded trials.
 
-The expected values were recorded from the trial harness before the scalar
+The trial values were recorded from the trial harness before the scalar
 and MIMO decoders shared one slot-interleaved loop; any change to the decode
 path that alters decoded messages, per-slot column counts or the work model
 fails here. The cases cover both channels, low SNR, ``list_size > K``, and an
 enhanced decode in which every path dies before the last slot.
+
+The tree-search values (genie live-path and pattern counts, list decodes
+with repeated parity buckets and with capped roots) were recorded before
+``PathTracker`` extended its paths in one vectorised step.
 """
 
+import numpy as np
 import pytest
 
-from uracs.harness import parse_config, run_mimo_trial, run_siso_trial
+from uracs.bits import random_bits
+from uracs.harness import (genie_tree_trial, parse_config, run_mimo_trial,
+                           run_siso_trial)
+from uracs.tree import (DEFAULT_SISO_PROFILE, ParityProfile, TreeCodebook,
+                        encode_messages, tree_decode)
 
 # (runner, config, runner args before the trial index,
 #  {trial: (sent, {mode: (decoded, per_slot, work_units)})})
@@ -78,3 +87,62 @@ def test_trials_match_recorded_outcomes(kind, data, args, expected):
         got = {mode: (o.decoded, o.per_slot, o.work_units)
                for mode, o in r.outcomes.items()}
         assert got == outcomes, f"trial {trial}"
+
+
+# (profile, K, master_seed, trial, live paths per stage, patterns per stage 2..L)
+GENIE_CASES = [
+    (DEFAULT_SISO_PROFILE, 100, 1, 0,
+     [100, 250, 192, 180, 175, 165, 163, 159, 164, 104, 100],
+     [50, 162, 133, 125, 121, 123, 122, 114, 161, 104]),
+    (DEFAULT_SISO_PROFILE, 100, 2, 0,
+     [100, 254, 190, 187, 194, 177, 161, 159, 176, 100, 100],
+     [49, 158, 130, 124, 133, 133, 121, 113, 176, 100]),
+    (DEFAULT_SISO_PROFILE, 100, 3, 0,
+     [100, 230, 171, 162, 151, 157, 159, 160, 162, 100, 100],
+     [51, 160, 124, 123, 116, 114, 123, 119, 162, 100]),
+    (ParityProfile(m=(6, 4, 2), l=(0, 3, 4)), 4, 11, 0, [4, 8, 9], [2, 5]),
+    (ParityProfile(m=(6, 4, 2), l=(0, 3, 4)), 4, 11, 2, [4, 4, 6], [4, 3]),
+]
+
+
+@pytest.mark.parametrize("profile,K,seed,trial,live,patterns", GENIE_CASES)
+def test_genie_tree_trial_matches_recorded_counts(profile, K, seed, trial,
+                                                  live, patterns):
+    assert genie_tree_trial(profile, K, seed, trial) == (live, patterns)
+
+
+def genie_with_decoys(profile, seed, K, decoys):
+    """Codebook ``seed``; the encoded fragments of K random messages, each
+    list followed by ``decoys[l]`` random fragments."""
+    cb = TreeCodebook(profile, seed=seed)
+    rng = np.random.default_rng(seed)
+    W = random_bits(rng, (K, profile.B))
+    lists = [np.vstack([f, random_bits(rng, (n, v))])
+             for f, n, v in zip(encode_messages(W, cb), decoys, profile.v)]
+    return lists, cb
+
+
+# (profile, seed, K, decoys, path_cap,
+#  (messages, failures, live paths per stage, capped roots))
+TREE_DECODE_CASES = [
+    # up to three (seed 0) and four (seed 5) rows of a list share one parity
+    (ParityProfile(m=(4, 3, 3, 2), l=(0, 2, 3, 4)), 0, 4, (0, 3, 3, 2), 1 << 16,
+     ([3304, 275], 2, [4, 8, 12, 9], 0)),
+    (ParityProfile(m=(4, 3, 3, 2), l=(0, 2, 3, 4)), 5, 4, (0, 3, 3, 2), 1 << 16,
+     ([4062, 267], 2, [4, 11, 13, 13], 0)),
+    # two roots exceed the cap and fail; the third still decodes
+    (ParityProfile(m=(3, 2, 2), l=(0, 1, 3)), 6, 3, (0, 4, 1), 3,
+     ([111], 2, [3, 1, 2], 2)),
+    (ParityProfile(m=(3, 2, 2), l=(0, 1, 3)), 6, 3, (0, 4, 1), 1 << 16,
+     ([117, 111, 83], 0, [3, 13, 7], 0)),
+]
+
+
+@pytest.mark.parametrize("profile,seed,K,decoys,path_cap,expected",
+                         TREE_DECODE_CASES)
+def test_tree_decode_matches_recorded_outcomes(profile, seed, K, decoys,
+                                               path_cap, expected):
+    lists, cb = genie_with_decoys(profile, seed, K, decoys)
+    r = tree_decode(lists, cb, path_cap=path_cap)
+    assert (r.messages, r.failures, r.diagnostics.live_paths,
+            r.diagnostics.capped_roots) == expected

@@ -7,6 +7,7 @@ from uracs.bits import random_bits, rows_to_ints
 from uracs.ccs import SensingMatrix, build_complex_sensing_matrix
 from uracs.channel import MimoChannelConfig, mimo_block_transmit
 from uracs.mimo import (
+    REFRESH_EVERY,
     AdmissibleIndexSet,
     CovarianceState,
     activity_detect,
@@ -108,6 +109,28 @@ def test_activity_detect_exact_support_large_arrays():
     assert top.tolist() == [7, 23]
     assert diag.sweeps_run >= 1
     assert diag.updates > 0
+
+
+def test_drift_is_checked_once_per_refresh_interval(monkeypatch):
+    # The tracked inverse is compared with the covariance once every
+    # REFRESH_EVERY rank-one updates, not at every update after the first
+    # REFRESH_EVERY.
+    n, v, M, N0 = 16, 6, 256, 0.5
+    A = build_complex_sensing_matrix(n, v, radius=np.sqrt(n), seed=12)
+    cfg = MimoChannelConfig(M=M, n=n, N0=N0, P=1.0, fading_seed=13, noise_seed=14)
+    Y = mimo_block_transmit(np.array([3, 17, 40, 58]), A.columns, cfg, block=0)
+    checks = []
+    drift = CovarianceState.drift
+
+    def counted_drift(self):
+        checks.append(1)
+        return drift(self)
+
+    monkeypatch.setattr(CovarianceState, "drift", counted_drift)
+    _, diag = activity_detect(sample_covariance(Y), A,
+                              AdmissibleIndexSet.full(v), N0, tol=0.0)
+    assert diag.updates > 3 * REFRESH_EVERY
+    assert 1 <= len(checks) <= -(-diag.updates // REFRESH_EVERY)
 
 
 def test_activity_detect_restricted_sweep_stays_in_set():

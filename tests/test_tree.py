@@ -9,7 +9,6 @@ from uracs.bits import bits_to_int, ints_to_rows, random_bits, rows_to_ints
 from uracs.tree import (
     DEFAULT_MIMO_PROFILE,
     DEFAULT_SISO_PROFILE,
-    FragmentLists,
     ParityProfile,
     PathTracker,
     TreeCodebook,
@@ -26,12 +25,12 @@ def brute_force_decode(lists, codebook, path_cap=1 << 16):
     survivors: dict[int, set] = {}
     counts: dict[int, int] = {}
     capped = set()
-    row_choices = [range(arr.shape[0]) for arr in lists.lists]
+    row_choices = [range(arr.shape[0]) for arr in lists]
     for combo in itertools.product(*row_choices):
         info = []
         ok = True
         for ell, row in enumerate(combo, start=1):
-            frag = lists.lists[ell - 1][row]
+            frag = lists[ell - 1][row]
             m = prof.m[ell - 1]
             if ell > 1:
                 expect = codebook.parity_rows(np.concatenate(info), ell)[0]
@@ -50,7 +49,7 @@ def brute_force_decode(lists, codebook, path_cap=1 << 16):
     messages = []
     seen = set()
     successes = 0
-    for root in range(lists.lists[0].shape[0]):
+    for root in range(lists[0].shape[0]):
         got = survivors.get(root)
         if got is not None and len(got) == 1 and root not in capped:
             successes += 1
@@ -58,7 +57,7 @@ def brute_force_decode(lists, codebook, path_cap=1 << 16):
             if msg not in seen:
                 seen.add(msg)
                 messages.append(msg)
-    return messages, lists.lists[0].shape[0] - successes
+    return messages, lists[0].shape[0] - successes
 
 
 def test_profile_validation():
@@ -145,7 +144,7 @@ def test_roundtrip_decode_noiseless():
     # Distinct root fragments, otherwise both messages survive under both
     # colliding root positions and those roots are (rightly) ambiguous.
     assert len(set(rows_to_ints(W[:, :4]).tolist())) == 3
-    res = tree_decode(FragmentLists.genie(W, cb), cb)
+    res = tree_decode(encode_messages(W, cb), cb)
     # Verified ambiguity-free for this (codebook, message) seed pair.
     assert res.failures == 0
     assert res.messages == [int(x) for x in rows_to_ints(W)]
@@ -165,9 +164,8 @@ def test_decode_matches_brute_force():
         for ell in range(prof.L):
             decoys = random_bits(rng, (2, prof.v[ell]))
             merged.append(np.vstack([genie[ell], decoys]))
-        lists = FragmentLists(merged)
-        res = tree_decode(lists, cb)
-        ref_msgs, ref_fail = brute_force_decode(lists, cb)
+        res = tree_decode(merged, cb)
+        ref_msgs, ref_fail = brute_force_decode(merged, cb)
         assert res.messages == ref_msgs
         assert res.failures == ref_fail
 
@@ -218,16 +216,16 @@ def test_tracker_admissible_never_misses_true_path():
     for trial in range(10):
         cb = TreeCodebook(prof, seed=500 + trial)
         W = random_bits(rng, (2, prof.B))
-        lists = FragmentLists.genie(W, cb)
-        true_frags = [f[0] for f in lists.lists]
+        lists = encode_messages(W, cb)
+        true_frags = [f[0] for f in lists]
         tracker = PathTracker(cb)
-        tracker.start(lists.lists[0])
+        tracker.start(lists[0])
         for ell in range(2, prof.L + 1):
             pats = tracker.admissible()
             m = prof.m[ell - 1]
             true_parity = bits_to_int(true_frags[ell - 1][m:])
             assert true_parity in pats.tolist()
-            tracker.advance(lists.lists[ell - 1])
+            tracker.advance(lists[ell - 1])
         # The true message always survives to the end (the root may still
         # be ambiguous if a decoy path shares it, so only check survival).
         final = tracker.finalize()
@@ -244,13 +242,12 @@ def test_tracker_matches_tree_decode():
         np.vstack([genie[ell], random_bits(rng, (3, prof.v[ell]))])
         for ell in range(prof.L)
     ]
-    lists = FragmentLists(merged)
     tracker = PathTracker(cb)
-    tracker.start(lists.lists[0])
+    tracker.start(merged[0])
     for ell in range(2, prof.L + 1):
-        tracker.advance(lists.lists[ell - 1])
+        tracker.advance(merged[ell - 1])
     a = tracker.finalize()
-    b = tree_decode(lists, cb)
+    b = tree_decode(merged, cb)
     assert a.messages == b.messages
     assert a.failures == b.failures
     assert a.diagnostics.live_paths == b.diagnostics.live_paths
@@ -263,7 +260,7 @@ def test_duplicate_messages_count_once():
     cb = TreeCodebook(prof, seed=41)
     w = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
     W = np.stack([w, w])
-    res = tree_decode(FragmentLists.genie(W, cb), cb)
+    res = tree_decode(encode_messages(W, cb), cb)
     assert res.messages == [bits_to_int(w)]
     assert res.failures == 0
 
@@ -273,8 +270,7 @@ def test_ambiguous_root_fails():
     # single root with two candidate continuations is ambiguous.
     prof = ParityProfile(m=(2, 2), l=(0, 0))
     cb = TreeCodebook(prof, seed=43)
-    lists = FragmentLists([ints_to_rows(np.array([1]), 2),
-                           ints_to_rows(np.array([0, 1]), 2)])
+    lists = [ints_to_rows(np.array([1]), 2), ints_to_rows(np.array([0, 1]), 2)]
     res = tree_decode(lists, cb)
     assert res.messages == []
     assert res.failures == 1
@@ -283,8 +279,7 @@ def test_ambiguous_root_fails():
 def test_path_cap_marks_root_failed():
     prof = ParityProfile(m=(1, 2), l=(0, 0))
     cb = TreeCodebook(prof, seed=47)
-    lists = FragmentLists([ints_to_rows(np.array([0]), 1),
-                           ints_to_rows(np.arange(4), 2)])
+    lists = [ints_to_rows(np.array([0]), 1), ints_to_rows(np.arange(4), 2)]
     res = tree_decode(lists, cb, path_cap=2)
     assert res.messages == []
     assert res.failures == 1
@@ -298,12 +293,23 @@ def test_path_cap_marks_root_failed():
 def test_empty_slot_kills_all_roots():
     prof = ParityProfile(m=(2, 2), l=(0, 2))
     cb = TreeCodebook(prof, seed=53)
-    lists = FragmentLists([ints_to_rows(np.array([1, 2]), 2),
-                           np.zeros((0, 4), dtype=np.uint8)])
+    lists = [ints_to_rows(np.array([1, 2]), 2), np.zeros((0, 4), dtype=np.uint8)]
     res = tree_decode(lists, cb)
     assert res.messages == []
     assert res.failures == 2
     assert res.diagnostics.live_paths == [2, 0]
+
+
+def test_tree_decode_rejects_malformed_lists():
+    prof = ParityProfile(m=(2, 2), l=(0, 2))
+    cb = TreeCodebook(prof, seed=59)
+    good = encode_messages(np.array([[1, 0, 1, 1]], dtype=np.uint8), cb)
+    with pytest.raises(ValueError, match="1 lists for an L=2 profile"):
+        tree_decode(good[:1], cb)
+    with pytest.raises(ValueError, match="list 2 fragments must be 4 bits wide"):
+        tree_decode([good[0], good[1][:, :3]], cb)
+    with pytest.raises(ValueError, match="list 1 fragments must be 2 bits wide"):
+        tree_decode([good[0][0], good[1]], cb)
 
 
 def test_codebook_determinism():
