@@ -30,10 +30,6 @@ class SisoChannelConfig:
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
 
-    @property
-    def ebn0_db(self) -> float:
-        return 10.0 * np.log10(self.d ** 2 * self.L / (2.0 * self.B))
-
 
 @dataclass(frozen=True)
 class MimoChannelConfig:
@@ -63,10 +59,6 @@ def ebn0_to_amplitude(ebn0_db: float, B: int, L: int) -> float:
     return float(np.sqrt(2.0 * B * ebn0 / L))
 
 
-def amplitude_to_ebn0(d: float, B: int, L: int) -> float:
-    return float(10.0 * np.log10(d ** 2 * L / (2.0 * B)))
-
-
 def ebn0_to_power(ebn0_db: float, B: int, L: int, n: int, N0: float) -> float:
     """Per-symbol power P for the MIMO channel at the given Eb/N0 (dB)."""
     if B < 1 or L < 1 or n < 1:
@@ -75,10 +67,6 @@ def ebn0_to_power(ebn0_db: float, B: int, L: int, n: int, N0: float) -> float:
         raise ValueError("N0 must be positive")
     ebn0 = 10.0 ** (ebn0_db / 10.0)
     return float(ebn0 * B * N0 / (L * n))
-
-
-def power_to_ebn0(P: float, B: int, L: int, n: int, N0: float) -> float:
-    return float(10.0 * np.log10(L * n * P / (B * N0)))
 
 
 def gmac_transmit(user_signals: np.ndarray, cfg: SisoChannelConfig,

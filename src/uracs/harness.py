@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,12 +26,14 @@ from .channel import (MimoChannelConfig, SisoChannelConfig, ebn0_to_amplitude,
                       ebn0_to_power, gmac_transmit, mimo_block_transmit)
 from .errors import ConfigError
 from .mimo import decode_mimo
-from .predictors import PredictorInput, predict_table
+from .predictors import predict_table
 from .tree import (DEFAULT_MIMO_PROFILE, DEFAULT_PATH_CAP, DEFAULT_SISO_PROFILE,
                    ParityProfile, PathTracker, TreeCodebook, encode_messages)
 
 # purpose tags for per-trial substreams
 MESSAGES, CODEBOOK, MATRIX, NOISE, FADING = range(5)
+# MIMO noise power; the symbol power follows from Eb/N0, so N0 sets no SNR
+N0 = 1.0
 
 NAMED_PROFILES = {
     "siso-default": DEFAULT_SISO_PROFILE,
@@ -72,17 +74,16 @@ class ExperimentConfig:
     out: str | None = None
     timing: str = "model"
     list_size: int | None = None
-    # scalar-channel scenario
+    # siso and mimo scenarios (nnls_tol and ebn0_search: siso only); ebn0_db
+    # alone sets the SNR
     ebn0_db: tuple[float, ...] = ()
     n: int = 0
-    noise_std: float = 1.0
     nnls_tol: float = 1e-8
     path_cap: int = DEFAULT_PATH_CAP
     memory_budget: int = DEFAULT_MEMORY_BUDGET
     ebn0_search: dict | None = None
     # mimo scenario
     M: tuple[int, ...] = ()
-    N0: float = 1.0
     sweeps: int = 10
     cd_tol: float = 1e-6
     # predict scenario
@@ -93,38 +94,63 @@ class ExperimentConfig:
         return ("original", "enhanced") if self.mode == "both" else (self.mode,)
 
 
-_COMMON_KEYS = {"scenario", "profile", "trials", "mode", "master_seed",
-                "workers", "out", "timing", "list_size"}
-_SCENARIO_KEYS = {
-    "siso": _COMMON_KEYS | {"K", "ebn0_db", "n", "noise_std", "nnls_tol",
-                            "path_cap", "memory_budget", "ebn0_search"},
-    "mimo": _COMMON_KEYS | {"K", "M", "n", "ebn0_db", "N0", "sweeps",
-                            "cd_tol", "path_cap", "memory_budget"},
-    "predict": _COMMON_KEYS | {"K", "variant"},
-}
-_SEARCH_KEYS = {"target_pupe", "lo_db", "hi_db", "resolution_db"}
+def _int(x) -> int:
+    """A JSON integer; booleans and values int() would truncate are refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or x % 1:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
 
 
-def _as_tuple(value, kind, name):
-    items = value if isinstance(value, (list, tuple)) else [value]
-    try:
-        return tuple(kind(x) for x in items)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name}: expected {kind.__name__} or list thereof")
+def _float(x) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"expected a number, got {x!r}")
+    return float(x)
+
+
+def _listed(parse):
+    """A parser of one value or a list of values, giving a tuple."""
+    return lambda v: tuple(map(parse, v if isinstance(v, (list, tuple)) else [v]))
 
 
 def _parse_profile(value) -> ParityProfile:
     if isinstance(value, str):
         if value not in NAMED_PROFILES:
-            raise ConfigError(f"profile: unknown name {value!r}; "
-                              f"known: {sorted(NAMED_PROFILES)}")
+            raise ValueError(f"unknown name {value!r}; known: {sorted(NAMED_PROFILES)}")
         return NAMED_PROFILES[value]
     if not isinstance(value, dict) or set(value) != {"m", "l"}:
-        raise ConfigError("profile: expected a name or an object with keys m, l")
-    try:
-        return ParityProfile(m=tuple(value["m"]), l=tuple(value["l"]))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"profile: {e}")
+        raise ValueError("expected a name or an object with keys m, l")
+    return ParityProfile(m=tuple(map(_int, value["m"])), l=tuple(map(_int, value["l"])))
+
+
+_SEARCH_KEYS = {"target_pupe", "lo_db", "hi_db", "resolution_db"}
+
+
+def _parse_search(value) -> dict:
+    if not isinstance(value, dict) or set(value) != _SEARCH_KEYS:
+        raise ValueError(f"expected keys {sorted(_SEARCH_KEYS)}")
+    search = {k: _float(v) for k, v in value.items()}
+    if not 0.0 < search["target_pupe"] < 1.0:
+        raise ValueError("target_pupe must be in (0, 1)")
+    if not search["lo_db"] < search["hi_db"]:
+        raise ValueError("need lo_db < hi_db")
+    if not search["resolution_db"] > 0:
+        raise ValueError("resolution_db must be positive")
+    return search
+
+
+_ALL, _CHANNELS = ("siso", "mimo", "predict"), ("siso", "mimo")
+# config key -> (parser, scenarios that accept it)
+_KEYS = {
+    "scenario": (str, _ALL), "profile": (_parse_profile, _ALL),
+    "K": (_listed(_int), _ALL), "trials": (_int, _ALL), "mode": (str, _ALL),
+    "master_seed": (_int, _ALL), "workers": (_int, _ALL), "out": (str, _ALL),
+    "timing": (str, _ALL), "list_size": (_int, _ALL),
+    "ebn0_db": (_listed(_float), _CHANNELS), "n": (_int, _CHANNELS),
+    "nnls_tol": (_float, ("siso",)), "path_cap": (_int, _CHANNELS),
+    "memory_budget": (_int, _CHANNELS), "ebn0_search": (_parse_search, ("siso",)),
+    "M": (_listed(_int), ("mimo",)), "sweeps": (_int, ("mimo",)),
+    "cd_tol": (_float, ("mimo",)), "variant": (str, ("predict",)),
+}
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -132,52 +158,24 @@ def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
     scenario = data.get("scenario")
-    if scenario not in _SCENARIO_KEYS:
-        raise ConfigError(f"scenario: must be one of {sorted(_SCENARIO_KEYS)}")
-    unknown = set(data) - _SCENARIO_KEYS[scenario]
+    if scenario not in _ALL:
+        raise ConfigError(f"scenario: must be one of {sorted(_ALL)}")
+    unknown = [k for k in data if scenario not in _KEYS.get(k, (None, ()))[1]]
     if unknown:
         raise ConfigError(f"unknown keys for scenario {scenario}: {sorted(unknown)}")
     for req in ("profile", "K"):
         if req not in data:
             raise ConfigError(f"{req}: required")
-    profile = _parse_profile(data["profile"])
-    K = _as_tuple(data["K"], int, "K")
-    if not K or any(k < 1 for k in K):
+    values = {}
+    for key, value in data.items():
+        try:
+            values[key] = _KEYS[key][0](value)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{key}: {e}") from None
+    cfg = ExperimentConfig(**values)
+
+    if not cfg.K or any(k < 1 for k in cfg.K):
         raise ConfigError("K: need at least one positive value")
-
-    cfg = ExperimentConfig(scenario=scenario, profile=profile, K=K)
-    simple = {
-        "trials": int, "mode": str, "master_seed": int, "workers": int,
-        "out": str, "timing": str, "list_size": int, "n": int,
-        "noise_std": float, "nnls_tol": float, "path_cap": int,
-        "memory_budget": int, "N0": float, "sweeps": int, "cd_tol": float,
-        "variant": str,
-    }
-    updates = {}
-    for key, kind in simple.items():
-        if key in data:
-            try:
-                updates[key] = kind(data[key])
-            except (TypeError, ValueError):
-                raise ConfigError(f"{key}: expected {kind.__name__}")
-    if "ebn0_db" in data:
-        updates["ebn0_db"] = _as_tuple(data["ebn0_db"], float, "ebn0_db")
-    if "M" in data:
-        updates["M"] = _as_tuple(data["M"], int, "M")
-    if "ebn0_search" in data:
-        search = data["ebn0_search"]
-        if not isinstance(search, dict) or set(search) != _SEARCH_KEYS:
-            raise ConfigError(f"ebn0_search: expected keys {sorted(_SEARCH_KEYS)}")
-        search = {k: float(v) for k, v in search.items()}
-        if not 0.0 < search["target_pupe"] < 1.0:
-            raise ConfigError("ebn0_search.target_pupe: must be in (0, 1)")
-        if search["lo_db"] >= search["hi_db"]:
-            raise ConfigError("ebn0_search: need lo_db < hi_db")
-        if search["resolution_db"] <= 0:
-            raise ConfigError("ebn0_search.resolution_db: must be positive")
-        updates["ebn0_search"] = search
-    cfg = replace(cfg, **updates)
-
     if cfg.trials < 1:
         raise ConfigError("trials: must be at least 1")
     if cfg.mode not in ("original", "enhanced", "both"):
@@ -188,20 +186,16 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("workers: must be at least 1")
     if cfg.list_size is not None and cfg.list_size < 1:
         raise ConfigError("list_size: must be at least 1")
-    if scenario in ("siso", "mimo"):
+    if scenario in _CHANNELS:
         if cfg.n < 1:
             raise ConfigError("n: required and must be at least 1")
         if not cfg.ebn0_db:
             raise ConfigError("ebn0_db: required")
-    if scenario == "siso" and cfg.noise_std < 0:
-        raise ConfigError("noise_std: must be nonnegative")
     if scenario == "mimo":
         if not cfg.M or any(m < 1 for m in cfg.M):
             raise ConfigError("M: need at least one positive value")
         if len(cfg.ebn0_db) != 1:
             raise ConfigError("ebn0_db: mimo scenario takes a single value")
-        if cfg.N0 <= 0:
-            raise ConfigError("N0: must be positive")
         if cfg.sweeps < 1:
             raise ConfigError("sweeps: must be at least 1")
     if scenario == "predict" and cfg.variant not in ("full", "one_step", "both"):
@@ -273,8 +267,7 @@ def run_siso_trial(cfg: ExperimentConfig, K: int, ebn0_db: float,
 
     ch = SisoChannelConfig(d=ebn0_to_amplitude(ebn0_db, prof.B, prof.L),
                            B=prof.B, L=prof.L,
-                           noise_seed=derive_seed(cfg.master_seed, trial, NOISE),
-                           noise_std=cfg.noise_std)
+                           noise_seed=derive_seed(cfg.master_seed, trial, NOISE))
     y = [gmac_transmit(user_signals(frags[ell - 1], matrices[ell - 1]), ch,
                        stream=ell) for ell in range(1, prof.L + 1)]
 
@@ -293,14 +286,14 @@ def run_mimo_trial(cfg: ExperimentConfig, K: int, M: int,
     prof = cfg.profile
     check_memory_budget(cfg.n, prof.v, np.complex128, cfg.memory_budget)
     codebook, sent, frags = _draw_messages(cfg, K, trial)
-    P = ebn0_to_power(cfg.ebn0_db[0], prof.B, prof.L, cfg.n, cfg.N0)
+    P = ebn0_to_power(cfg.ebn0_db[0], prof.B, prof.L, cfg.n, N0)
     radius = float(np.sqrt(cfg.n * P))
     mat_seed = derive_seed(cfg.master_seed, trial, MATRIX)
     matrices = [build_complex_sensing_matrix(cfg.n, prof.v[ell - 1], radius,
                                              (mat_seed, ell), cfg.memory_budget)
                 for ell in range(1, prof.L + 1)]
 
-    ch = MimoChannelConfig(M=M, n=cfg.n, N0=cfg.N0, P=P,
+    ch = MimoChannelConfig(M=M, n=cfg.n, N0=N0, P=P,
                            fading_seed=derive_seed(cfg.master_seed, trial, FADING),
                            noise_seed=derive_seed(cfg.master_seed, trial, NOISE))
     Y = [mimo_block_transmit(rows_to_ints(frags[ell - 1]),
@@ -309,7 +302,7 @@ def run_mimo_trial(cfg: ExperimentConfig, K: int, M: int,
 
     result = TrialResult(trial=trial, sent=sent)
     for mode in ("original", "enhanced"):
-        dec = decode_mimo(Y, matrices, codebook, K, cfg.N0, mode=mode,
+        dec = decode_mimo(Y, matrices, codebook, K, N0, mode=mode,
                           list_size=cfg.list_size, sweeps=cfg.sweeps,
                           tol=cfg.cd_tol, path_cap=cfg.path_cap)
         result.outcomes[mode] = _outcome(dec, sent, K)
@@ -393,33 +386,39 @@ def csv_text(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _mode_cost_ms(cfg: ExperimentConfig, results: list[TrialResult],
-                  mode: str) -> float:
-    if cfg.timing == "wall":
-        return float(np.mean([r.outcomes[mode].wall_ms for r in results]))
-    return float(np.mean([r.outcomes[mode].work_units for r in results])) / 1e6
+def _costs(cfg: ExperimentConfig, results: list[TrialResult], mode: str) -> list:
+    """Per-trial decode cost of ``mode``: wall ms, or work-model units."""
+    return [r.outcomes[mode].wall_ms if cfg.timing == "wall"
+            else r.outcomes[mode].work_units for r in results]
+
+
+def _grid(cfg: ExperimentConfig, trial_fn, xs, last_column) -> list[list]:
+    """One row per (K, x, mode): mean PUPE and per-slot sizes over the
+    trials, then ``last_column(results, mode)``."""
+    rows = []
+    for K in cfg.K:
+        for x in xs:
+            results = _map_trials(trial_fn, cfg, K, x)
+            for mode in cfg.modes:
+                outs = [r.outcomes[mode] for r in results]
+                sizes = np.mean([o.per_slot for o in outs], axis=0)
+                rows.append([K, x, mode, cfg.trials,
+                             float(np.mean([o.pupe for o in outs])),
+                             *[float(s) for s in sizes], last_column(results, mode)])
+    return rows
 
 
 def run_siso(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
-    if cfg.scenario != "siso":
-        raise ConfigError("scenario: run_siso needs scenario=siso")
     if cfg.ebn0_search is not None:
         return _run_siso_search(cfg)
-    L = cfg.profile.L
     header = (["K", "ebn0_db", "mode", "trials", "pupe"]
-              + [f"mean_cols_slot_{ell}" for ell in range(1, L + 1)]
+              + [f"mean_cols_slot_{ell}" for ell in range(1, cfg.profile.L + 1)]
               + ["mean_decode_ms"])
-    rows = []
-    for K in cfg.K:
-        for ebn0 in cfg.ebn0_db:
-            results = _map_trials(run_siso_trial, cfg, K, ebn0)
-            for mode in cfg.modes:
-                cols = np.array([r.outcomes[mode].per_slot for r in results])
-                rows.append([K, ebn0, mode, cfg.trials,
-                             float(np.mean([r.outcomes[mode].pupe for r in results])),
-                             *[float(c) for c in cols.mean(axis=0)],
-                             _mode_cost_ms(cfg, results, mode)])
-    return header, rows
+    scale = 1.0 if cfg.timing == "wall" else 1e6  # work units per model "ms"
+
+    def mean_cost_ms(results, mode):
+        return float(np.mean(_costs(cfg, results, mode))) / scale
+    return header, _grid(cfg, run_siso_trial, cfg.ebn0_db, mean_cost_ms)
 
 
 def _run_siso_search(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
@@ -455,43 +454,24 @@ def _run_siso_search(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
 
 
 def run_mimo(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
-    if cfg.scenario != "mimo":
-        raise ConfigError("scenario: run_mimo needs scenario=mimo")
-    L = cfg.profile.L
     header = (["K", "M", "mode", "trials", "pupe"]
-              + [f"mean_S_{ell}" for ell in range(1, L + 1)]
+              + [f"mean_S_{ell}" for ell in range(1, cfg.profile.L + 1)]
               + ["runtime_ratio"])
-    rows = []
-    for K in cfg.K:
-        for M in cfg.M:
-            results = _map_trials(run_mimo_trial, cfg, K, M)
-            if cfg.timing == "wall":
-                tot_e = sum(r.outcomes["enhanced"].wall_ms for r in results)
-                tot_o = sum(r.outcomes["original"].wall_ms for r in results)
-            else:
-                tot_e = sum(r.outcomes["enhanced"].work_units for r in results)
-                tot_o = sum(r.outcomes["original"].work_units for r in results)
-            ratio = tot_e / tot_o if tot_o else float("nan")
-            for mode in cfg.modes:
-                sizes = np.array([r.outcomes[mode].per_slot for r in results])
-                rows.append([K, M, mode, cfg.trials,
-                             float(np.mean([r.outcomes[mode].pupe for r in results])),
-                             *[float(s) for s in sizes.mean(axis=0)],
-                             ratio])
-    return header, rows
+
+    def ratio(results, mode):
+        tot_o = sum(_costs(cfg, results, "original"))
+        return sum(_costs(cfg, results, "enhanced")) / tot_o if tot_o else float("nan")
+    return header, _grid(cfg, run_mimo_trial, cfg.M, ratio)
 
 
 def run_predict(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
-    if cfg.scenario != "predict":
-        raise ConfigError("scenario: run_predict needs scenario=predict")
     header = ["K", "slot", "variant", "E_L", "P", "P_patterns", "R"]
     variants = (cfg.variant,) if cfg.variant != "both" else ("full", "one_step")
     rows = []
     for K in cfg.K:
         for variant in variants:
-            for rec in predict_table(PredictorInput(K, cfg.profile, variant)):
-                rows.append([rec["K"], rec["slot"], rec["variant"], rec["E_L"],
-                             rec["P"], rec["P_patterns"], rec["R"]])
+            rows.extend([rec[h] for h in header]
+                        for rec in predict_table(K, cfg.profile, variant))
     return header, rows
 
 

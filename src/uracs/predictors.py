@@ -14,25 +14,11 @@ agree at slot 2 and differ by about a percent afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tree import ParityProfile
 
 VARIANTS = ("full", "one_step")
-
-
-@dataclass(frozen=True)
-class PredictorInput:
-    K: int
-    profile: ParityProfile
-    variant: str = "full"
-
-    def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("K must be at least 1")
-        _check_variant(self.variant)
 
 
 def _check_slot(profile: ParityProfile, ell: int) -> None:
@@ -92,15 +78,17 @@ def expected_column_reduction_ratio(K: int, profile: ParityProfile, ell: int,
     return patterns / 2.0 ** profile.l[ell - 1]
 
 
-def predict_table(inp: PredictorInput) -> list[dict]:
+def predict_table(K: int, profile: ParityProfile, variant: str = "full") -> list[dict]:
     """All four statistics for every slot; one dict per slot."""
-    K, prof, variant = inp.K, inp.profile, inp.variant
+    if K < 1:
+        raise ValueError("K must be at least 1")
+    _check_variant(variant)
     return [{
         "K": K,
         "slot": ell,
         "variant": variant,
-        "E_L": expected_erroneous_paths(K, prof, ell, variant),
-        "P": expected_partial_paths(K, prof, ell, variant),
-        "P_patterns": expected_admissible_patterns(K, prof, ell, variant),
-        "R": expected_column_reduction_ratio(K, prof, ell, variant),
-    } for ell in range(1, prof.L + 1)]
+        "E_L": expected_erroneous_paths(K, profile, ell, variant),
+        "P": expected_partial_paths(K, profile, ell, variant),
+        "P_patterns": expected_admissible_patterns(K, profile, ell, variant),
+        "R": expected_column_reduction_ratio(K, profile, ell, variant),
+    } for ell in range(1, profile.L + 1)]

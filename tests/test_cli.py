@@ -95,3 +95,14 @@ def test_main_resource_refusal_returns_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, data)
     assert main(["siso", "--config", cfg]) == 3
     assert "resource refusal:" in capsys.readouterr().err
+
+
+def test_main_bad_ebn0_search_is_config_error(tmp_path, capsys):
+    search = {"target_pupe": 0.5, "lo_db": 0.0, "hi_db": 8.0, "resolution_db": 1.0}
+    for key, value in [("target_pupe", "abc"), ("target_pupe", None),
+                       ("resolution_db", float("nan"))]:
+        data = {**SISO_DATA, "ebn0_search": {**search, key: value}}
+        cfg = write_cfg(tmp_path, data)
+        assert main(["siso", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ebn0_search")

@@ -9,14 +9,18 @@ enhanced decode in which every path dies before the last slot.
 The tree-search values (genie live-path and pattern counts, list decodes
 with repeated parity buckets and with capped roots) were recorded before
 ``PathTracker`` extended its paths in one vectorised step.
+
+The whole-CSV texts were recorded before the scenario runners shared one
+row loop; they guard the row layout, averaging and number formatting that
+a rerun-equals-rerun check cannot see.
 """
 
 import numpy as np
 import pytest
 
 from uracs.bits import random_bits
-from uracs.harness import (genie_tree_trial, parse_config, run_mimo_trial,
-                           run_siso_trial)
+from uracs.harness import (genie_tree_trial, parse_config, run_experiment,
+                           run_mimo_trial, run_siso_trial)
 from uracs.tree import (DEFAULT_SISO_PROFILE, ParityProfile, TreeCodebook,
                         encode_messages, tree_decode)
 
@@ -146,3 +150,42 @@ def test_tree_decode_matches_recorded_outcomes(profile, seed, K, decoys,
     r = tree_decode(lists, cb, path_cap=path_cap)
     assert (r.messages, r.failures, r.diagnostics.live_paths,
             r.diagnostics.capped_roots) == expected
+
+
+# (config, the exact CSV text of run_experiment)
+CSV_CASES = [
+    ({"scenario": "siso", "profile": {"m": [4, 3, 3], "l": [0, 3, 3]},
+      "K": [2], "trials": 3, "ebn0_db": [10.0], "n": 20, "master_seed": 97},
+     "K,ebn0_db,mode,trials,pupe,mean_cols_slot_1,mean_cols_slot_2,"
+     "mean_cols_slot_3,mean_decode_ms\n"
+     "2,10,original,3,0.33333333333333331,16,64,64,0.054826666666666662\n"
+     "2,10,enhanced,3,0.33333333333333331,16,16,13.333333333333334,"
+     "0.0081066666666666665\n"),
+    ({"scenario": "mimo", "profile": {"m": [4, 3, 3], "l": [0, 2, 2]},
+      "K": [2], "M": [16], "trials": 3, "ebn0_db": 4.0, "n": 8, "master_seed": 97},
+     "K,M,mode,trials,pupe,mean_S_1,mean_S_2,mean_S_3,runtime_ratio\n"
+     "2,16,original,3,0.33333333333333331,16,32,32,0.58450704225352113\n"
+     "2,16,enhanced,3,0.33333333333333331,16,10.666666666666666,24,"
+     "0.58450704225352113\n"),
+    ({"scenario": "predict", "profile": {"m": [4, 3, 3], "l": [0, 3, 3]},
+      "K": [2, 4]},
+     "K,slot,variant,E_L,P,P_patterns,R\n"
+     "2,1,full,0,2,1,1\n"
+     "2,2,full,0.125,2.25,2.0760947129302632,0.25951183911628289\n"
+     "2,3,full,0.15625,2.3125,2.125328190626175,0.26566602382827187\n"
+     "2,1,one_step,0,2,1,1\n"
+     "2,2,one_step,0.125,2.25,2.0760947129302632,0.25951183911628289\n"
+     "2,3,one_step,0.125,2.25,2.0760947129302632,0.25951183911628289\n"
+     "4,1,full,0,4,1,1\n"
+     "4,2,full,0.375,5.5,4.1617409851373512,0.52021762314216891\n"
+     "4,3,full,0.5625,6.25,4.5275154799183497,0.56593943498979371\n"
+     "4,1,one_step,0,4,1,1\n"
+     "4,2,one_step,0.375,5.5,4.1617409851373512,0.52021762314216891\n"
+     "4,3,one_step,0.375,5.5,4.1617409851373512,0.52021762314216891\n"),
+]
+
+
+@pytest.mark.parametrize("data,text", CSV_CASES,
+                         ids=[c[0]["scenario"] for c in CSV_CASES])
+def test_csv_matches_recorded_text(data, text):
+    assert run_experiment(parse_config(data)) == text

@@ -90,9 +90,23 @@ def test_parse_config_field_errors_name_the_field():
         ("timing", "cpu", "timing"),
         ("n", 0, "n"),
         ("list_size", 0, "list_size"),
+        # once truncated by int(): K 2.7 ran K=2, K true ran K=1
+        ("K", 2.7, "K"),
+        ("K", [2, 2.7], "K"),
+        ("trials", 2.5, "trials"),
+        ("n", 12.9, "n"),
+        ("K", True, "K"),
+        ("profile", {"m": [3, 2.5, 2], "l": [0, 2, 2]}, "profile"),
+        ("profile", {"m": [3, 2, 2], "l": [0, True, 2]}, "profile"),
+        ("workers", True, "workers"),
+        ("master_seed", float("nan"), "master_seed"),
+        ("ebn0_db", "high", "ebn0_db"),
+        ("nnls_tol", None, "nnls_tol"),
     ]:
         with pytest.raises(ConfigError, match=frag):
             parse_config(siso_config(**{key: value}))
+    # Integral floats are integers.
+    assert parse_config(siso_config(K=2.0, n=12.0)).K == (2,)
 
 
 def test_parse_config_named_profile_and_search():
@@ -110,8 +124,41 @@ def test_parse_config_named_profile_and_search():
     assert cfg.ebn0_search["target_pupe"] == 0.1
     with pytest.raises(ConfigError, match="ebn0_search"):
         parse_config({**data, "ebn0_search": {"target_pupe": 0.1}})
+    search = data["ebn0_search"]
+    for key, value in [("target_pupe", "abc"), ("target_pupe", None),
+                       ("target_pupe", 1.0), ("lo_db", float("nan")),
+                       ("hi_db", -1.0), ("resolution_db", float("nan")),
+                       ("resolution_db", 0.0)]:
+        with pytest.raises(ConfigError, match="ebn0_search"):
+            parse_config({**data, "ebn0_search": {**search, key: value}})
     with pytest.raises(ConfigError, match="profile"):
         parse_config({**data, "profile": "bogus"})
+
+
+SEARCH_PROFILE = {"m": [4, 3, 3], "l": [0, 3, 3]}
+
+
+@pytest.mark.parametrize("extra,search,required", [
+    # bisection: both modes start above the target at lo_db
+    ({}, {"lo_db": 0.0, "hi_db": 24.0}, (16.5, 4.5)),
+    # lo_db already meets the target in both modes
+    ({}, {"lo_db": 18.0, "hi_db": 24.0}, (18.0, 18.0)),
+    # out of reach: at 14 dB the PUPE is still 0.275 (original), 0.35 (enhanced)
+    ({"n": 20, "trials": 20}, {"target_pupe": 0.2, "lo_db": 2.0, "hi_db": 14.0},
+     (float("nan"), float("nan"))),
+])
+def test_ebn0_search_rows(extra, search, required):
+    cfg = parse_config({
+        "scenario": "siso", "profile": SEARCH_PROFILE, "K": [2], "n": 32,
+        "trials": 8, "master_seed": 97, "ebn0_db": 0.0, **extra,
+        "ebn0_search": {"target_pupe": 0.5, "resolution_db": 2.0, **search}})
+    lines = run_experiment(cfg).splitlines()
+    assert lines[0] == "K,mode,target_pupe,required_ebn0_db,trials"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[:2] for r in rows] == [["2", "original"], ["2", "enhanced"]]
+    got = tuple(float(r[3]) for r in rows)
+    np.testing.assert_array_equal(got, required)
+    assert all(r[4] == str(cfg.trials) for r in rows)
 
 
 def test_parse_config_mimo_constraints():
@@ -129,8 +176,11 @@ def test_parse_config_mimo_constraints():
         parse_config({**data, "ebn0_db": [0.0, 2.0]})
     with pytest.raises(ConfigError, match="M"):
         parse_config({k: v for k, v in data.items() if k != "M"})
-    with pytest.raises(ConfigError, match="N0"):
-        parse_config({**data, "N0": 0.0})
+    # Eb/N0 alone sets the SNR: neither channel takes a noise level.
+    with pytest.raises(ConfigError, match="unknown keys.*N0"):
+        parse_config({**data, "N0": 2.0})
+    with pytest.raises(ConfigError, match="unknown keys.*noise_std"):
+        parse_config(siso_config(noise_std=2.0))
 
 
 def test_load_config_reads_json(tmp_path):

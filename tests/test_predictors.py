@@ -5,7 +5,6 @@ import pytest
 
 from uracs.predictors import (
     VARIANTS,
-    PredictorInput,
     admissible_pattern_mean,
     expected_admissible_patterns,
     expected_column_reduction_ratio,
@@ -148,8 +147,7 @@ def test_full_exceeds_one_step_after_slot2():
 
 def test_predict_table_shape_and_consistency():
     profile = ParityProfile(m=(8, 7, 5, 4), l=(0, 1, 3, 4))
-    inp = PredictorInput(K=4, profile=profile, variant="full")
-    rows = predict_table(inp)
+    rows = predict_table(4, profile, "full")
     assert len(rows) == 4
     for ell, row in enumerate(rows, start=1):
         assert row["K"] == 4
@@ -169,9 +167,9 @@ def test_predict_table_shape_and_consistency():
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        PredictorInput(K=0, profile=DEFAULT_SISO_PROFILE)
+        predict_table(0, DEFAULT_SISO_PROFILE)
     with pytest.raises(ValueError):
-        PredictorInput(K=2, profile=DEFAULT_SISO_PROFILE, variant="half")
+        predict_table(2, DEFAULT_SISO_PROFILE, variant="half")
     with pytest.raises(ValueError):
         expected_erroneous_paths(5, DEFAULT_SISO_PROFILE, 0)
     with pytest.raises(ValueError):
