@@ -186,10 +186,14 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("workers: must be at least 1")
     if cfg.list_size is not None and cfg.list_size < 1:
         raise ConfigError("list_size: must be at least 1")
+    if not 0.0 < cfg.nnls_tol < np.inf:
+        raise ConfigError("nnls_tol: must be finite and positive")
+    if np.isnan(cfg.cd_tol):  # 0 is legal: every sweep runs
+        raise ConfigError("cd_tol: must not be NaN")
     if scenario in _CHANNELS:
         if cfg.n < 1:
             raise ConfigError("n: required and must be at least 1")
-        if not cfg.ebn0_db:
+        if not cfg.ebn0_db and cfg.ebn0_search is None:
             raise ConfigError("ebn0_db: required")
     if scenario == "mimo":
         if not cfg.M or any(m < 1 for m in cfg.M):

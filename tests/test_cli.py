@@ -63,6 +63,10 @@ def test_main_bad_config_returns_2(tmp_path, capsys):
     assert main(["siso", "--config", str(bad)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert main(["siso", "--config", str(tmp_path / "absent.json")]) == 2
+    capsys.readouterr()
+    cfg = write_cfg(tmp_path, {**SISO_DATA, "nnls_tol": 0.0})
+    assert main(["siso", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: nnls_tol")
 
 
 def test_main_overrides_take_effect(tmp_path, capsys):

@@ -102,6 +102,12 @@ def test_parse_config_field_errors_name_the_field():
         ("master_seed", float("nan"), "master_seed"),
         ("ebn0_db", "high", "ebn0_db"),
         ("nnls_tol", None, "nnls_tol"),
+        # 0, negative and NaN once ran every solve to the iteration cap, and
+        # inf stopped every solve at x = 0
+        ("nnls_tol", 0.0, "nnls_tol"),
+        ("nnls_tol", -1e-8, "nnls_tol"),
+        ("nnls_tol", float("nan"), "nnls_tol"),
+        ("nnls_tol", float("inf"), "nnls_tol"),
     ]:
         with pytest.raises(ConfigError, match=frag):
             parse_config(siso_config(**{key: value}))
@@ -148,11 +154,15 @@ SEARCH_PROFILE = {"m": [4, 3, 3], "l": [0, 3, 3]}
      (float("nan"), float("nan"))),
 ])
 def test_ebn0_search_rows(extra, search, required):
-    cfg = parse_config({
+    data = {
         "scenario": "siso", "profile": SEARCH_PROFILE, "K": [2], "n": 32,
-        "trials": 8, "master_seed": 97, "ebn0_db": 0.0, **extra,
-        "ebn0_search": {"target_pupe": 0.5, "resolution_db": 2.0, **search}})
-    lines = run_experiment(cfg).splitlines()
+        "trials": 8, "master_seed": 97, **extra,
+        "ebn0_search": {"target_pupe": 0.5, "resolution_db": 2.0, **search}}
+    cfg = parse_config(data)
+    text = run_experiment(cfg)
+    # the search sets its own Eb/N0 points, so an ebn0_db grid changes nothing
+    assert run_experiment(parse_config({**data, "ebn0_db": 0.0})) == text
+    lines = text.splitlines()
     assert lines[0] == "K,mode,target_pupe,required_ebn0_db,trials"
     rows = [line.split(",") for line in lines[1:]]
     assert [r[:2] for r in rows] == [["2", "original"], ["2", "enhanced"]]
@@ -176,6 +186,9 @@ def test_parse_config_mimo_constraints():
         parse_config({**data, "ebn0_db": [0.0, 2.0]})
     with pytest.raises(ConfigError, match="M"):
         parse_config({k: v for k, v in data.items() if k != "M"})
+    with pytest.raises(ConfigError, match="cd_tol"):
+        parse_config({**data, "cd_tol": float("nan")})
+    assert parse_config({**data, "cd_tol": 0.0}).cd_tol == 0.0
     # Eb/N0 alone sets the SNR: neither channel takes a noise level.
     with pytest.raises(ConfigError, match="unknown keys.*N0"):
         parse_config({**data, "N0": 2.0})

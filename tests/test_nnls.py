@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from uracs.channel import ebn0_to_amplitude
 from uracs.nnls import NnlsResult, nnls_solve
 
 
@@ -13,6 +14,54 @@ def projected_gradient_nnls(A, y, steps=200000, seed=None):
     for _ in range(steps):
         x = np.maximum(x + step * (A.T @ (y - A @ x)), 0.0)
     return x
+
+
+def restarting_nnls(A, y, tol=1e-8, max_iter=None):
+    """Reference Lawson-Hanson that re-solves the passive block by lstsq at
+    every set change; the same outer loop as ``nnls_solve``. Returns
+    (x, iterations, converged)."""
+    c = A.shape[1]
+    if max_iter is None:
+        max_iter = 10 * max(c, 1)
+    x = np.zeros(c)
+    passive = np.zeros(c, dtype=bool)
+    iterations = 0
+
+    def solve_passive():
+        z = np.zeros(c)
+        cols = np.flatnonzero(passive)
+        if cols.size:
+            z[cols] = np.linalg.lstsq(A[:, cols], y, rcond=None)[0]
+        return z
+
+    while True:
+        w = A.T @ (y - A @ x)
+        free = ~passive
+        if not free.any() or w[free].max() <= tol:
+            return x, iterations, True
+        if iterations >= max_iter:
+            return x, iterations, False
+        passive[int(np.argmax(np.where(free, w, -np.inf)))] = True
+        z = solve_passive()
+        iterations += 1
+        while passive.any() and z[passive].min() <= 0:
+            if iterations >= max_iter:
+                break
+            neg = passive & (z <= 0)
+            denom = x[neg] - z[neg]
+            ratio = np.where(denom > 0, x[neg] / np.where(denom > 0, denom, 1.0), 0.0)
+            x = x + float(ratio.min()) * (z - x)
+            passive[passive & (np.abs(x) <= 1e-14)] = False
+            x[~passive] = 0.0
+            z = solve_passive()
+            iterations += 1
+        else:
+            x = z
+
+
+def top_order(x, k=8):
+    """Indices of the k largest entries; the lower index wins ties."""
+    return np.lexsort((np.arange(x.size), -x))[:k].tolist()
 
 
 def kkt_violation(A, y, x, active_tol=1e-10):
@@ -126,6 +175,9 @@ def test_input_validation():
         nnls_solve(np.zeros((3, 2)), np.zeros(4))
     with pytest.raises(ValueError):
         nnls_solve(np.zeros(3), np.zeros(3))
+    for tol in (0.0, -1e-8, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            nnls_solve(np.eye(3), np.ones(3), tol=tol)
 
 
 def test_wide_random_instances_match_scipy_if_available():
@@ -140,3 +192,60 @@ def test_wide_random_instances_match_scipy_if_available():
         # problem coincide up to solver tolerance.
         np.testing.assert_allclose(res.x, x_ref, atol=1e-8)
         assert res.residual_norm == pytest.approx(r_ref, abs=1e-8)
+
+
+def assert_matches_restarting(A, y):
+    res = nnls_solve(A, y)
+    x_ref, iterations, converged = restarting_nnls(A, y)
+    assert res.iterations == iterations
+    assert res.converged == converged
+    assert np.abs(res.x - x_ref).max() <= 1e-9
+    assert top_order(res.x) == top_order(x_ref)
+    return res
+
+
+def unit_columns(rng, n, c):
+    A = rng.standard_normal((n, c))
+    return A / np.linalg.norm(A, axis=0)
+
+
+@pytest.mark.parametrize("cols", [256, 128])
+@pytest.mark.parametrize("K", [2, 4, 8])
+def test_updated_solve_matches_restarting_solve_on_decoder_slots(cols, K):
+    # A slot of the acceptance-6 scalar profile (v = 8, n = 64) at 16 dB: the
+    # full 256-column dictionary, or a pruned half of it.
+    rng = np.random.default_rng(600 + 10 * K + cols)
+    d = ebn0_to_amplitude(16.0, 24, 4)
+    A = unit_columns(rng, 64, cols)
+    y = d * A[:, rng.choice(cols, K, replace=False)].sum(axis=1) + rng.standard_normal(64)
+    res = assert_matches_restarting(A, y)
+    assert res.converged
+
+
+def test_updated_solve_matches_restarting_solve_on_wide_dictionary():
+    # A full slot of perfbench's siso-wide profile (B = 30, v = 10, n = 128)
+    # at 14 dB with K = 4.
+    rng = np.random.default_rng(1024)
+    d = ebn0_to_amplitude(14.0, 30, 4)
+    A = unit_columns(rng, 128, 1024)
+    y = d * A[:, rng.choice(1024, 4, replace=False)].sum(axis=1) + rng.standard_normal(128)
+    assert assert_matches_restarting(A, y).converged
+
+
+def test_updated_solve_matches_restarting_solve_when_columns_leave():
+    # The instance shapes of acceptance criterion 4; the leave steps exercise
+    # the downdate of the passive Gram inverse.
+    rng = np.random.default_rng(4404)
+    leaves = 0
+    for i in range(60):
+        rows, cols = int(rng.integers(2, 33)), int(rng.integers(2, 129))
+        A = rng.standard_normal((rows, cols))
+        if i % 2 == 0:
+            x0 = np.where(rng.random(cols) < 0.3, np.abs(rng.standard_normal(cols)), 0.0)
+            y = A @ x0 + 0.1 * rng.standard_normal(rows)
+        else:
+            y = rng.standard_normal(rows)
+        res = assert_matches_restarting(A, y)
+        # one history entry per entering column; the other solves follow a leave
+        leaves += res.iterations - (len(res.objective_history) - 1)
+    assert leaves >= 1
