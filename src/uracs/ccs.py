@@ -112,8 +112,10 @@ def prune_columns(A: SensingMatrix, S: AdmissibleIndexSet) -> SensingMatrix:
 def decode_siso(y_slots: list[np.ndarray], matrices: list[SensingMatrix],
                 codebook: TreeCodebook, K: int, mode: str = "original",
                 list_size: int | None = None, force_full_patterns: bool = False,
-                path_cap: int = DEFAULT_PATH_CAP, nnls_tol: float = 1e-8) -> DecodeResult:
-    """Recover messages from L slot observations (modes: see interleaved_decode).
+                path_cap: int = DEFAULT_PATH_CAP, nnls_tol: float = 1e-8,
+                memo: dict | None = None) -> DecodeResult:
+    """Recover messages from L slot observations (modes and memo: see
+    interleaved_decode).
 
     Each slot runs NNLS on the matrix columns of its index set and keeps the
     top ``list_size`` (default K) fragments.
@@ -129,4 +131,4 @@ def decode_siso(y_slots: list[np.ndarray], matrices: list[SensingMatrix],
         return bits, res.iterations, res.iterations * A_S.rows * A_S.cols
 
     return interleaved_decode(y_slots, matrices, codebook, mode,
-                              force_full_patterns, path_cap, solve_slot)
+                              force_full_patterns, path_cap, solve_slot, memo)

@@ -146,8 +146,10 @@ def decode_mimo(Y_blocks: list[np.ndarray], matrices: list[SensingMatrix],
                 mode: str = "original", list_size: int | None = None,
                 sweeps: int = 10, tol: float = 1e-6,
                 force_full_patterns: bool = False,
-                path_cap: int = DEFAULT_PATH_CAP) -> DecodeResult:
-    """Recover messages from L block observations (modes: see interleaved_decode).
+                path_cap: int = DEFAULT_PATH_CAP,
+                memo: dict | None = None) -> DecodeResult:
+    """Recover messages from L block observations (modes and memo: see
+    interleaved_decode).
 
     Each block runs activity detection over its index set and keeps the top
     ``list_size`` (default K) fragments.
@@ -163,4 +165,4 @@ def decode_mimo(Y_blocks: list[np.ndarray], matrices: list[SensingMatrix],
         return bits, adiag.sweeps_run, adiag.sweeps_run * S.size * A.rows ** 2
 
     return interleaved_decode(Y_blocks, matrices, codebook, mode,
-                              force_full_patterns, path_cap, solve_slot)
+                              force_full_patterns, path_cap, solve_slot, memo)

@@ -25,7 +25,8 @@ class NnlsResult:
     residual_norm: float
     iterations: int
     converged: bool
-    # objective ||Ax - y|| after each passive-set update, for monotonicity checks
+    # objective ||Ax - y|| at x = 0 and after each outer step, for
+    # monotonicity checks; the last entry is residual_norm
     objective_history: list[float] = field(default_factory=list)
 
 
@@ -50,7 +51,7 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float = 1e-8,
     passive = np.zeros(c, dtype=bool)
     iterations = 0
     converged = False
-    history = [float(np.linalg.norm(y))]
+    history: list[float] = []
     # passive columns in the order they entered, A[:, cols], and
     # (A_P^T A_P)^-1 in that order
     cols: list[int] = []
@@ -89,7 +90,9 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float = 1e-8,
         return z
 
     while True:
-        w = A.T @ (y - A @ x)
+        r = y - A @ x
+        history.append(float(np.linalg.norm(r)))
+        w = A.T @ r
         free = ~passive
         if not free.any() or w[free].max() <= tol:
             converged = True
@@ -122,11 +125,10 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float = 1e-8,
             iterations += 1
         else:
             x = z
-        history.append(float(np.linalg.norm(A @ x - y)))
 
     return NnlsResult(
         x=x,
-        residual_norm=float(np.linalg.norm(A @ x - y)),
+        residual_norm=history[-1],
         iterations=iterations,
         converged=converged,
         objective_history=history,

@@ -301,7 +301,7 @@ class AdmissibleIndexSet:
 
 def interleaved_decode(observations: list, matrices: list, codebook: TreeCodebook,
                        mode: str, force_full_patterns: bool, path_cap: int,
-                       solve_slot) -> DecodeResult:
+                       solve_slot, memo: dict | None = None) -> DecodeResult:
     """Recover messages slot by slot, advancing the tree search after each slot.
 
     ``solve_slot(observation, matrix, S)`` recovers one slot's fragment list
@@ -312,6 +312,13 @@ def interleaved_decode(observations: list, matrices: list, codebook: TreeCodeboo
     enhanced plumbing but substitutes the full set, which must reproduce
     original-mode output exactly. Once every path has died the set is empty
     and the remaining slots are not solved.
+
+    ``memo`` maps (slot, S) to a solved slot: (bits, iterations, work units,
+    solve ms). Decodes of the same observations with the same solver may
+    share one, so each distinct slot problem is solved once. A reused solve
+    is charged in full: its iterations and work units, and its recorded
+    solve time on top of ``wall_ms``, so every decode still reports what it
+    would cost alone. Forced-full decodes neither read nor write the memo.
     """
     prof = codebook.profile
     if mode not in ("original", "enhanced"):
@@ -321,7 +328,10 @@ def interleaved_decode(observations: list, matrices: list, codebook: TreeCodeboo
     for ell, (A, v) in enumerate(zip(matrices, prof.v), start=1):
         if A.v != v:
             raise ValueError(f"slot {ell} matrix fragment width mismatch")
+    if force_full_patterns:
+        memo = None
     t0 = time.perf_counter()
+    reused_ms = 0.0
     tracker = PathTracker(codebook, path_cap=path_cap)
     diag = tracker.diagnostics
     for ell in range(1, prof.L + 1):
@@ -332,8 +342,17 @@ def interleaved_decode(observations: list, matrices: list, codebook: TreeCodeboo
             S = AdmissibleIndexSet.from_patterns(tracker.admissible(), m, l)
         bits, iterations, work = np.zeros((0, m + l), dtype=np.uint8), 0, 0
         if S.size:
-            bits, iterations, work = solve_slot(observations[ell - 1],
-                                                matrices[ell - 1], S)
+            key = (ell, S.indices.tobytes())
+            if memo is not None and key in memo:
+                bits, iterations, work, solve_ms = memo[key]
+                reused_ms += solve_ms
+            else:
+                t_solve = time.perf_counter()
+                bits, iterations, work = solve_slot(observations[ell - 1],
+                                                    matrices[ell - 1], S)
+                if memo is not None:
+                    memo[key] = (bits, iterations, work,
+                                 (time.perf_counter() - t_solve) * 1e3)
         if ell == 1:
             tracker.start(bits)
         else:
@@ -342,5 +361,5 @@ def interleaved_decode(observations: list, matrices: list, codebook: TreeCodeboo
         diag.iterations.append(iterations)
         diag.work_units += work
     result = tracker.finalize()
-    diag.wall_ms = (time.perf_counter() - t0) * 1e3
+    diag.wall_ms = (time.perf_counter() - t0) * 1e3 + reused_ms
     return result

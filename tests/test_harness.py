@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from uracs import harness
+from uracs import ccs, harness, mimo
 from uracs.errors import ConfigError, ResourceRefusalError
 from uracs.harness import (
     CODEBOOK,
@@ -253,6 +253,63 @@ def test_mimo_trial_runs_both_modes_always():
     r = run_mimo_trial(cfg, 2, 32, 0)
     assert set(r.outcomes) == {"original", "enhanced"}
     assert len(r.outcomes["enhanced"].per_slot) == 3
+
+
+MIMO_SMALL = {"scenario": "mimo", "profile": SMALL_PROFILE, "K": 2, "M": 32,
+              "ebn0_db": 6.0, "n": 8, "trials": 1}
+
+
+def trial_runner(kind):
+    """(trial function, its extra argument, config, (module, name) of its
+    slot solver) for a small paired trial of ``kind``."""
+    if kind == "siso":
+        return run_siso_trial, 10.0, parse_config(siso_config(K=2)), (ccs, "nnls_solve")
+    return run_mimo_trial, 32, parse_config(MIMO_SMALL), (mimo, "activity_detect")
+
+
+@pytest.mark.parametrize("kind", ["siso", "mimo"])
+def test_paired_trial_solves_each_distinct_slot_problem_once(kind, monkeypatch):
+    trial_fn, x, cfg, solver = trial_runner(kind)
+    module, name = solver
+    real, calls = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counting)
+    full = [1 << v for v in cfg.profile.v]
+    reused = 0
+    for t in range(4):
+        calls.clear()
+        r = trial_fn(cfg, 2, x, t)
+        # original solves every slot on its full set; enhanced solves only
+        # the slots whose index set is neither full nor empty
+        enh = r.outcomes["enhanced"].per_slot
+        assert len(calls) == cfg.profile.L + sum(0 < c < f for c, f in zip(enh, full))
+        reused += sum(c == f for c, f in zip(enh, full))
+    assert reused >= 4  # slot 1 at least
+
+
+@pytest.mark.parametrize("kind", ["siso", "mimo"])
+def test_reused_solves_report_what_cold_solves_report(kind, monkeypatch):
+    trial_fn, x, cfg, _ = trial_runner(kind)
+    decoder = "decode_siso" if kind == "siso" else "decode_mimo"
+    real, calls = getattr(harness, decoder), []
+
+    def keeping(*args, **kwargs):
+        calls.append((args, kwargs, real(*args, **kwargs)))
+        return calls[-1][2]
+    monkeypatch.setattr(harness, decoder, keeping)
+    for t in range(3):
+        calls.clear()
+        trial_fn(cfg, 2, x, t)
+        assert [c[1]["mode"] for c in calls] == ["original", "enhanced"]
+        args, kwargs, warm = calls[1]
+        # the enhanced decode again, on the same observations, with no memo
+        cold = real(*args, **{**kwargs, "memo": None})
+        assert warm.messages == cold.messages
+        for name in ("cols", "iterations", "work_units", "live_paths"):
+            assert getattr(warm.diagnostics, name) == getattr(cold.diagnostics, name)
 
 
 def test_memory_budget_bounds_the_whole_trial(monkeypatch):

@@ -19,13 +19,13 @@ def projected_gradient_nnls(A, y, steps=200000, seed=None):
 def restarting_nnls(A, y, tol=1e-8, max_iter=None):
     """Reference Lawson-Hanson that re-solves the passive block by lstsq at
     every set change; the same outer loop as ``nnls_solve``. Returns
-    (x, iterations, converged)."""
+    (x, iterations, converged, outer steps)."""
     c = A.shape[1]
     if max_iter is None:
         max_iter = 10 * max(c, 1)
     x = np.zeros(c)
     passive = np.zeros(c, dtype=bool)
-    iterations = 0
+    iterations = outer = 0
 
     def solve_passive():
         z = np.zeros(c)
@@ -38,9 +38,10 @@ def restarting_nnls(A, y, tol=1e-8, max_iter=None):
         w = A.T @ (y - A @ x)
         free = ~passive
         if not free.any() or w[free].max() <= tol:
-            return x, iterations, True
+            return x, iterations, True, outer
         if iterations >= max_iter:
-            return x, iterations, False
+            return x, iterations, False, outer
+        outer += 1
         passive[int(np.argmax(np.where(free, w, -np.inf)))] = True
         z = solve_passive()
         iterations += 1
@@ -149,6 +150,24 @@ def test_objective_history_monotone():
         assert h[-1] == pytest.approx(res.residual_norm, abs=1e-10)
 
 
+def test_objective_history_has_one_entry_per_outer_step():
+    # history[0] is ||y|| at x = 0; each outer step, leave steps included,
+    # adds one entry, and the last entry is the residual norm at exit
+    rng = np.random.default_rng(4405)
+    for i in range(20):
+        rows, cols = int(rng.integers(2, 33)), int(rng.integers(2, 129))
+        A = rng.standard_normal((rows, cols))
+        y = rng.standard_normal(rows)
+        res = nnls_solve(A, y)
+        _, _, _, outer = restarting_nnls(A, y)
+        h = res.objective_history
+        assert h[0] == float(np.linalg.norm(y))
+        assert len(h) == outer + 1
+        assert res.residual_norm == h[-1] == float(np.linalg.norm(A @ res.x - y))
+    capped = nnls_solve(A, y, max_iter=1)
+    assert len(capped.objective_history) == 2
+
+
 def test_entering_tie_goes_to_lowest_index():
     # Duplicate columns produce an exact gradient tie on the first pass.
     a = np.array([[1.0], [2.0], [0.5]])
@@ -196,7 +215,7 @@ def test_wide_random_instances_match_scipy_if_available():
 
 def assert_matches_restarting(A, y):
     res = nnls_solve(A, y)
-    x_ref, iterations, converged = restarting_nnls(A, y)
+    x_ref, iterations, converged, _ = restarting_nnls(A, y)
     assert res.iterations == iterations
     assert res.converged == converged
     assert np.abs(res.x - x_ref).max() <= 1e-9

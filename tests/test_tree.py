@@ -1,6 +1,8 @@
 """Tests for the outer tree code: encoding, parity algebra, and list decoding."""
 
 import itertools
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,11 +10,14 @@ import pytest
 from uracs.bits import bits_to_int, ints_to_rows, random_bits, rows_to_ints
 from uracs.tree import (
     DEFAULT_MIMO_PROFILE,
+    DEFAULT_PATH_CAP,
     DEFAULT_SISO_PROFILE,
+    AdmissibleIndexSet,
     ParityProfile,
     PathTracker,
     TreeCodebook,
     encode_messages,
+    interleaved_decode,
     tree_decode,
 )
 
@@ -324,3 +329,71 @@ def test_codebook_determinism():
         not np.array_equal(a.generator(j, 3), c.generator(j, 3))
         for j in (1, 2)
     )
+
+
+# ----------------------------------------------------------------------------
+# interleaved_decode's memo of slot solves
+
+SLEEP_S = 0.01
+
+
+def memo_instance():
+    """Noiseless slot "observations" (the true fragments themselves), stand-in
+    matrices and a solver stub that keeps the fragments inside S after a
+    fixed sleep; ``calls`` logs |S| per solve."""
+    prof = ParityProfile(m=(3, 3, 3), l=(0, 1, 3))
+    cb = TreeCodebook(prof, seed=64)
+    W = random_bits(np.random.default_rng(65), (3, prof.B))
+    frags = encode_messages(W, cb)
+    mats = [SimpleNamespace(v=v) for v in prof.v]
+    calls = []
+
+    def solve_slot(fragments, A, S):
+        time.sleep(SLEEP_S)
+        calls.append(S.size)
+        keep = np.isin(rows_to_ints(fragments), S.indices)
+        return fragments[keep], 1, S.size
+
+    def decode(mode, memo=None, force_full_patterns=False):
+        return interleaved_decode(frags, mats, cb, mode, force_full_patterns,
+                                  DEFAULT_PATH_CAP, solve_slot, memo)
+    return prof, decode, calls, sorted(int(w) for w in rows_to_ints(W))
+
+
+def test_shared_memo_reuses_solves_and_charges_them_in_full():
+    prof, decode, calls, sent = memo_instance()
+    cold = decode("enhanced")
+    assert sorted(cold.messages) == sent
+    assert len(calls) == prof.L
+    calls.clear()
+    memo = {}
+    decode("original", memo)
+    assert calls == [1 << v for v in prof.v]
+    calls.clear()
+    warm = decode("enhanced", memo)
+    full = [c == 1 << v for c, v in zip(warm.diagnostics.cols, prof.v)]
+    # only the slots whose index set is not full are solved again; here
+    # slots 1 and 2 are reused and slot 3 is solved
+    assert full == [True, True, False] and len(calls) == 1
+    assert warm.messages == cold.messages
+    for name in ("cols", "iterations", "work_units", "live_paths"):
+        assert getattr(warm.diagnostics, name) == getattr(cold.diagnostics, name)
+    # every reused solve adds its recorded time to the reusing decode's wall
+    # time, so the warm decode costs what a cold one does
+    reused_ms = sum(memo[(ell, AdmissibleIndexSet.full(v).indices.tobytes())][3]
+                    for ell, (v, f) in enumerate(zip(prof.v, full), start=1) if f)
+    assert warm.diagnostics.wall_ms >= reused_ms + len(calls) * SLEEP_S * 1e3
+    assert warm.diagnostics.wall_ms >= prof.L * SLEEP_S * 1e3
+
+
+def test_forced_full_decode_bypasses_the_memo():
+    prof, decode, calls, sent = memo_instance()
+    memo = {}
+    orig = decode("original", memo)
+    before = dict(memo)
+    calls.clear()
+    forced = decode("enhanced", memo, force_full_patterns=True)
+    assert calls == [1 << v for v in prof.v]
+    assert memo.keys() == before.keys()
+    assert all(memo[k] is before[k] for k in memo)
+    assert sorted(forced.messages) == sorted(orig.messages) == sent
