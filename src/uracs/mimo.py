@@ -45,6 +45,9 @@ class CovarianceState:
         self.N0 = float(N0)
         self.sigma_inv = np.eye(n, dtype=np.complex128) / self.N0
         self.gamma = np.zeros(A.cols)
+        # column k as a contiguous row, and its conjugate, for coordinate_step
+        self._rows = np.ascontiguousarray(A.columns.T)
+        self._rows_conj = self._rows.conj()
         self.updates = 0
         self.skipped = 0
         self._since_check = 0
@@ -75,13 +78,14 @@ class CovarianceState:
 
     def coordinate_step(self, k: int) -> float:
         """One clamped descent step on gamma[k]; returns the applied change."""
-        a = self.A.columns[:, k]
-        s = self.sigma_inv @ a
-        quad = float((a.conj() @ s).real)            # a^H Sigma^-1 a
-        fit = float((s.conj() @ (self.sample_cov @ s)).real)
+        s = self.sigma_inv @ self._rows[k]
+        sc = s.conj()
+        quad = float((self._rows_conj[k] @ s).real)  # a^H Sigma^-1 a
+        fit = float((sc @ (self.sample_cov @ s)).real)
         d_star = (fit - quad) / quad ** 2
-        new_gamma = max(self.gamma[k] + d_star, 0.0)
-        d_eff = new_gamma - self.gamma[k]
+        g = float(self.gamma[k])
+        new_gamma = max(g + d_star, 0.0)
+        d_eff = new_gamma - g
         denom = 1.0 + d_eff * quad
         if denom <= TAU_SING:
             self.skipped += 1
@@ -90,7 +94,7 @@ class CovarianceState:
         if d_eff != 0.0:
             # rank-one inverse update with the clamped step, so sigma_inv
             # stays the inverse of the covariance implied by gamma
-            self.sigma_inv -= (d_eff / denom) * np.outer(s, s.conj())
+            self.sigma_inv -= (d_eff / denom) * (s[:, None] * sc)
             self.updates += 1
             self._since_check += 1
             if self._since_check == REFRESH_EVERY:
@@ -121,8 +125,8 @@ def activity_detect(sample_cov: np.ndarray, A: SensingMatrix,
     diag = ActivityDiagnostics()
     for _ in range(sweeps):
         max_change = 0.0
-        for k in S.indices:
-            max_change = max(max_change, abs(state.coordinate_step(int(k))))
+        for k in S.indices.tolist():
+            max_change = max(max_change, abs(state.coordinate_step(k)))
         diag.sweeps_run += 1
         if max_change < tol:
             break

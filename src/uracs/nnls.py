@@ -6,8 +6,11 @@ the best iterate so far is returned with ``converged`` False.
 
 Each passive-set solve reuses the last one, after Bro & De Jong's FNNLS
 (J. Chemometrics 1997): the inverse of the passive Gram block A_P^T A_P is
-updated by a Schur complement when a column enters and downdated when one
-leaves, so a step costs O(n p + p^2) instead of a fresh O(n p^2) solve. Every
+updated in place by a Schur complement when a column enters and downdated
+when one leaves. The loop keeps only passive-set state (the p passive
+columns, their values and that inverse, in buffers allocated once), so the
+gradient A^T r is its one product with the whole n x c matrix: a step costs
+O(n c) for it plus O(n p + p^2), instead of a fresh O(n p^2) solve. Every
 solve takes one refinement step on its residual (corrected semi-normal
 equations), which keeps the inverse's rounding out of the solution.
 """
@@ -47,85 +50,97 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float = 1e-8,
     if max_iter is None:
         max_iter = 10 * max(c, 1)
 
-    x = np.zeros(c)
-    passive = np.zeros(c, dtype=bool)
     iterations = 0
     converged = False
     history: list[float] = []
-    # passive columns in the order they entered, A[:, cols], and
-    # (A_P^T A_P)^-1 in that order
+    # passive-set state in entry order: column indices cols, values x_P, the
+    # columns as the first p columns of A_P and (A_P^T A_P)^-1 as the leading
+    # p x p block of inv. Independent columns fit in min(n, c) slots; the
+    # spare one takes a numerically dependent entry, and more regrow both.
+    passive = np.zeros(c, dtype=bool)
     cols: list[int] = []
-    A_P = A[:, :0]
-    inv = np.zeros((0, 0))
+    x_P = np.zeros(0)
+    cap = min(n, c) + 1
+    A_P = np.empty((n, cap), order="F")
+    inv = np.empty((cap, cap))
+    p = 0
 
     def enter(j: int) -> None:
-        nonlocal A_P, inv
-        cols.append(j)
-        A_P = A[:, cols]
-        a = A_P[:, -1]
-        g = A_P[:, :-1].T @ a
-        u = inv @ g
+        nonlocal A_P, inv, p
+        if p == A_P.shape[1]:
+            A_P = np.hstack([A_P, A_P])
+            inv = np.pad(inv, (0, p))
+        a = A[:, j]
+        g = A_P[:, :p].T @ a
+        u = inv[:p, :p] @ g
         s = float(a @ a - g @ u)
-        p = len(g)
-        grown = np.empty((p + 1, p + 1))
-        grown[:p, :p] = inv + np.outer(u, u / s)
-        grown[:p, p] = grown[p, :p] = -u / s
-        grown[p, p] = 1.0 / s
-        inv = grown
+        inv[:p, :p] += np.outer(u, u / s)
+        inv[:p, p] = inv[p, :p] = -u / s
+        inv[p, p] = 1.0 / s
+        A_P[:, p] = a
+        cols.append(j)
+        passive[j] = True
+        p += 1
 
     def leave(k: int) -> None:
-        nonlocal A_P, inv
-        keep = np.arange(len(cols)) != k
-        f = inv[keep, k]
-        inv = inv[np.ix_(keep, keep)] - np.outer(f, f / inv[k, k])
-        del cols[k]
-        A_P = A[:, cols]
+        nonlocal p
+        f = inv[:p, k].copy()
+        d = f[k]
+        f[k:-1] = f[k + 1:]
+        inv[k:p - 1, :p] = inv[k + 1:p, :p]
+        inv[:p - 1, k:p - 1] = inv[:p - 1, k + 1:p]
+        A_P[:, k:p - 1] = A_P[:, k + 1:p]
+        passive[cols.pop(k)] = False
+        p -= 1
+        inv[:p, :p] -= np.outer(f[:p], f[:p] / d)
 
     def solve_passive() -> np.ndarray:
-        z = np.zeros(c)
-        if cols:
-            z_P = inv @ (A_P.T @ y)
-            z_P += inv @ (A_P.T @ (y - A_P @ z_P))
-            z[cols] = z_P
-        return z
+        B, G = A_P[:, :p], inv[:p, :p]
+        z_P = G @ (B.T @ y)
+        z_P += G @ (B.T @ (y - B @ z_P))
+        return z_P
 
+    r = y
     while True:
-        r = y - A @ x
         history.append(float(np.linalg.norm(r)))
         w = A.T @ r
-        free = ~passive
-        if not free.any() or w[free].max() <= tol:
+        w[passive] = -np.inf
+        # np.argmax returns the first maximizer, which is the tie rule we want
+        j = int(np.argmax(w))
+        if not w[j] > tol:
             converged = True
             break
         if iterations >= max_iter:
             break
-        # np.argmax returns the first maximizer, which is the tie rule we want
-        w_masked = np.where(free, w, -np.inf)
-        j = int(np.argmax(w_masked))
-        passive[j] = True
         enter(j)
+        x_P = np.append(x_P, 0.0)
 
-        z = solve_passive()
+        z_P = solve_passive()
         iterations += 1
-        while passive.any() and z[passive].min() <= 0:
+        while p and z_P.min() <= 0:
             if iterations >= max_iter:
                 break
             # step toward z until the first passive coordinate hits zero
-            neg = passive & (z <= 0)
-            denom = x[neg] - z[neg]
-            ratio = np.where(denom > 0, x[neg] / np.where(denom > 0, denom, 1.0), 0.0)
+            neg = z_P <= 0
+            denom = x_P[neg] - z_P[neg]
+            ratio = np.where(denom > 0, x_P[neg] / np.where(denom > 0, denom, 1.0), 0.0)
             alpha = float(ratio.min())
-            x = x + alpha * (z - x)
-            passive[passive & (np.abs(x) <= 1e-14)] = False
-            x[~passive] = 0.0
-            for k in reversed(range(len(cols))):
-                if not passive[cols[k]]:
-                    leave(k)
-            z = solve_passive()
+            x_P = x_P + alpha * (z_P - x_P)
+            out = np.flatnonzero(np.abs(x_P) <= 1e-14)
+            for k in out[::-1].tolist():
+                leave(k)
+            x_P = np.delete(x_P, out)
+            z_P = solve_passive()
             iterations += 1
         else:
-            x = z
+            x_P = z_P
+        r = y - A_P[:, :p] @ x_P
 
+    x = np.zeros(c)
+    x[cols] = x_P
+    # the last entry comes from the returned x on the whole matrix, so that
+    # residual_norm is exactly ||A x - y||
+    history[-1] = float(np.linalg.norm(A @ x - y))
     return NnlsResult(
         x=x,
         residual_norm=history[-1],

@@ -8,6 +8,8 @@ from uracs.ccs import SensingMatrix, build_complex_sensing_matrix
 from uracs.channel import MimoChannelConfig, mimo_block_transmit
 from uracs.mimo import (
     REFRESH_EVERY,
+    TAU_INV,
+    TAU_SING,
     AdmissibleIndexSet,
     CovarianceState,
     activity_detect,
@@ -92,6 +94,52 @@ def test_cost_decreases_and_inverse_tracks_covariance():
     assert st.gamma.min() >= 0.0
     diffs = np.diff(np.array(costs))
     assert diffs.max() <= 1e-9  # non-increasing per clamped step
+
+
+def reference_coordinate_step(st, k):
+    """The coordinate step as first written: strided column, a fresh
+    conjugate per use and np.outer for the rank-one update."""
+    a = st.A.columns[:, k]
+    s = st.sigma_inv @ a
+    quad = float((a.conj() @ s).real)
+    fit = float((s.conj() @ (st.sample_cov @ s)).real)
+    d_star = (fit - quad) / quad ** 2
+    new_gamma = max(st.gamma[k] + d_star, 0.0)
+    d_eff = new_gamma - st.gamma[k]
+    denom = 1.0 + d_eff * quad
+    if denom <= TAU_SING:
+        st.skipped += 1
+        return 0.0
+    st.gamma[k] = new_gamma
+    if d_eff != 0.0:
+        st.sigma_inv -= (d_eff / denom) * np.outer(s, s.conj())
+        st.updates += 1
+        st._since_check += 1
+        if st._since_check == REFRESH_EVERY:
+            st._since_check = 0
+            if st.drift() > TAU_INV:
+                st.refresh_inverse()
+    return d_eff
+
+
+def test_coordinate_step_is_bit_identical_to_reference_step():
+    # Ten full sweeps per instance, with steps that update, clamp and
+    # trigger the periodic drift check.
+    for i in range(36):
+        rng = np.random.default_rng(500 + i)
+        n, v = (8, 16, 32)[i % 3], int(rng.integers(3, 7))
+        A = build_complex_sensing_matrix(n, v, radius=np.sqrt(n), seed=(50, i))
+        cfg = MimoChannelConfig(M=64, n=n, N0=0.5, P=1.0,
+                                fading_seed=600 + i, noise_seed=700 + i)
+        active = rng.choice(1 << v, int(rng.integers(1, 5)), replace=False)
+        cov = sample_covariance(mimo_block_transmit(active, A.columns, cfg, block=0))
+        st, ref = CovarianceState(cov, A, N0=0.5), CovarianceState(cov, A, N0=0.5)
+        for _ in range(10):
+            for k in range(1 << v):
+                assert st.coordinate_step(k) == reference_coordinate_step(ref, k)
+        assert np.array_equal(st.gamma, ref.gamma)
+        assert np.array_equal(st.sigma_inv, ref.sigma_inv)
+        assert (st.updates, st.skipped) == (ref.updates, ref.skipped)
 
 
 def test_activity_detect_exact_support_large_arrays():

@@ -251,11 +251,9 @@ def test_updated_solve_matches_restarting_solve_on_wide_dictionary():
     assert assert_matches_restarting(A, y).converged
 
 
-def test_updated_solve_matches_restarting_solve_when_columns_leave():
-    # The instance shapes of acceptance criterion 4; the leave steps exercise
-    # the downdate of the passive Gram inverse.
+def leave_test_instances():
+    """The instance shapes of acceptance criterion 4, 60 seeded instances."""
     rng = np.random.default_rng(4404)
-    leaves = 0
     for i in range(60):
         rows, cols = int(rng.integers(2, 33)), int(rng.integers(2, 129))
         A = rng.standard_normal((rows, cols))
@@ -264,7 +262,51 @@ def test_updated_solve_matches_restarting_solve_when_columns_leave():
             y = A @ x0 + 0.1 * rng.standard_normal(rows)
         else:
             y = rng.standard_normal(rows)
+        yield A, y
+
+
+def test_updated_solve_matches_restarting_solve_when_columns_leave():
+    # The leave steps exercise the downdate of the passive Gram inverse.
+    leaves = 0
+    for A, y in leave_test_instances():
         res = assert_matches_restarting(A, y)
         # one history entry per entering column; the other solves follow a leave
         leaves += res.iterations - (len(res.objective_history) - 1)
     assert leaves >= 1
+
+
+def test_capped_solves_match_restarting_solve():
+    # The instances of the leave test, capped: a capped solve exits with the
+    # passive-set state of the step the cap stopped, and the full x is built
+    # from it once, at exit.
+    inside_leave_loop = 0
+    for max_iter in (1, 3, 7):
+        for A, y in leave_test_instances():
+            res = nnls_solve(A, y, max_iter=max_iter)
+            x_ref, iterations, converged, outer = restarting_nnls(A, y, max_iter=max_iter)
+            assert res.iterations == iterations
+            assert res.converged == converged
+            assert np.abs(res.x - x_ref).max() <= 1e-9
+            np.testing.assert_array_equal(np.flatnonzero(res.x), np.flatnonzero(x_ref))
+            assert res.residual_norm == float(np.linalg.norm(A @ res.x - y))
+            if not converged:
+                # when the cap stopped the leave loop, one more allowed
+                # solve is a leave solve, not a new entry
+                _, more, _, outer_more = restarting_nnls(A, y, max_iter=max_iter + 1)
+                inside_leave_loop += more == max_iter + 1 and outer_more == outer
+    assert inside_leave_loop >= 1
+
+
+def test_numerically_dependent_entries_regrow_the_passive_buffers():
+    # With a tolerance far below rounding, columns keep entering after the
+    # passive set already spans the n = 2 rows, past the min(n, c) + 1
+    # columns the passive buffers start with.
+    for seed in (42, 133):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((2, 6))
+        y = rng.standard_normal(2) * 1e9
+        with np.errstate(all="ignore"):
+            res = nnls_solve(A, y, tol=1e-300)
+        assert np.count_nonzero(res.x) > 3
+        assert np.isfinite(res.x).all()
+        assert res.residual_norm == float(np.linalg.norm(A @ res.x - y))
