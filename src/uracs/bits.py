@@ -11,15 +11,21 @@ import numpy as np
 
 def bits_to_int(bits: np.ndarray) -> int:
     """Radix-2 value of a bit vector, MSB first."""
-    bits = np.asarray(bits)
-    weights = 1 << np.arange(bits.shape[-1] - 1, -1, -1, dtype=np.int64)
-    return int(bits.astype(np.int64) @ weights)
+    return int(rows_to_ints(np.atleast_2d(bits))[0])
 
 
 def rows_to_ints(rows: np.ndarray) -> np.ndarray:
-    """Vectorised bits_to_int over the rows of a 2-D bit array."""
+    """Vectorised bits_to_int over the rows of a 2-D bit array.
+
+    Rows of up to 63 bits give int64 values. Wider rows would wrap int64, so
+    they give exact Python ints (an object array), built from 63-bit chunks.
+    """
     rows = np.asarray(rows)
-    weights = 1 << np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
+    width = rows.shape[-1]
+    if width > 63:
+        head = rows_to_ints(rows[..., :width - 63]).astype(object)
+        return (head << 63) | rows_to_ints(rows[..., width - 63:]).astype(object)
+    weights = 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
     return rows.astype(np.int64) @ weights
 
 

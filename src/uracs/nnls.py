@@ -1,7 +1,8 @@
 """Non-negative least squares via the Lawson-Hanson active-set method.
 
 Solves min ||A x - y||_2 subject to x >= 0. At exit either the KKT
-conditions hold within ``tol`` (converged) or the iteration cap was hit and
+conditions hold within ``tol`` (converged), or the iteration cap was hit or a
+shut-out column (see ``nnls_solve``) still has a gradient above ``tol``, and
 the best iterate so far is returned with ``converged`` False.
 
 Each passive-set solve reuses the last one, after Bro & De Jong's FNNLS
@@ -39,7 +40,12 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float = 1e-8,
     (default 10 * number of columns); ties in the entering variable go to the
     lowest column index. ``tol`` must be finite and positive: a column enters
     only when its gradient exceeds it, which keeps the passive columns
-    linearly independent and their Gram block invertible."""
+    linearly independent and their Gram block invertible.
+
+    A ``tol`` far below rounding lets numerically dependent columns enter.
+    One whose Schur complement rounds to exactly 0 is shut out for the rest
+    of the solve, and a downdate whose pivot is 0 or overflows re-inverts the
+    remaining Gram block (pseudo-inverse), so x stays finite."""
     A = np.asarray(A, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if A.ndim != 2 or y.ndim != 1 or A.shape[0] != y.shape[0]:
@@ -57,7 +63,9 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float = 1e-8,
     # columns as the first p columns of A_P and (A_P^T A_P)^-1 as the leading
     # p x p block of inv. Independent columns fit in min(n, c) slots; the
     # spare one takes a numerically dependent entry, and more regrow both.
-    passive = np.zeros(c, dtype=bool)
+    # closed: the passive and the shut-out columns, which may not enter
+    closed = np.zeros(c, dtype=bool)
+    shut: list[int] = []
     cols: list[int] = []
     x_P = np.zeros(0)
     cap = min(n, c) + 1
@@ -65,22 +73,28 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float = 1e-8,
     inv = np.empty((cap, cap))
     p = 0
 
-    def enter(j: int) -> None:
+    def enter(j: int) -> bool:
         nonlocal A_P, inv, p
-        if p == A_P.shape[1]:
-            A_P = np.hstack([A_P, A_P])
-            inv = np.pad(inv, (0, p))
         a = A[:, j]
         g = A_P[:, :p].T @ a
         u = inv[:p, :p] @ g
         s = float(a @ a - g @ u)
+        # s is the squared distance of a from the passive columns' span
+        if s == 0.0:
+            closed[j] = True
+            shut.append(j)
+            return False
+        if p == A_P.shape[1]:
+            A_P = np.hstack([A_P, A_P])
+            inv = np.pad(inv, (0, p))
         inv[:p, :p] += np.outer(u, u / s)
         inv[:p, p] = inv[p, :p] = -u / s
         inv[p, p] = 1.0 / s
         A_P[:, p] = a
         cols.append(j)
-        passive[j] = True
+        closed[j] = True
         p += 1
+        return True
 
     def leave(k: int) -> None:
         nonlocal p
@@ -90,9 +104,13 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float = 1e-8,
         inv[k:p - 1, :p] = inv[k + 1:p, :p]
         inv[:p - 1, k:p - 1] = inv[:p - 1, k + 1:p]
         A_P[:, k:p - 1] = A_P[:, k + 1:p]
-        passive[cols.pop(k)] = False
+        closed[cols.pop(k)] = False
         p -= 1
-        inv[:p, :p] -= np.outer(f[:p], f[:p] / d)
+        if d and np.isfinite(q := f[:p] / d).all():
+            inv[:p, :p] -= np.outer(f[:p], q)
+        else:
+            B = A_P[:, :p]
+            inv[:p, :p] = np.linalg.pinv(B.T @ B)
 
     def solve_passive() -> np.ndarray:
         B, G = A_P[:, :p], inv[:p, :p]
@@ -104,15 +122,17 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float = 1e-8,
     while True:
         history.append(float(np.linalg.norm(r)))
         w = A.T @ r
-        w[passive] = -np.inf
+        w[closed] = -np.inf
         # np.argmax returns the first maximizer, which is the tie rule we want
         j = int(np.argmax(w))
+        while w[j] > tol and iterations < max_iter and not enter(j):
+            w[j] = -np.inf
+            j = int(np.argmax(w))
         if not w[j] > tol:
-            converged = True
+            converged = not shut or not (A[:, shut].T @ r > tol).any()
             break
         if iterations >= max_iter:
             break
-        enter(j)
         x_P = np.append(x_P, 0.0)
 
         z_P = solve_passive()

@@ -80,33 +80,47 @@ class TreeCodebook:
     Equal (profile, seed) pairs reproduce identical parity on both sides of
     the link. Each matrix comes from an independent PRNG stream keyed by
     (seed, j, l).
+
+    All of them live in one read-only B x sum(l) float64 0/1 matrix ``G``
+    that maps a message's info bits to the parity bits of every section: the
+    column block of section l holds G[1][l], ..., G[l-1][l] stacked by rows,
+    with zeros below. Every entry of a product with it sums at most B ones,
+    so the float64 (BLAS) products are exact and their parity mod 2 is the
+    GF(2) parity.
     """
 
     def __init__(self, profile: ParityProfile, seed: int):
         self.profile = profile
         self.seed = int(seed)
-        # _stack[ell - 1] maps the info prefix of sections 1..ell-1 to parity
-        # ell: the blocks G[1][ell], ..., G[ell-1][ell] stacked by rows
-        self._stack = [None]
+        # row offsets of each section's info bits, column offsets of its parity
+        self._rows = np.cumsum((0,) + profile.m)
+        self._cols = np.cumsum((0,) + profile.l)
+        self.G = np.zeros((profile.B, self._cols[-1]))
         for ell in range(2, profile.L + 1):
-            blocks = [np.random.default_rng((self.seed, j, ell)).integers(
-                0, 2, size=(profile.m[j - 1], profile.l[ell - 1]), dtype=np.uint8)
-                for j in range(1, ell)]
-            self._stack.append(np.vstack(blocks).astype(np.int32))
+            for j in range(1, ell):
+                self.generator(j, ell)[...] = np.random.default_rng((self.seed, j, ell)).integers(
+                    0, 2, size=(profile.m[j - 1], profile.l[ell - 1]), dtype=np.uint8)
+        self.G.flags.writeable = False
 
     def generator(self, j: int, ell: int) -> np.ndarray:
-        prof = self.profile
-        return self._stack[ell - 1][prof.prefix_bits(j):prof.prefix_bits(j + 1)]
+        """G[j][ell], as a read-only view of ``G``."""
+        return self.G[self._rows[j - 1]:self._rows[j], self._cols[ell - 1]:self._cols[ell]]
 
     def parity_rows(self, prefixes: np.ndarray, ell: int) -> np.ndarray:
         """Parity bits of section ``ell`` for a batch of info prefixes (rows)."""
         if not 2 <= ell <= self.profile.L:
             raise ValueError(f"stage {ell} out of range [2, {self.profile.L}]")
         prefixes = np.atleast_2d(prefixes)
-        want = self.profile.prefix_bits(ell)
+        want = self._rows[ell - 1]
         if prefixes.shape[1] != want:
             raise ValueError(f"prefix has {prefixes.shape[1]} bits, stage {ell} needs {want}")
-        return ((prefixes @ self._stack[ell - 1]) & 1).astype(np.uint8)
+        return _mod2(prefixes @ self.G[:want, self._cols[ell - 1]:self._cols[ell]])
+
+
+def _mod2(product: np.ndarray) -> np.ndarray:
+    """Bits mod 2 of an exact float64 product of 0/1 arrays. Its entries are
+    integers, and the integer cast is several times faster than float ``%``."""
+    return (product.astype(np.int64) & 1).astype(np.uint8)
 
 
 def encode_messages(W: np.ndarray, codebook: TreeCodebook) -> list[np.ndarray]:
@@ -115,19 +129,10 @@ def encode_messages(W: np.ndarray, codebook: TreeCodebook) -> list[np.ndarray]:
     prof = codebook.profile
     if W.shape[1] != prof.B:
         raise ValueError(f"messages have {W.shape[1]} bits, profile needs B={prof.B}")
-    fragments = []
-    offset = 0
-    for ell in range(1, prof.L + 1):
-        m = prof.m[ell - 1]
-        info = W[:, offset:offset + m]
-        if ell == 1:
-            frag = info
-        else:
-            parity = codebook.parity_rows(W[:, :offset], ell)
-            frag = np.hstack([info, parity])
-        fragments.append(np.ascontiguousarray(frag))
-        offset += m
-    return fragments
+    parity = _mod2(W @ codebook.G)
+    rows, cols = codebook._rows, codebook._cols
+    return [np.concatenate((W[:, rows[i]:rows[i + 1]], parity[:, cols[i]:cols[i + 1]]), axis=1)
+            for i in range(prof.L)]
 
 
 @dataclass

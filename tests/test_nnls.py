@@ -310,3 +310,23 @@ def test_numerically_dependent_entries_regrow_the_passive_buffers():
         assert np.count_nonzero(res.x) > 3
         assert np.isfinite(res.x).all()
         assert res.residual_norm == float(np.linalg.norm(A @ res.x - y))
+
+
+def test_tiny_tolerance_never_divides_by_a_zero_schur_complement():
+    # With tol = 1e-300 dependent columns keep entering the 2-row passive
+    # set; their Schur complement (or a downdate's pivot) can round to
+    # exactly 0. Such a column is shut out and such a pivot re-inverts the
+    # passive Gram block, so nothing raises and x stays finite.
+    shut_out = 0
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((2, 6))
+        y = rng.standard_normal(2) * 10.0 ** rng.uniform(6, 13)
+        with np.errstate(all="ignore"):
+            res = nnls_solve(A, y, tol=1e-300)
+        assert np.isfinite(res.x).all()
+        assert (res.x >= 0).all()
+        assert res.residual_norm == float(np.linalg.norm(A @ res.x - y))
+        shut_out += not res.converged and res.iterations < 60
+    # the family does exercise the shut-out rule
+    assert shut_out > 0

@@ -139,6 +139,97 @@ def test_encode_messages_matches_scalar_path():
             assert np.array_equal(batch[ell][k], single[ell][0])
 
 
+def integer_parity(W, profile, seed):
+    """Reference parity of every section: integer products of the info
+    blocks with generators drawn straight from their PRNG streams, mod 2."""
+    W = W.astype(np.int64)
+    out = []
+    for ell in range(2, profile.L + 1):
+        acc = np.zeros((W.shape[0], profile.l[ell - 1]), dtype=np.int64)
+        for j in range(1, ell):
+            G = np.random.default_rng((seed, j, ell)).integers(
+                0, 2, size=(profile.m[j - 1], profile.l[ell - 1]), dtype=np.uint8)
+            lo = profile.prefix_bits(j)
+            acc += W[:, lo:lo + profile.m[j - 1]] @ G.astype(np.int64)
+        out.append((acc % 2).astype(np.uint8))
+    return out
+
+
+def random_profile(rng):
+    L = int(rng.integers(1, 9))
+    m = rng.integers(0, 9, L)
+    l = rng.integers(0, 9, L)
+    l[0] = 0
+    m[0] = max(m[0], 1)
+    m[1:] = np.where(m[1:] + l[1:] == 0, 1, m[1:])
+    return ParityProfile(m=tuple(m), l=tuple(l))
+
+
+@pytest.mark.parametrize("profile", ["siso-default", "mimo-96", "random"])
+def test_float_parity_equals_integer_parity(profile):
+    # The generator matrix is float64 so its products run on BLAS; they are
+    # exact, so parity_rows and encode_messages must equal integer GF(2).
+    rng = np.random.default_rng(23)
+    if profile == "random":
+        cases = [(random_profile(rng), 40) for _ in range(30)]
+    else:
+        prof = DEFAULT_SISO_PROFILE if profile == "siso-default" else DEFAULT_MIMO_PROFILE
+        cases = [(prof, 3000)]
+    for prof, rows in cases:
+        seed = int(rng.integers(1 << 32))
+        cb = TreeCodebook(prof, seed)
+        W = random_bits(rng, (rows, prof.B))
+        ref = integer_parity(W, prof, seed)
+        frags = encode_messages(W, cb)
+        assert len(frags) == prof.L
+        for ell in range(1, prof.L + 1):
+            lo, m = prof.prefix_bits(ell), prof.m[ell - 1]
+            assert frags[ell - 1].dtype == np.uint8
+            assert np.array_equal(frags[ell - 1][:, :m], W[:, lo:lo + m])
+            if ell > 1:
+                assert np.array_equal(frags[ell - 1][:, m:], ref[ell - 2])
+                got = cb.parity_rows(W[:, :lo], ell)
+                assert got.dtype == np.uint8
+                assert np.array_equal(got, ref[ell - 2])
+
+
+def test_generator_blocks_are_read_only_views_of_the_seeded_streams():
+    rng = np.random.default_rng(29)
+    for prof in [DEFAULT_SISO_PROFILE, DEFAULT_MIMO_PROFILE] + [
+            random_profile(rng) for _ in range(20)]:
+        seed = int(rng.integers(1 << 32))
+        cb = TreeCodebook(prof, seed)
+        for ell in range(2, prof.L + 1):
+            for j in range(1, ell):
+                G = cb.generator(j, ell)
+                expect = np.random.default_rng((seed, j, ell)).integers(
+                    0, 2, size=(prof.m[j - 1], prof.l[ell - 1]), dtype=np.uint8)
+                assert np.array_equal(G, expect)
+                assert not G.flags.writeable
+                with pytest.raises(ValueError):
+                    G[...] = 0
+
+
+def test_messages_wider_than_63_bits_keep_every_bit():
+    # int64 weights would wrap above 63 bits: on mimo-96 two messages that
+    # differ only in their first bit used to get one value, so tree_decode
+    # returned one message for two sent and counted no failure.
+    prof = DEFAULT_MIMO_PROFILE
+    cb = TreeCodebook(prof, seed=7)
+    w = random_bits(np.random.default_rng(3), prof.B)
+    W = np.stack([w, w])
+    W[1, 0] ^= 1
+    expect = [int("".join(str(b) for b in row), 2) for row in W]
+    assert expect[0] != expect[1]
+    assert rows_to_ints(W).tolist() == expect
+    assert [bits_to_int(row) for row in W] == expect
+    res = tree_decode(encode_messages(W, cb), cb)
+    assert res.failures == 0
+    assert res.messages == expect
+    # up to 63 bits the values stay int64
+    assert rows_to_ints(W[:, :63]).dtype == np.int64
+
+
 def test_roundtrip_decode_noiseless():
     # Genie lists holding exactly the transmitted fragments decode back to
     # the transmitted messages, in root (list position) order.
