@@ -15,7 +15,7 @@ import numpy as np
 
 from .bits import ints_to_rows, rows_to_ints
 from .errors import ResourceRefusalError
-from .nnls import nnls_solve
+from .nnls import DEFAULT_NNLS_TOL, nnls_solve
 from .tree import (DEFAULT_PATH_CAP, AdmissibleIndexSet, DecodeResult,
                    TreeCodebook, interleaved_decode)
 
@@ -112,7 +112,7 @@ def prune_columns(A: SensingMatrix, S: AdmissibleIndexSet) -> SensingMatrix:
 def decode_siso(y_slots: list[np.ndarray], matrices: list[SensingMatrix],
                 codebook: TreeCodebook, K: int, mode: str = "original",
                 list_size: int | None = None, force_full_patterns: bool = False,
-                path_cap: int = DEFAULT_PATH_CAP, nnls_tol: float = 1e-8,
+                path_cap: int = DEFAULT_PATH_CAP, nnls_tol: float = DEFAULT_NNLS_TOL,
                 memo: dict | None = None) -> DecodeResult:
     """Recover messages from L slot observations (modes and memo: see
     interleaved_decode).

@@ -14,21 +14,18 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SisoChannelConfig:
-    """Scalar-channel parameters: y = sum_j d * x_j + z with z ~ N(0, noise_std^2)."""
+    """Scalar-channel parameters: y = sum_j d * x_j + z with z ~ N(0, 1)."""
 
     d: float
     B: int
     L: int
     noise_seed: int = 0
-    noise_std: float = 1.0
 
     def __post_init__(self):
         if self.d < 0:
             raise ValueError("amplitude d must be nonnegative")
         if self.B < 1 or self.L < 1:
             raise ValueError("B and L must be at least 1")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -83,8 +80,7 @@ def gmac_transmit(user_signals: np.ndarray, cfg: SisoChannelConfig,
         raise ValueError("user_signals must be (K, n)")
     n = user_signals.shape[1]
     rng = np.random.default_rng((cfg.noise_seed, stream))
-    z = rng.standard_normal(n) * cfg.noise_std
-    return cfg.d * user_signals.sum(axis=0) + z
+    return cfg.d * user_signals.sum(axis=0) + rng.standard_normal(n)
 
 
 def mimo_block_transmit(column_indices: np.ndarray, A: np.ndarray,

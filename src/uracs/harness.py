@@ -16,6 +16,7 @@ mode's cost is what it would be alone.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -28,7 +29,8 @@ from .ccs import (DEFAULT_MEMORY_BUDGET, build_complex_sensing_matrix,
 from .channel import (MimoChannelConfig, SisoChannelConfig, ebn0_to_amplitude,
                       ebn0_to_power, gmac_transmit, mimo_block_transmit)
 from .errors import ConfigError
-from .mimo import decode_mimo
+from .mimo import DEFAULT_CD_TOL, DEFAULT_SWEEPS, decode_mimo
+from .nnls import DEFAULT_NNLS_TOL
 from .predictors import predict_table
 from .tree import (DEFAULT_MIMO_PROFILE, DEFAULT_PATH_CAP, DEFAULT_SISO_PROFILE,
                    ParityProfile, PathTracker, TreeCodebook, encode_messages)
@@ -81,14 +83,14 @@ class ExperimentConfig:
     # alone sets the SNR
     ebn0_db: tuple[float, ...] = ()
     n: int = 0
-    nnls_tol: float = 1e-8
+    nnls_tol: float = DEFAULT_NNLS_TOL
     path_cap: int = DEFAULT_PATH_CAP
     memory_budget: int = DEFAULT_MEMORY_BUDGET
     ebn0_search: dict | None = None
     # mimo scenario
     M: tuple[int, ...] = ()
-    sweeps: int = 10
-    cd_tol: float = 1e-6
+    sweeps: int = DEFAULT_SWEEPS
+    cd_tol: float = DEFAULT_CD_TOL
     # predict scenario
     variant: str = "both"
 
@@ -105,8 +107,9 @@ def _int(x) -> int:
 
 
 def _float(x) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"expected a number, got {x!r}")
+    """A finite JSON number; NaN and the infinities are refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {x!r}")
     return float(x)
 
 
@@ -173,7 +176,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     for key, value in data.items():
         try:
             values[key] = _KEYS[key][0](value)
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise ConfigError(f"{key}: {e}") from None
     cfg = ExperimentConfig(**values)
 
@@ -187,12 +190,14 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("timing: must be model or wall")
     if cfg.workers < 1:
         raise ConfigError("workers: must be at least 1")
+    if cfg.master_seed < 0:
+        raise ConfigError("master_seed: must be nonnegative")
+    if cfg.path_cap < 1:
+        raise ConfigError("path_cap: must be at least 1")
     if cfg.list_size is not None and cfg.list_size < 1:
         raise ConfigError("list_size: must be at least 1")
-    if not 0.0 < cfg.nnls_tol < np.inf:
-        raise ConfigError("nnls_tol: must be finite and positive")
-    if np.isnan(cfg.cd_tol):  # 0 is legal: every sweep runs
-        raise ConfigError("cd_tol: must not be NaN")
+    if cfg.nnls_tol <= 0:
+        raise ConfigError("nnls_tol: must be positive")
     if scenario in _CHANNELS:
         if cfg.n < 1:
             raise ConfigError("n: required and must be at least 1")
@@ -239,23 +244,37 @@ class ModeOutcome:
 
 @dataclass
 class TrialResult:
-    trial: int
     sent: list[int]
     outcomes: dict[str, ModeOutcome] = field(default_factory=dict)
 
 
+def _trial_source(profile: ParityProfile, master_seed: int, trial: int):
+    """The trial's codebook and the stream its messages are drawn from."""
+    return (TreeCodebook(profile, derive_seed(master_seed, trial, CODEBOOK)),
+            np.random.default_rng((master_seed, trial, MESSAGES)))
+
+
 def _draw_messages(cfg: ExperimentConfig, K: int, trial: int):
     """The trial's codebook, sent messages (as integers) and coded fragments."""
-    codebook = TreeCodebook(cfg.profile, derive_seed(cfg.master_seed, trial, CODEBOOK))
-    msg_rng = np.random.default_rng((cfg.master_seed, trial, MESSAGES))
-    W = random_bits(msg_rng, (K, cfg.profile.B))
+    codebook, rng = _trial_source(cfg.profile, cfg.master_seed, trial)
+    W = random_bits(rng, (K, cfg.profile.B))
     return codebook, [int(x) for x in rows_to_ints(W)], encode_messages(W, codebook)
 
 
-def _outcome(dec, sent: list[int], K: int) -> ModeOutcome:
-    d = dec.diagnostics
-    return ModeOutcome(decoded=dec.messages, pupe=pupe(sent, dec.messages, K),
-                       per_slot=d.cols, work_units=d.work_units, wall_ms=d.wall_ms)
+def _decode_modes(decode, modes, cfg: ExperimentConfig, sent: list[int],
+                  *args, **kwargs) -> TrialResult:
+    """decode(*args, mode=mode, ...) for each mode on the same observations,
+    sharing one memo, so each distinct slot problem is solved once per trial."""
+    result = TrialResult(sent=sent)
+    memo: dict = {}
+    for mode in modes:
+        dec = decode(*args, mode=mode, list_size=cfg.list_size,
+                     path_cap=cfg.path_cap, memo=memo, **kwargs)
+        d = dec.diagnostics
+        result.outcomes[mode] = ModeOutcome(
+            decoded=dec.messages, pupe=pupe(sent, dec.messages, len(sent)),
+            per_slot=d.cols, work_units=d.work_units, wall_ms=d.wall_ms)
+    return result
 
 
 def run_siso_trial(cfg: ExperimentConfig, K: int, ebn0_db: float,
@@ -278,14 +297,8 @@ def run_siso_trial(cfg: ExperimentConfig, K: int, ebn0_db: float,
     y = [gmac_transmit(user_signals(frags[ell - 1], matrices[ell - 1]), ch,
                        stream=ell) for ell in range(1, prof.L + 1)]
 
-    result = TrialResult(trial=trial, sent=sent)
-    memo: dict = {}  # each distinct slot problem is solved once per trial
-    for mode in cfg.modes:
-        dec = decode_siso(y, matrices, codebook, K, mode=mode,
-                          list_size=cfg.list_size, path_cap=cfg.path_cap,
-                          nnls_tol=cfg.nnls_tol, memo=memo)
-        result.outcomes[mode] = _outcome(dec, sent, K)
-    return result
+    return _decode_modes(decode_siso, cfg.modes, cfg, sent, y, matrices,
+                         codebook, K, nnls_tol=cfg.nnls_tol)
 
 
 def run_mimo_trial(cfg: ExperimentConfig, K: int, M: int,
@@ -308,14 +321,8 @@ def run_mimo_trial(cfg: ExperimentConfig, K: int, M: int,
                              matrices[ell - 1].columns, ch, block=ell)
          for ell in range(1, prof.L + 1)]
 
-    result = TrialResult(trial=trial, sent=sent)
-    memo: dict = {}  # each distinct slot problem is solved once per trial
-    for mode in ("original", "enhanced"):
-        dec = decode_mimo(Y, matrices, codebook, K, N0, mode=mode,
-                          list_size=cfg.list_size, sweeps=cfg.sweeps,
-                          tol=cfg.cd_tol, path_cap=cfg.path_cap, memo=memo)
-        result.outcomes[mode] = _outcome(dec, sent, K)
-    return result
+    return _decode_modes(decode_mimo, ("original", "enhanced"), cfg, sent, Y,
+                         matrices, codebook, K, N0, sweeps=cfg.sweeps, tol=cfg.cd_tol)
 
 
 def _map_trials(fn, cfg: ExperimentConfig, *args) -> list[TrialResult]:
@@ -334,17 +341,15 @@ def _map_trials(fn, cfg: ExperimentConfig, *args) -> list[TrialResult]:
 # genie-aided outer-code statistics
 
 
-def genie_tree_trial(profile: ParityProfile, K: int, master_seed: int,
-                     trial: int, max_redraw: int = 100):
+def genie_tree_trial(profile: ParityProfile, K: int, master_seed: int, trial: int):
     """Tree search on perfect lists with distinct per-section fragments.
 
     Returns (live path count per stage, admissible pattern count per stage
-    2..L). Messages are redrawn until all K fragments differ in every
-    section, matching the analytical model's assumptions.
+    2..L). Messages are redrawn, up to 100 times, until all K fragments
+    differ in every section, matching the analytical model's assumptions.
     """
-    codebook = TreeCodebook(profile, derive_seed(master_seed, trial, CODEBOOK))
-    rng = np.random.default_rng((master_seed, trial, MESSAGES))
-    for _ in range(max_redraw):
+    codebook, rng = _trial_source(profile, master_seed, trial)
+    for _ in range(100):
         W = random_bits(rng, (K, profile.B))
         frags = encode_messages(W, codebook)
         if all(np.unique(rows_to_ints(f)).size == K for f in frags):

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import ints_to_rows
-from .ccs import SensingMatrix
+from .ccs import SensingMatrix, top_k_support
 from .tree import (DEFAULT_PATH_CAP, AdmissibleIndexSet, DecodeResult,
                    TreeCodebook, interleaved_decode)
 
@@ -23,6 +22,8 @@ TAU_SING = 1e-12
 # the covariance it should invert, and recomputed if it drifted past TAU_INV
 REFRESH_EVERY = 32
 TAU_INV = 1e-8
+DEFAULT_SWEEPS = 10
+DEFAULT_CD_TOL = 1e-6
 
 
 def sample_covariance(Y: np.ndarray) -> np.ndarray:
@@ -112,8 +113,8 @@ class ActivityDiagnostics:
 
 
 def activity_detect(sample_cov: np.ndarray, A: SensingMatrix,
-                    S: AdmissibleIndexSet, N0: float, sweeps: int = 10,
-                    tol: float = 1e-6) -> tuple[np.ndarray, ActivityDiagnostics]:
+                    S: AdmissibleIndexSet, N0: float, sweeps: int = DEFAULT_SWEEPS,
+                    tol: float = DEFAULT_CD_TOL) -> tuple[np.ndarray, ActivityDiagnostics]:
     """Coordinate descent over the index set S; ascending order within a sweep.
 
     Stops after ``sweeps`` full passes or when the largest absolute gamma
@@ -135,28 +136,20 @@ def activity_detect(sample_cov: np.ndarray, A: SensingMatrix,
     return state.gamma, diag
 
 
-def support_from_gamma(gamma: np.ndarray, list_size: int, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fragments behind the ``list_size`` largest gamma entries (ties to lower index)."""
-    if list_size < 1:
-        raise ValueError("list_size must be at least 1")
-    gamma = np.asarray(gamma)
-    order = np.lexsort((np.arange(gamma.shape[0]), -gamma))[:list_size]
-    idx = np.sort(order)  # report in index order; set content is what matters
-    return ints_to_rows(idx.astype(np.int64), v), idx.astype(np.int64)
-
-
 def decode_mimo(Y_blocks: list[np.ndarray], matrices: list[SensingMatrix],
                 codebook: TreeCodebook, K: int, N0: float,
                 mode: str = "original", list_size: int | None = None,
-                sweeps: int = 10, tol: float = 1e-6,
+                sweeps: int = DEFAULT_SWEEPS, tol: float = DEFAULT_CD_TOL,
                 force_full_patterns: bool = False,
                 path_cap: int = DEFAULT_PATH_CAP,
                 memo: dict | None = None) -> DecodeResult:
     """Recover messages from L block observations (modes and memo: see
     interleaved_decode).
 
-    Each block runs activity detection over its index set and keeps the top
-    ``list_size`` (default K) fragments.
+    Each block runs activity detection over its index set and keeps the
+    ``list_size`` (default K) largest gamma entries, in index order. They are
+    ranked over all columns, so a list short of positive gamma fills up with
+    zero-gamma columns, which may lie outside the set.
     """
     if list_size is None:
         list_size = K
@@ -164,9 +157,10 @@ def decode_mimo(Y_blocks: list[np.ndarray], matrices: list[SensingMatrix],
     def solve_slot(Y, A, S):
         gamma, adiag = activity_detect(sample_covariance(Y), A, S, N0,
                                        sweeps=sweeps, tol=tol)
-        bits, _ = support_from_gamma(gamma, list_size, A.v)
+        bits, idx = top_k_support(gamma, list_size, AdmissibleIndexSet.full(A.v), A.v)
         # every visited coordinate costs an n^2 matvec whether or not it moves
-        return bits, adiag.sweeps_run, adiag.sweeps_run * S.size * A.rows ** 2
+        return (bits[np.argsort(idx)], adiag.sweeps_run,
+                adiag.sweeps_run * S.size * A.rows ** 2)
 
     return interleaved_decode(Y_blocks, matrices, codebook, mode,
                               force_full_patterns, path_cap, solve_slot, memo)

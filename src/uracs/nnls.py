@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+DEFAULT_NNLS_TOL = 1e-8
+
 
 @dataclass
 class NnlsResult:
@@ -34,7 +36,7 @@ class NnlsResult:
     objective_history: list[float] = field(default_factory=list)
 
 
-def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float = 1e-8,
+def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float = DEFAULT_NNLS_TOL,
                max_iter: int | None = None) -> NnlsResult:
     """Active-set NNLS. ``max_iter`` caps least-squares subproblem solves
     (default 10 * number of columns); ties in the entering variable go to the

@@ -55,10 +55,6 @@ class ParityProfile:
         """Coded fragment lengths m + l per section."""
         return tuple(m + l for m, l in zip(self.m, self.l))
 
-    def prefix_bits(self, stage: int) -> int:
-        """Number of information bits in sections 1..stage-1."""
-        return sum(self.m[: stage - 1])
-
 
 # 75 information bits over 11 sections of 15 coded bits each; parity grows
 # toward the tail so late sections can absorb the accumulated path list

@@ -4,7 +4,7 @@ recovery, column pruning, and the two slot decoders."""
 import numpy as np
 import pytest
 
-from uracs.bits import bits_to_int, int_to_bits, ints_to_rows, random_bits, rows_to_ints
+from uracs.bits import ints_to_rows, random_bits, rows_to_ints
 from uracs.ccs import (
     build_complex_sensing_matrix,
     build_sensing_matrix,
@@ -21,13 +21,11 @@ from uracs.tree import AdmissibleIndexSet, ParityProfile, TreeCodebook, encode_m
 def test_index_fragment_bijection():
     # A fragment's column index is its radix-2 value, MSB first.
     for v in (1, 3, 8):
-        for idx in range(1 << v):
-            frag = int_to_bits(idx, v)
-            assert frag.shape == (v,)
-            assert bits_to_int(frag) == idx
         rows = ints_to_rows(np.arange(1 << v), v)
+        assert rows.shape == (1 << v, v) and rows.dtype == np.uint8
+        assert [int("".join(map(str, r)), 2) for r in rows] == list(range(1 << v))
         np.testing.assert_array_equal(rows_to_ints(rows), np.arange(1 << v))
-    assert bits_to_int(np.array([1, 0, 1], dtype=np.uint8)) == 5
+    assert rows_to_ints(np.array([[1, 0, 1]], dtype=np.uint8)).tolist() == [5]
 
 
 def test_build_sensing_matrix_properties():

@@ -43,20 +43,23 @@ def test_ebn0_power_round_trip():
 
 
 def test_gmac_noiseless_is_scaled_sum():
+    # Less the noise of its (seed, stream) substream, the output is d times
+    # the sum of the user signals.
     rng = np.random.default_rng(0)
     X = rng.normal(size=(3, 32))
-    cfg = SisoChannelConfig(d=2.0, B=10, L=2, noise_std=0.0)
-    y = gmac_transmit(X, cfg)
-    np.testing.assert_allclose(y, 2.0 * X.sum(axis=0), atol=1e-12)
+    cfg = SisoChannelConfig(d=2.0, B=10, L=2, noise_seed=5)
+    y = gmac_transmit(X, cfg, stream=2)
+    z = np.random.default_rng((5, 2)).standard_normal(32)
+    np.testing.assert_allclose(y - z, 2.0 * X.sum(axis=0), atol=1e-12)
 
 
 def test_gmac_pure_noise_statistics():
-    cfg = SisoChannelConfig(d=1.0, B=10, L=2, noise_seed=1, noise_std=1.5)
+    cfg = SisoChannelConfig(d=1.0, B=10, L=2, noise_seed=1)
     samples = np.concatenate([
         gmac_transmit(np.zeros((0, 4000)), cfg, stream=s) for s in range(10)
     ])
     assert samples.mean() == pytest.approx(0.0, abs=0.05)
-    assert samples.std() == pytest.approx(1.5, rel=0.03)
+    assert samples.std() == pytest.approx(1.0, rel=0.03)
 
 
 def test_gmac_streams_differ_and_are_reproducible():

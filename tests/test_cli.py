@@ -110,3 +110,19 @@ def test_main_bad_ebn0_search_is_config_error(tmp_path, capsys):
         assert main(["siso", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ebn0_search")
+
+
+def test_main_refuses_non_finite_numbers_negative_seed_and_zero_path_cap(tmp_path, capsys):
+    # a config file holds NaN and Infinity as bare JSON literals
+    text = json.dumps(SISO_DATA)
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        path = tmp_path / f"{literal}.json"
+        path.write_text(text.replace("10.0", literal))
+        assert main(["siso", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ebn0_db")
+    cfg = write_cfg(tmp_path, SISO_DATA)
+    assert main(["siso", "--config", cfg, "--seed", "-3"]) == 2
+    assert capsys.readouterr().err.startswith("config error: master_seed")
+    cfg = write_cfg(tmp_path, {**SISO_DATA, "path_cap": 0})
+    assert main(["siso", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: path_cap")

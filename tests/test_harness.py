@@ -1,7 +1,10 @@
 """Tests for the experiment harness: configs, seeding, metrics, CSV output."""
 
 import json
+import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +116,57 @@ def test_parse_config_field_errors_name_the_field():
             parse_config(siso_config(**{key: value}))
     # Integral floats are integers.
     assert parse_config(siso_config(K=2.0, n=12.0)).K == (2,)
+
+
+def test_parse_config_refuses_non_finite_numbers():
+    # JSON readers accept NaN and Infinity. NaN or Infinity Eb/N0 once ran
+    # with PUPE 1 in every row, a MIMO -Infinity died in a traceback, and
+    # an ebn0_search lo_db of -Infinity made the bisection loop forever.
+    mimo_data = {"scenario": "mimo", "profile": SMALL_PROFILE, "K": 2,
+                 "M": 16, "ebn0_db": 0.0, "n": 8}
+    search = {"target_pupe": 0.5, "lo_db": 0.0, "hi_db": 8.0, "resolution_db": 1.0}
+    cases = [
+        (siso_config(ebn0_db=float("nan")), "ebn0_db"),
+        (siso_config(ebn0_db=float("inf")), "ebn0_db"),
+        (siso_config(ebn0_db=[10.0, float("-inf")]), "ebn0_db"),
+        ({**mimo_data, "ebn0_db": float("-inf")}, "ebn0_db"),
+        ({**mimo_data, "cd_tol": float("inf")}, "cd_tol"),
+        (siso_config(ebn0_search={**search, "lo_db": float("-inf")}), "ebn0_search"),
+        (siso_config(ebn0_search={**search, "hi_db": float("inf")}), "ebn0_search"),
+        (siso_config(ebn0_search={**search, "target_pupe": float("nan")}), "ebn0_search"),
+    ]
+    for data, key in cases:
+        with pytest.raises(ConfigError, match=f"^{key}: expected a finite number"):
+            parse_config(data)
+    # an integer too large for a float once raised OverflowError
+    with pytest.raises(ConfigError, match="^ebn0_db: "):
+        parse_config(siso_config(ebn0_db=10 ** 400))
+    # the literals a JSON config file can hold are refused the same way
+    assert math.isnan(json.loads('{"x": NaN}')["x"])
+    with pytest.raises(ConfigError, match="^ebn0_db"):
+        parse_config(json.loads(json.dumps(siso_config()).replace("10.0", "Infinity")))
+
+
+def test_parse_config_refuses_negative_seed_and_path_cap_below_1():
+    # a negative seed once died in numpy's seeding, and path_cap 0 capped
+    # every root, so every decode failed silently
+    for key, value in [("master_seed", -1), ("path_cap", 0), ("path_cap", -5)]:
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            parse_config(siso_config(**{key: value}))
+    cfg = parse_config(siso_config(master_seed=0, path_cap=1))
+    assert (cfg.master_seed, cfg.path_cap) == (0, 1)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_configs_parse():
+    # every JSON config block in README.md's CLI section is a valid config
+    cli = README.read_text(encoding="utf-8").split("\n## CLI\n")[1].split("\n## ")[0]
+    blocks = re.findall(r"```json\n(.*?)```", cli, flags=re.S)
+    assert len(blocks) == 3
+    assert sorted(parse_config(json.loads(b)).scenario for b in blocks) == \
+        ["mimo", "predict", "siso"]
 
 
 def test_parse_config_named_profile_and_search():
@@ -310,6 +364,44 @@ def test_reused_solves_report_what_cold_solves_report(kind, monkeypatch):
         assert warm.messages == cold.messages
         for name in ("cols", "iterations", "work_units", "live_paths"):
             assert getattr(warm.diagnostics, name) == getattr(cold.diagnostics, name)
+
+
+@pytest.mark.parametrize("data", [siso_config(K=2), MIMO_SMALL], ids=["siso", "mimo"])
+def test_wall_timing_changes_only_the_cost_column(data):
+    model = run_experiment(parse_config({**data, "timing": "model"})).splitlines()
+    wall = run_experiment(parse_config({**data, "timing": "wall"})).splitlines()
+    assert wall[0] == model[0]
+    assert len(wall) == len(model) == 3
+    for w, m in zip(wall[1:], model[1:]):
+        assert w.split(",")[:-1] == m.split(",")[:-1]
+        cost = float(w.split(",")[-1])
+        assert math.isfinite(cost)
+        if data["scenario"] == "siso":
+            assert cost > 0  # mean decode wall ms
+    if data["scenario"] == "mimo":  # the enhanced/original wall-time ratio
+        assert float(wall[1].split(",")[-1]) > 0
+
+
+def test_mimo_lists_filled_outside_s_match_recorded_outcomes():
+    # Acceptance criterion 7's config. In these two trials a restricted slot
+    # has fewer positive gammas than list entries, and the list fills up
+    # with zero-gamma columns ranked over all columns, some outside S.
+    # Ranking inside S alone found 1 message instead of 3 in K=3 trial 49.
+    cfg = parse_config({"scenario": "mimo", "profile": {"m": [5, 4, 2, 1], "l": [0, 1, 3, 4]},
+                        "K": [2, 3], "M": [64], "trials": 100, "ebn0_db": 0.0,
+                        "n": 16, "master_seed": 2026})
+    expected = {
+        (2, 68): ([1421, 748], {"original": ([748, 1421], [32, 32, 32, 32], 262144),
+                                "enhanced": ([748, 1421], [32, 32, 4, 4], 129024)}),
+        (3, 49): ([3708, 3567, 173], {"original": ([173, 3567, 3708], [32, 32, 32, 32], 262144),
+                                      "enhanced": ([173, 3567, 3708], [32, 32, 20, 4], 176128)}),
+    }
+    for (K, t), (sent, outcomes) in expected.items():
+        r = run_mimo_trial(cfg, K, 64, t)
+        assert r.sent == sent
+        for mode, (decoded, per_slot, work) in outcomes.items():
+            o = r.outcomes[mode]
+            assert (o.decoded, o.per_slot, o.work_units, o.pupe) == (decoded, per_slot, work, 0.0)
 
 
 def test_memory_budget_bounds_the_whole_trial(monkeypatch):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from uracs.bits import random_bits, rows_to_ints
-from uracs.ccs import SensingMatrix, build_complex_sensing_matrix
+import uracs.mimo
+from uracs.ccs import SensingMatrix, build_complex_sensing_matrix, top_k_support
 from uracs.channel import MimoChannelConfig, mimo_block_transmit
 from uracs.mimo import (
     REFRESH_EVERY,
@@ -15,7 +16,6 @@ from uracs.mimo import (
     activity_detect,
     decode_mimo,
     sample_covariance,
-    support_from_gamma,
 )
 from uracs.tree import ParityProfile, TreeCodebook, encode_messages
 
@@ -153,8 +153,8 @@ def test_activity_detect_exact_support_large_arrays():
     Y = mimo_block_transmit(idx, A.columns, cfg, block=0)
     gamma, diag = activity_detect(sample_covariance(Y), A,
                                   AdmissibleIndexSet.full(v), N0)
-    _, top = support_from_gamma(gamma, 2, v)
-    assert top.tolist() == [7, 23]
+    _, top = top_k_support(gamma, 2, AdmissibleIndexSet.full(v), v)
+    assert sorted(top.tolist()) == [7, 23]
     assert diag.sweeps_run >= 1
     assert diag.updates > 0
 
@@ -203,15 +203,6 @@ def test_activity_detect_pure_noise_converges_immediately():
     assert np.all(gamma == 0.0)
     assert diag.sweeps_run == 1
     assert diag.updates == 0
-
-
-def test_support_from_gamma_tie_rules():
-    gamma = np.array([0.9, 0.5, 0.9, 0.9])
-    bits, idx = support_from_gamma(gamma, 2, v=2)
-    assert idx.tolist() == [0, 2]  # ties to the lower index, reported sorted
-    np.testing.assert_array_equal(rows_to_ints(bits), [0, 2])
-    with pytest.raises(ValueError):
-        support_from_gamma(gamma, 0, v=2)
 
 
 def make_mimo_instance(K=2, seed=13):
@@ -281,3 +272,33 @@ def test_decode_mimo_input_validation():
     bad[1] = build_complex_sensing_matrix(8, 5, radius=1.0, seed=0)
     with pytest.raises(ValueError):
         decode_mimo(blocks, bad, cb, K=2, N0=N0)
+
+
+def test_decode_mimo_list_rule(monkeypatch):
+    # Each slot's list is the list_size largest gamma entries ranked over all
+    # columns by (-gamma, index), so ties go to the lower index, and it is
+    # reported in index order. Once S runs out of positive gamma the list
+    # fills up with the lowest zero-gamma columns, which may lie outside S.
+    def fake_detect(sample_cov, A, S, N0, sweeps, tol):
+        gamma = np.zeros(A.cols)
+        if S.size == A.cols:
+            gamma[[1, 3, 5, 7]] = [0.5, 0.7, 0.9, 0.7]
+        else:
+            gamma[S.indices[-1]] = 1.0
+        return gamma, uracs.mimo.ActivityDiagnostics(sweeps_run=1)
+
+    monkeypatch.setattr(uracs.mimo, "activity_detect", fake_detect)
+    prof, cb, W, mats, blocks, N0 = make_mimo_instance()
+    memo: dict = {}  # (slot, S bytes) -> (bits, ...): the lists decode_mimo chose
+    decode_mimo(blocks, mats, cb, K=2, N0=N0, mode="enhanced", memo=memo)
+    lists = {ell: (np.frombuffer(key, dtype=np.int64), rows_to_ints(out[0]).tolist())
+             for (ell, key), out in memo.items()}
+    # ranked 5, then 3 and 7 tied at 0.7: the tie goes to 3, reported as [3, 5]
+    assert lists[1][1] == [3, 5]
+    restricted = [lists[ell] for ell in lists if ell > 1 and lists[ell][0].size < 16]
+    assert restricted
+    for S, got in restricted:
+        assert got == [0, int(S[-1])]
+    assert any(0 not in S for S, _ in restricted)
+    with pytest.raises(ValueError):
+        decode_mimo(blocks, mats, cb, K=2, N0=N0, list_size=0)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from uracs.bits import bits_to_int, ints_to_rows, random_bits, rows_to_ints
+from uracs.bits import ints_to_rows, random_bits, rows_to_ints
 from uracs.tree import (
     DEFAULT_MIMO_PROFILE,
     DEFAULT_PATH_CAP,
@@ -20,6 +20,11 @@ from uracs.tree import (
     interleaved_decode,
     tree_decode,
 )
+
+
+def radix2(bits) -> int:
+    """Value of a bit vector, MSB first: the oracle for rows_to_ints."""
+    return int("".join(str(int(b)) for b in bits), 2)
 
 
 def brute_force_decode(lists, codebook, path_cap=1 << 16):
@@ -46,7 +51,7 @@ def brute_force_decode(lists, codebook, path_cap=1 << 16):
         if not ok:
             continue
         root = combo[0]
-        msg = bits_to_int(np.concatenate(info))
+        msg = radix2(np.concatenate(info))
         survivors.setdefault(root, set()).add(msg)
         counts[root] = counts.get(root, 0) + 1
         if counts[root] > path_cap:
@@ -76,8 +81,6 @@ def test_profile_validation():
     assert prof.B == 5
     assert prof.L == 2
     assert prof.v == (3, 4)
-    assert prof.prefix_bits(1) == 0
-    assert prof.prefix_bits(2) == 3
 
 
 def test_default_profiles_consistent():
@@ -109,7 +112,7 @@ def test_parity_linearity_over_gf2():
         w1 = random_bits(rng, 7)
         w2 = random_bits(rng, 7)
         for ell in (2, 3):
-            n = prof.prefix_bits(ell)
+            n = sum(prof.m[:ell - 1])
             p1 = cb.parity_rows(w1[:n], ell)[0]
             p2 = cb.parity_rows(w2[:n], ell)[0]
             p12 = cb.parity_rows((w1 ^ w2)[:n], ell)[0]
@@ -149,7 +152,7 @@ def integer_parity(W, profile, seed):
         for j in range(1, ell):
             G = np.random.default_rng((seed, j, ell)).integers(
                 0, 2, size=(profile.m[j - 1], profile.l[ell - 1]), dtype=np.uint8)
-            lo = profile.prefix_bits(j)
+            lo = sum(profile.m[:j - 1])
             acc += W[:, lo:lo + profile.m[j - 1]] @ G.astype(np.int64)
         out.append((acc % 2).astype(np.uint8))
     return out
@@ -183,7 +186,7 @@ def test_float_parity_equals_integer_parity(profile):
         frags = encode_messages(W, cb)
         assert len(frags) == prof.L
         for ell in range(1, prof.L + 1):
-            lo, m = prof.prefix_bits(ell), prof.m[ell - 1]
+            lo, m = sum(prof.m[:ell - 1]), prof.m[ell - 1]
             assert frags[ell - 1].dtype == np.uint8
             assert np.array_equal(frags[ell - 1][:, :m], W[:, lo:lo + m])
             if ell > 1:
@@ -222,7 +225,6 @@ def test_messages_wider_than_63_bits_keep_every_bit():
     expect = [int("".join(str(b) for b in row), 2) for row in W]
     assert expect[0] != expect[1]
     assert rows_to_ints(W).tolist() == expect
-    assert [bits_to_int(row) for row in W] == expect
     res = tree_decode(encode_messages(W, cb), cb)
     assert res.failures == 0
     assert res.messages == expect
@@ -282,7 +284,7 @@ def test_tracker_advance_matches_brute_force():
         parity = cb.parity_rows(roots[i], 2)[0]
         for row in range(16):
             if np.array_equal(frags[row, 2:], parity):
-                expect.add((i, bits_to_int(np.concatenate([roots[i], frags[row, :2]]))))
+                expect.add((i, radix2(np.concatenate([roots[i], frags[row, :2]]))))
     assert got == expect
     assert tracker.live_path_count() == len(expect)
 
@@ -296,7 +298,7 @@ def test_admissible_parities_small():
     tracker = PathTracker(cb)
     tracker.start(info)
     pats = tracker.admissible()
-    expect = sorted({bits_to_int(cb.parity_rows(row, 2)[0]) for row in info})
+    expect = sorted({radix2(cb.parity_rows(row, 2)[0]) for row in info})
     assert pats.tolist() == expect
     assert pats.dtype == np.int64
     # Once every path has died no pattern is admissible.
@@ -319,7 +321,7 @@ def test_tracker_admissible_never_misses_true_path():
         for ell in range(2, prof.L + 1):
             pats = tracker.admissible()
             m = prof.m[ell - 1]
-            true_parity = bits_to_int(true_frags[ell - 1][m:])
+            true_parity = radix2(true_frags[ell - 1][m:])
             assert true_parity in pats.tolist()
             tracker.advance(lists[ell - 1])
         # The true message always survives to the end (the root may still
@@ -357,7 +359,7 @@ def test_duplicate_messages_count_once():
     w = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
     W = np.stack([w, w])
     res = tree_decode(encode_messages(W, cb), cb)
-    assert res.messages == [bits_to_int(w)]
+    assert res.messages == [radix2(w)]
     assert res.failures == 0
 
 
