@@ -48,6 +48,12 @@ class MimoChannelConfig:
             raise ValueError("symbol power P must be positive")
 
 
+# Eb/N0 values a config may set, in dB. Far past any physical link, and far
+# inside the float range: 10 ** (x / 10) overflows from about 3083 dB, and
+# the powers derived from it must stay finite when squared.
+EBN0_DB_LIMIT = 300.0
+
+
 def ebn0_to_amplitude(ebn0_db: float, B: int, L: int) -> float:
     """Transmit amplitude d for the scalar channel at the given Eb/N0 (dB)."""
     if B < 1 or L < 1:

@@ -26,14 +26,16 @@ from .bits import random_bits, rows_to_ints
 from .ccs import (DEFAULT_MEMORY_BUDGET, build_complex_sensing_matrix,
                   build_sensing_matrix, check_memory_budget, decode_siso,
                   user_signals)
-from .channel import (MimoChannelConfig, SisoChannelConfig, ebn0_to_amplitude,
-                      ebn0_to_power, gmac_transmit, mimo_block_transmit)
+from .channel import (EBN0_DB_LIMIT, MimoChannelConfig, SisoChannelConfig,
+                      ebn0_to_amplitude, ebn0_to_power, gmac_transmit,
+                      mimo_block_transmit)
 from .errors import ConfigError
 from .mimo import DEFAULT_CD_TOL, DEFAULT_SWEEPS, decode_mimo
 from .nnls import DEFAULT_NNLS_TOL
 from .predictors import predict_table
 from .tree import (DEFAULT_MIMO_PROFILE, DEFAULT_PATH_CAP, DEFAULT_SISO_PROFILE,
-                   ParityProfile, PathTracker, TreeCodebook, encode_messages)
+                   ParityProfile, PathTracker, TreeCodebook, encode_messages,
+                   fragment_values)
 
 # purpose tags for per-trial substreams
 MESSAGES, CODEBOOK, MATRIX, NOISE, FADING = range(5)
@@ -113,6 +115,14 @@ def _float(x) -> float:
     return float(x)
 
 
+def _ebn0_db(x, what: str = "Eb/N0") -> float:
+    """A finite Eb/N0 in dB within +-EBN0_DB_LIMIT."""
+    x = _float(x)
+    if abs(x) > EBN0_DB_LIMIT:
+        raise ValueError(f"{what} must be within +-{EBN0_DB_LIMIT:g} dB, got {x!r}")
+    return x
+
+
 def _listed(parse):
     """A parser of one value or a list of values, giving a tuple."""
     return lambda v: tuple(map(parse, v if isinstance(v, (list, tuple)) else [v]))
@@ -134,7 +144,8 @@ _SEARCH_KEYS = {"target_pupe", "lo_db", "hi_db", "resolution_db"}
 def _parse_search(value) -> dict:
     if not isinstance(value, dict) or set(value) != _SEARCH_KEYS:
         raise ValueError(f"expected keys {sorted(_SEARCH_KEYS)}")
-    search = {k: _float(v) for k, v in value.items()}
+    search = {k: _ebn0_db(v, k) if k in ("lo_db", "hi_db") else _float(v)
+              for k, v in value.items()}
     if not 0.0 < search["target_pupe"] < 1.0:
         raise ValueError("target_pupe must be in (0, 1)")
     if not search["lo_db"] < search["hi_db"]:
@@ -151,7 +162,7 @@ _KEYS = {
     "K": (_listed(_int), _ALL), "trials": (_int, _ALL), "mode": (str, _ALL),
     "master_seed": (_int, _ALL), "workers": (_int, _ALL), "out": (str, _ALL),
     "timing": (str, _ALL), "list_size": (_int, _ALL),
-    "ebn0_db": (_listed(_float), _CHANNELS), "n": (_int, _CHANNELS),
+    "ebn0_db": (_listed(_ebn0_db), _CHANNELS), "n": (_int, _CHANNELS),
     "nnls_tol": (_float, ("siso",)), "path_cap": (_int, _CHANNELS),
     "memory_budget": (_int, _CHANNELS), "ebn0_search": (_parse_search, ("siso",)),
     "M": (_listed(_int), ("mimo",)), "sweeps": (_int, ("mimo",)),
@@ -347,15 +358,19 @@ def genie_tree_trial(profile: ParityProfile, K: int, master_seed: int, trial: in
     Returns (live path count per stage, admissible pattern count per stage
     2..L). Messages are redrawn, up to 100 times, until all K fragments
     differ in every section, matching the analytical model's assumptions.
+    Fragments may have at most 53 bits (see ``tree.fragment_values``).
     """
     codebook, rng = _trial_source(profile, master_seed, trial)
     for _ in range(100):
         W = random_bits(rng, (K, profile.B))
-        frags = encode_messages(W, codebook)
-        if all(np.unique(rows_to_ints(f)).size == K for f in frags):
+        # every section's fragments are distinct iff no two neighbours in
+        # its sorted column of fragment values are equal
+        values = np.sort(fragment_values(W, codebook), axis=0)
+        if (values[1:] != values[:-1]).all():
             break
     else:
         raise RuntimeError("could not draw distinct fragments; sections too small")
+    frags = encode_messages(W, codebook)
     tracker = PathTracker(codebook)
     tracker.start(frags[0])
     patterns = []

@@ -44,7 +44,8 @@ class CovarianceState:
         self.sample_cov = np.asarray(sample_cov, dtype=np.complex128)
         self.A = A
         self.N0 = float(N0)
-        self.sigma_inv = np.eye(n, dtype=np.complex128) / self.N0
+        self._eye = np.eye(n, dtype=np.complex128)
+        self.sigma_inv = self._eye / self.N0
         self.gamma = np.zeros(A.cols)
         # column k as a contiguous row, and its conjugate, for coordinate_step
         self._rows = np.ascontiguousarray(A.columns.T)
@@ -56,8 +57,7 @@ class CovarianceState:
     def covariance(self) -> np.ndarray:
         """The covariance N0*I + A diag(gamma) A^H implied by the current gamma."""
         supp = np.flatnonzero(self.gamma > 0)
-        n = self.A.rows
-        sigma = self.N0 * np.eye(n, dtype=np.complex128)
+        sigma = self.N0 * self._eye
         if supp.size:
             cols = self.A.columns[:, supp]
             sigma += (cols * self.gamma[supp]) @ cols.conj().T
@@ -71,7 +71,7 @@ class CovarianceState:
 
     def drift(self) -> float:
         n = self.A.rows
-        err = self.sigma_inv @ self.covariance() - np.eye(n)
+        err = self.sigma_inv @ self.covariance() - self._eye
         return float(np.linalg.norm(err) / np.sqrt(n))
 
     def refresh_inverse(self) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,24 @@ class TreeCodebook:
             raise ValueError(f"prefix has {prefixes.shape[1]} bits, stage {ell} needs {want}")
         return _mod2(prefixes @ self.G[:want, self._cols[ell - 1]:self._cols[ell]])
 
+    @cached_property
+    def _fragment_weights(self) -> np.ndarray:
+        """(B + sum(l)) x L powers of two that map a message's info bits,
+        then its parity bits, to the radix-2 value of each section's fragment."""
+        prof = self.profile
+        if max(prof.v) > 53:
+            raise ValueError("fragment values need fragments of at most 53 bits")
+        m, l = np.array(prof.m), np.array(prof.l)
+        section = np.concatenate([np.repeat(np.arange(prof.L), m), np.repeat(np.arange(prof.L), l)])
+        # bit b weighs 2 ** (the bits after it in its fragment) = 2 ** (ends[b]
+        # - 1 - b); an info bit's fragment goes on with its l parity bits
+        ends = np.concatenate([np.repeat(self._rows[1:] + l, m),
+                               np.repeat(prof.B + self._cols[1:], l)])
+        bit = np.arange(section.size)
+        weights = np.zeros((section.size, prof.L))
+        weights[bit, section] = 2.0 ** (ends - 1 - bit)
+        return weights
+
 
 def _mod2(product: np.ndarray) -> np.ndarray:
     """Bits mod 2 of an exact float64 product of 0/1 arrays. Its entries are
@@ -129,6 +148,15 @@ def encode_messages(W: np.ndarray, codebook: TreeCodebook) -> list[np.ndarray]:
     rows, cols = codebook._rows, codebook._cols
     return [np.concatenate((W[:, rows[i]:rows[i + 1]], parity[:, cols[i]:cols[i + 1]]), axis=1)
             for i in range(prof.L)]
+
+
+def fragment_values(W: np.ndarray, codebook: TreeCodebook) -> np.ndarray:
+    """Radix-2 values of the fragments ``encode_messages`` builds from the
+    messages W, as a (K, L) float64 array, without building them. Every
+    product entry is a sum of distinct powers of two below 2^53, so the
+    values are exact; fragments wider than 53 bits raise ValueError."""
+    W = np.atleast_2d(np.asarray(W, dtype=np.uint8))
+    return np.hstack([W, _mod2(W @ codebook.G)]) @ codebook._fragment_weights
 
 
 @dataclass

@@ -126,3 +126,24 @@ def test_main_refuses_non_finite_numbers_negative_seed_and_zero_path_cap(tmp_pat
     cfg = write_cfg(tmp_path, {**SISO_DATA, "path_cap": 0})
     assert main(["siso", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("config error: path_cap")
+
+
+def test_main_refuses_ebn0_beyond_the_limit(tmp_path, capsys):
+    # 10 ** (4000 / 10) overflows a float; such values are a config error
+    # naming the key, not a traceback from the Eb/N0 conversion
+    mimo = {**SISO_DATA, "scenario": "mimo", "n": 8, "M": 4}
+    for scenario, data in [("siso", {**SISO_DATA, "ebn0_db": 4000}),
+                           ("siso", {**SISO_DATA, "ebn0_db": [10.0, -4000]}),
+                           ("mimo", {**mimo, "ebn0_db": 4000}),
+                           ("mimo", {**mimo, "ebn0_db": -4000})]:
+        assert main([scenario, "--config", write_cfg(tmp_path, data)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ebn0_db")
+    search = {"target_pupe": 0.5, "lo_db": 0.0, "hi_db": 8.0, "resolution_db": 1.0}
+    for key, value in [("hi_db", 5000), ("lo_db", -5000)]:
+        data = {**SISO_DATA, "ebn0_search": {**search, key: value}}
+        del data["ebn0_db"]
+        assert main(["siso", "--config", write_cfg(tmp_path, data)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: ebn0_search: {key}")
+    # the limit itself is accepted
+    assert main(["siso", "--config", write_cfg(tmp_path, {**SISO_DATA, "ebn0_db": 300})]) == 0
+    capsys.readouterr()

@@ -484,6 +484,9 @@ def test_genie_tree_trial_enforces_distinct_fragments():
     tiny = ParityProfile(m=(1, 1), l=(0, 0))
     with pytest.raises(RuntimeError, match="distinct"):
         genie_tree_trial(tiny, K=3, master_seed=0, trial=0)
+    # fragment values are float64, exact up to 53 bits
+    with pytest.raises(ValueError, match="53 bits"):
+        genie_tree_trial(ParityProfile(m=(54,), l=(0,)), K=2, master_seed=0, trial=0)
 
 
 def test_genie_path_stats_tracks_recursion():

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import uracs.ccs as ccs
 from uracs.channel import ebn0_to_amplitude
+from uracs.harness import parse_config, run_siso_trial
 from uracs.nnls import NnlsResult, nnls_solve
 
 
@@ -330,3 +332,79 @@ def test_tiny_tolerance_never_divides_by_a_zero_schur_complement():
         shut_out += not res.converged and res.iterations < 60
     # the family does exercise the shut-out rule
     assert shut_out > 0
+
+
+def test_entries_right_after_a_leave_match_restarting_solve():
+    # After a leave step the next entry takes the refined solve, and the
+    # entries after it extend the passive solution in O(p). The capped
+    # solves stop right after such entries and must match the reference.
+    refined = extended = 0
+    for A, y in leave_test_instances():
+        total = restarting_nnls(A, y)[1]
+        outer = [restarting_nnls(A, y, max_iter=k)[3] for k in range(total + 1)]
+        # solve k entered a column iff capping at k adds an outer step; an
+        # entry followed by another entry (or by the end) was not clipped
+        entered = [False] + [outer[k] > outer[k - 1] for k in range(1, total + 1)]
+        clean = [entered[k] and (k == total or entered[k + 1]) for k in range(total + 1)]
+        for k in range(2, total + 1):
+            first = clean[k] and not entered[k - 1]
+            second = k >= 3 and clean[k] and clean[k - 1] and not entered[k - 2]
+            if not (first or second):
+                continue
+            refined += first
+            extended += second
+            res = nnls_solve(A, y, max_iter=k)
+            x_ref, iterations, converged, _ = restarting_nnls(A, y, max_iter=k)
+            assert res.iterations == iterations == k
+            assert res.converged == converged
+            np.testing.assert_array_equal(np.flatnonzero(res.x), np.flatnonzero(x_ref))
+            assert np.abs(res.x - x_ref).max() <= 1e-9
+            # the guard never fired, so the second entry was extended
+            assert res.guard_trips == 0
+    assert refined >= 1 and extended >= 1
+
+
+def test_passive_gradient_guard_fires_on_ill_conditioned_columns():
+    # Nearly collinear unit columns: the passive Gram block has condition
+    # numbers near 1e5, so an extended solution drifts until its passive
+    # gradient passes tol, and the guard sends the next entry to the refined
+    # solve. Wherever it fired, the solve still follows the reference's
+    # path, and x agrees relative to its size (about 3e3 here), because the
+    # conditioning amplifies rounding. (On this family one instance where
+    # the guard does not fire takes one solve fewer than the reference, as
+    # it did before solutions were extended: a near tie at an entry.)
+    fired = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((16, 1)) + 0.01 * rng.standard_normal((16, 12))
+        A /= np.linalg.norm(A, axis=0)
+        y = 1e3 * (A @ np.abs(rng.standard_normal(12)) + 0.01 * rng.standard_normal(16))
+        res = nnls_solve(A, y)
+        if not res.guard_trips:
+            continue
+        fired += 1
+        x_ref, iterations, converged, _ = restarting_nnls(A, y)
+        assert res.iterations == iterations
+        assert res.converged and converged
+        np.testing.assert_array_equal(np.flatnonzero(res.x), np.flatnonzero(x_ref))
+        assert np.abs(res.x - x_ref).max() <= 1e-6 * np.abs(x_ref).max()
+    assert fired >= 5
+
+
+def test_objective_history_non_increasing_on_decoder_slots(monkeypatch):
+    # every slot solve of paired acceptance-6 trials, full and pruned
+    cfg = parse_config({"scenario": "siso", "profile": {"m": [8, 7, 5, 4], "l": [0, 1, 3, 4]},
+                        "K": [2, 4, 8], "ebn0_db": 16.0, "n": 64, "master_seed": 11})
+    results = []
+
+    def keeping(*args, **kwargs):
+        results.append(nnls_solve(*args, **kwargs))
+        return results[-1]
+    monkeypatch.setattr(ccs, "nnls_solve", keeping)
+    for t, K in enumerate(cfg.K):
+        run_siso_trial(cfg, K, 16.0, t)
+    assert len(results) >= 3 * 4
+    for res in results:
+        assert res.converged
+        assert np.all(np.diff(res.objective_history) <= 1e-10)
+        assert res.guard_trips == 0

@@ -17,6 +17,7 @@ from uracs.tree import (
     PathTracker,
     TreeCodebook,
     encode_messages,
+    fragment_values,
     interleaved_decode,
     tree_decode,
 )
@@ -171,7 +172,8 @@ def random_profile(rng):
 @pytest.mark.parametrize("profile", ["siso-default", "mimo-96", "random"])
 def test_float_parity_equals_integer_parity(profile):
     # The generator matrix is float64 so its products run on BLAS; they are
-    # exact, so parity_rows and encode_messages must equal integer GF(2).
+    # exact, so parity_rows and encode_messages must equal integer GF(2),
+    # and fragment_values the radix-2 values of the encoded fragments.
     rng = np.random.default_rng(23)
     if profile == "random":
         cases = [(random_profile(rng), 40) for _ in range(30)]
@@ -185,6 +187,10 @@ def test_float_parity_equals_integer_parity(profile):
         ref = integer_parity(W, prof, seed)
         frags = encode_messages(W, cb)
         assert len(frags) == prof.L
+        values = fragment_values(W, cb)
+        assert values.shape == (rows, prof.L)
+        assert [values[:, i].tolist() for i in range(prof.L)] == [
+            rows_to_ints(f).tolist() for f in frags]
         for ell in range(1, prof.L + 1):
             lo, m = sum(prof.m[:ell - 1]), prof.m[ell - 1]
             assert frags[ell - 1].dtype == np.uint8
