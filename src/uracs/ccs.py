@@ -2,7 +2,7 @@
 
 Each slot transmits the superposition of sensing-matrix columns indexed by
 the users' coded fragments. Recovery is per-slot NNLS followed by a top-K
-support estimate, over the columns in the slot's admissible index set; in
+support estimate, over the slot's admissible set of column indices; in
 enhanced mode that set shrinks with the surviving tree paths.
 """
 
@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import ints_to_rows, rows_to_ints
+from .bits import rows_to_ints
 from .errors import ResourceRefusalError
 from .nnls import DEFAULT_NNLS_TOL, nnls_solve
-from .tree import (DEFAULT_PATH_CAP, AdmissibleIndexSet, DecodeResult,
-                   TreeCodebook, interleaved_decode)
+from .tree import DEFAULT_PATH_CAP, DecodeResult, TreeCodebook, interleaved_decode
 
 DEFAULT_MEMORY_BUDGET = 256 << 20  # bytes
 
@@ -25,7 +24,7 @@ DEFAULT_MEMORY_BUDGET = 256 << 20  # bytes
 @dataclass
 class SensingMatrix:
     """Dense sensing matrix; column j belongs to the fragment with index j,
-    or to fragment S.indices[j] once restricted by prune_columns(A, S)."""
+    or to fragment S[j] once restricted by prune_columns(A, S)."""
 
     columns: np.ndarray      # (rows, cols)
     v: int                   # fragment bit width; indices live in [0, 2^v)
@@ -44,13 +43,14 @@ def _seed_key(seed) -> tuple:
 
 
 def check_memory_budget(n: int, widths: Iterable[int], dtype,
-                        memory_budget: int) -> None:
+                        memory_budget: int, other_bytes: int = 0) -> None:
     """Refuse, before anything is allocated, a set of full n x 2^v matrices
-    (one per entry of ``widths``) whose total size exceeds the budget."""
-    need = sum(n * (1 << v) for v in widths) * np.dtype(dtype).itemsize
+    (one per entry of ``widths``) that, with ``other_bytes`` of other
+    arrays, exceeds the budget."""
+    need = sum(n * (1 << v) for v in widths) * np.dtype(dtype).itemsize + other_bytes
     if need > memory_budget:
         raise ResourceRefusalError(
-            f"sensing matrices need {need} bytes, budget is {memory_budget}")
+            f"sensing matrices and trial arrays need {need} bytes, budget is {memory_budget}")
 
 
 def build_sensing_matrix(n: int, v: int, seed,
@@ -88,25 +88,19 @@ def user_signals(fragments: np.ndarray, A: SensingMatrix) -> np.ndarray:
     return A.columns[:, rows_to_ints(fragments)].T
 
 
-def top_k_support(x: np.ndarray, list_size: int, S: AdmissibleIndexSet,
-                  v: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fragments behind the ``list_size`` largest entries of x, where x[j]
-    scores the v-bit fragment S.indices[j].
-
-    Returns (bit rows, global indices). Ties go to the lower global index.
-    """
+def top_k_support(x: np.ndarray, list_size: int, S: np.ndarray) -> np.ndarray:
+    """Column indices behind the ``list_size`` largest entries of x, where
+    x[j] scores column S[j], largest first. Ties go to the lower index."""
     if list_size < 1:
         raise ValueError("list_size must be at least 1")
-    order = np.lexsort((S.indices, -np.asarray(x)))[:list_size]
-    idx = S.indices[order]
-    return ints_to_rows(idx, v), idx
+    return S[np.lexsort((S, -np.asarray(x)))[:list_size]]
 
 
-def prune_columns(A: SensingMatrix, S: AdmissibleIndexSet) -> SensingMatrix:
+def prune_columns(A: SensingMatrix, S: np.ndarray) -> SensingMatrix:
     """The columns of A indexed by S, in S order; A itself when S is full."""
     if S.size == A.cols:
         return A
-    return SensingMatrix(columns=A.columns[:, S.indices], v=A.v)
+    return SensingMatrix(columns=A.columns[:, S], v=A.v)
 
 
 def decode_siso(y_slots: list[np.ndarray], matrices: list[SensingMatrix],
@@ -126,9 +120,9 @@ def decode_siso(y_slots: list[np.ndarray], matrices: list[SensingMatrix],
     def solve_slot(y, A, S):
         A_S = prune_columns(A, S)
         res = nnls_solve(A_S.columns, y, tol=nnls_tol)
-        bits, _ = top_k_support(res.x, list_size, S, A.v)
         # work model: nnls iterations * rows * cols
-        return bits, res.iterations, res.iterations * A_S.rows * A_S.cols
+        return (top_k_support(res.x, list_size, S), res.iterations,
+                res.iterations * A_S.rows * A_S.cols)
 
     return interleaved_decode(y_slots, matrices, codebook, mode,
                               force_full_patterns, path_cap, solve_slot, memo)

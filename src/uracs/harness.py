@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -288,6 +289,19 @@ def _decode_modes(decode, modes, cfg: ExperimentConfig, sent: list[int],
     return result
 
 
+def _check_trial_memory(cfg: ExperimentConfig, K: int, widths, dtype, M: int = 0) -> None:
+    """Refuse a trial, before it allocates anything, whose sensing matrices
+    (one n x 2^v matrix of ``dtype`` per entry of ``widths``) and arrays that
+    grow with K or M exceed the budget. Those arrays are the messages and
+    fragments (uint8, and the float64 parity product behind them), one
+    slot's K x n user signals and, for MIMO, the L n x M observation blocks
+    and one block's K x M fading draw (all of ``dtype``)."""
+    prof = cfg.profile
+    other = (K * (prof.B + sum(prof.v) + 8 * sum(prof.l))
+             + (K * cfg.n + prof.L * cfg.n * M + K * M) * np.dtype(dtype).itemsize)
+    check_memory_budget(cfg.n, widths, dtype, cfg.memory_budget, other)
+
+
 def run_siso_trial(cfg: ExperimentConfig, K: int, ebn0_db: float,
                    trial: int) -> TrialResult:
     """One scalar-channel trial; decodes every mode in cfg.modes on the same
@@ -295,7 +309,7 @@ def run_siso_trial(cfg: ExperimentConfig, K: int, ebn0_db: float,
     prof = cfg.profile
     # one matrix per distinct fragment width, shared by the slots of that width
     widths = set(prof.v)
-    check_memory_budget(cfg.n, widths, np.float64, cfg.memory_budget)
+    _check_trial_memory(cfg, K, widths, np.float64)
     codebook, sent, frags = _draw_messages(cfg, K, trial)
     mat_seed = derive_seed(cfg.master_seed, trial, MATRIX)
     by_width = {v: build_sensing_matrix(cfg.n, v, mat_seed, cfg.memory_budget)
@@ -316,7 +330,7 @@ def run_mimo_trial(cfg: ExperimentConfig, K: int, M: int,
                    trial: int) -> TrialResult:
     """One MIMO trial; always decodes both modes so the runtime ratio is paired."""
     prof = cfg.profile
-    check_memory_budget(cfg.n, prof.v, np.complex128, cfg.memory_budget)
+    _check_trial_memory(cfg, K, prof.v, np.complex128, M)
     codebook, sent, frags = _draw_messages(cfg, K, trial)
     P = ebn0_to_power(cfg.ebn0_db[0], prof.B, prof.L, cfg.n, N0)
     radius = float(np.sqrt(cfg.n * P))
@@ -337,11 +351,16 @@ def run_mimo_trial(cfg: ExperimentConfig, K: int, M: int,
 
 
 def _map_trials(fn, cfg: ExperimentConfig, *args) -> list[TrialResult]:
-    """Run fn(cfg, *args, trial) for every trial; merge results by index."""
-    if cfg.workers <= 1:
+    """Run fn(cfg, *args, trial) for every trial; merge results by index.
+
+    The pool has at most one process per trial and per CPU, whatever
+    ``workers`` asks for: a forking pool starts all its processes at once.
+    """
+    workers = min(cfg.workers, cfg.trials, os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(cfg, *args, t) for t in range(cfg.trials)]
     out: list = [None] * cfg.trials
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {pool.submit(fn, cfg, *args, t): t for t in range(cfg.trials)}
         for fut, t in futures.items():
             out[t] = fut.result()
@@ -362,21 +381,21 @@ def genie_tree_trial(profile: ParityProfile, K: int, master_seed: int, trial: in
     """
     codebook, rng = _trial_source(profile, master_seed, trial)
     for _ in range(100):
-        W = random_bits(rng, (K, profile.B))
+        # one column of K fragment indices per section
+        frags = fragment_values(random_bits(rng, (K, profile.B)), codebook)
         # every section's fragments are distinct iff no two neighbours in
         # its sorted column of fragment values are equal
-        values = np.sort(fragment_values(W, codebook), axis=0)
+        values = np.sort(frags, axis=0)
         if (values[1:] != values[:-1]).all():
             break
     else:
         raise RuntimeError("could not draw distinct fragments; sections too small")
-    frags = encode_messages(W, codebook)
     tracker = PathTracker(codebook)
-    tracker.start(frags[0])
+    tracker.start(frags[:, 0])
     patterns = []
     for ell in range(2, profile.L + 1):
         patterns.append(int(tracker.admissible().size))
-        tracker.advance(frags[ell - 1])
+        tracker.advance(frags[:, ell - 1])
     return tracker.diagnostics.live_paths, patterns
 
 
@@ -507,8 +526,19 @@ def run_predict(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
 RUNNERS = {"siso": run_siso, "mimo": run_mimo, "predict": run_predict}
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an output path that cannot be written, before any trial runs."""
+    parent = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else parent
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
+        raise ConfigError(f"out: cannot write {path!r}")
+
+
 def run_experiment(cfg: ExperimentConfig) -> str:
-    """Run the configured scenario; returns (and optionally writes) CSV text."""
+    """Run the configured scenario; returns (and optionally writes) CSV text.
+    An unwritable ``out`` is a ConfigError raised before the run."""
+    if cfg.out:
+        _check_writable(cfg.out)
     header, rows = RUNNERS[cfg.scenario](cfg)
     text = csv_text(header, rows)
     if cfg.out:

@@ -3,8 +3,8 @@
 Per coherence block, user activity enters only through the received
 covariance N0*I + A diag(gamma) A^H. Coordinate descent fits gamma to the
 sample covariance one column at a time, maintaining the running inverse by
-rank-one updates. The enhanced decoder restricts the sweep to the index set
-generated by the admissible parity patterns of the surviving tree paths.
+rank-one updates. The enhanced decoder restricts the sweep to the column
+indices that the admissible parity patterns of the surviving tree paths generate.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ccs import SensingMatrix, top_k_support
-from .tree import (DEFAULT_PATH_CAP, AdmissibleIndexSet, DecodeResult,
-                   TreeCodebook, interleaved_decode)
+from .tree import DEFAULT_PATH_CAP, DecodeResult, TreeCodebook, interleaved_decode
 
 TAU_SING = 1e-12
 # every REFRESH_EVERY rank-one updates the tracked inverse is checked against
@@ -113,9 +112,9 @@ class ActivityDiagnostics:
 
 
 def activity_detect(sample_cov: np.ndarray, A: SensingMatrix,
-                    S: AdmissibleIndexSet, N0: float, sweeps: int = DEFAULT_SWEEPS,
+                    S: np.ndarray, N0: float, sweeps: int = DEFAULT_SWEEPS,
                     tol: float = DEFAULT_CD_TOL) -> tuple[np.ndarray, ActivityDiagnostics]:
-    """Coordinate descent over the index set S; ascending order within a sweep.
+    """Coordinate descent over the column indices S; ascending order within a sweep.
 
     Stops after ``sweeps`` full passes or when the largest absolute gamma
     change within a pass drops below ``tol``. Entries outside S stay zero.
@@ -126,7 +125,7 @@ def activity_detect(sample_cov: np.ndarray, A: SensingMatrix,
     diag = ActivityDiagnostics()
     for _ in range(sweeps):
         max_change = 0.0
-        for k in S.indices.tolist():
+        for k in S.tolist():
             max_change = max(max_change, abs(state.coordinate_step(k)))
         diag.sweeps_run += 1
         if max_change < tol:
@@ -157,10 +156,9 @@ def decode_mimo(Y_blocks: list[np.ndarray], matrices: list[SensingMatrix],
     def solve_slot(Y, A, S):
         gamma, adiag = activity_detect(sample_covariance(Y), A, S, N0,
                                        sweeps=sweeps, tol=tol)
-        bits, idx = top_k_support(gamma, list_size, AdmissibleIndexSet.full(A.v), A.v)
+        found = np.sort(top_k_support(gamma, list_size, np.arange(A.cols)))
         # every visited coordinate costs an n^2 matvec whether or not it moves
-        return (bits[np.argsort(idx)], adiag.sweeps_run,
-                adiag.sweeps_run * S.size * A.rows ** 2)
+        return found, adiag.sweeps_run, adiag.sweeps_run * S.size * A.rows ** 2
 
     return interleaved_decode(Y_blocks, matrices, codebook, mode,
                               force_full_patterns, path_cap, solve_slot, memo)

@@ -7,6 +7,9 @@ list decoder walks the per-slot fragment lists and keeps every
 parity-consistent partial path. ``interleaved_decode`` runs the same search
 slot by slot, between the inner decodes of each slot, and hands every slot
 solver the set of column indices whose parity the live paths admit.
+
+Inside the decoder a fragment is its int64 column index, info bits high and
+parity bits low; only this module splits one into info (``>> l``) and parity.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bits import rows_to_ints
+from .bits import ints_to_rows, rows_to_ints
 
 DEFAULT_PATH_CAP = 1 << 16
 
@@ -208,13 +211,11 @@ class PathTracker:
         if stage < self.codebook.profile.L:
             self._next = rows_to_ints(self.codebook.parity_rows(info, stage + 1))
 
-    def start(self, root_fragments: np.ndarray) -> None:
-        roots = np.atleast_2d(np.asarray(root_fragments, dtype=np.uint8))
-        m1 = self.codebook.profile.m[0]
-        if roots.shape[0] and roots.shape[1] != m1:
-            raise ValueError(f"root fragments must be {m1} bits wide")
-        self.root_count = roots.shape[0]
-        self._enter(1, roots.reshape(self.root_count, m1),
+    def start(self, roots: np.ndarray) -> None:
+        """Open one root per section-1 fragment index."""
+        roots = np.asarray(roots, dtype=np.int64)
+        self.root_count = roots.size
+        self._enter(1, ints_to_rows(roots, self.codebook.profile.m[0]),
                     np.arange(self.root_count, dtype=np.int64))
 
     def live_path_count(self) -> int:
@@ -227,24 +228,24 @@ class PathTracker:
         return np.unique(self._next)
 
     def advance(self, fragments: np.ndarray) -> None:
-        """Extend every live path into the next list, pruning inconsistent branches."""
+        """Extend every live path into the next index list, pruning inconsistent branches."""
         ell = self.stage + 1
         prof = self.codebook.profile
         if ell > prof.L:
             raise ValueError("already at the final stage")
-        m = prof.m[ell - 1]
-        fragments = np.asarray(fragments, dtype=np.uint8).reshape(-1, prof.v[ell - 1])
-        # each path continues into the list rows that carry its parity, in row
-        # order: one contiguous run of the stably sorted list parities
-        parities = rows_to_ints(fragments[:, m:])
+        m, l = prof.m[ell - 1], prof.l[ell - 1]
+        fragments = np.asarray(fragments, dtype=np.int64)
+        # each path continues into the list entries that carry its parity, in
+        # list order: one contiguous run of the stably sorted list parities
+        parities = fragments & ((1 << l) - 1)
         order = np.argsort(parities, kind="stable")
         parities = parities[order]
         lo = np.searchsorted(parities, self._next, side="left")
         counts = np.searchsorted(parities, self._next, side="right") - lo
         rep = np.repeat(np.arange(self._next.shape[0]), counts)
         run_start = np.cumsum(counts) - counts
-        frag_rows = order[np.repeat(lo - run_start, counts) + np.arange(rep.shape[0])]
-        new_info = np.hstack([self._info[rep], fragments[frag_rows, :m]])
+        taken = fragments[order[np.repeat(lo - run_start, counts) + np.arange(rep.shape[0])]]
+        new_info = np.hstack([self._info[rep], ints_to_rows(taken >> l, m)])
         new_roots = self._roots[rep]
         # worst-case branching is exponential; abandon roots that blow up
         per_root = np.bincount(new_roots, minlength=self.root_count)
@@ -291,41 +292,28 @@ def tree_decode(lists: list[np.ndarray], codebook: TreeCodebook,
 
     A root yields a message iff exactly one message survives to the last
     stage; roots with no survivors, distinct survivors, or a capped search
-    count as failures.
+    count as failures. Fragments wider than 63 bits raise ValueError.
     """
     prof = codebook.profile
     if len(lists) != prof.L:
         raise ValueError(f"{len(lists)} lists for an L={prof.L} profile")
+    if max(prof.v) > 63:
+        raise ValueError("fragments wider than 63 bits have no int64 index")
     for ell, (arr, v) in enumerate(zip(lists, prof.v), start=1):
         if arr.ndim != 2 or arr.shape[1] != v:
             raise ValueError(f"list {ell} fragments must be {v} bits wide")
     tracker = PathTracker(codebook, path_cap=path_cap)
-    tracker.start(lists[0])
+    tracker.start(rows_to_ints(lists[0]))
     for fragments in lists[1:]:
-        tracker.advance(fragments)
+        tracker.advance(rows_to_ints(fragments))
     return tracker.finalize()
 
 
-@dataclass(frozen=True)
-class AdmissibleIndexSet:
-    """Sorted, distinct global fragment indices a slot solver may select."""
-
-    indices: np.ndarray
-
-    @classmethod
-    def full(cls, v: int) -> "AdmissibleIndexSet":
-        return cls(np.arange(1 << v, dtype=np.int64))
-
-    @classmethod
-    def from_patterns(cls, patterns: np.ndarray, m: int, l: int) -> "AdmissibleIndexSet":
-        """All indices whose low-order l bits lie in ``patterns``: w*2^l + p."""
-        patterns = np.asarray(patterns, dtype=np.int64)
-        w = np.arange(1 << m, dtype=np.int64) << l
-        return cls(np.sort((w[:, None] + patterns[None, :]).ravel()))
-
-    @property
-    def size(self) -> int:
-        return int(self.indices.size)
+def admissible_columns(patterns: np.ndarray, m: int, l: int) -> np.ndarray:
+    """Sorted column indices w * 2^l + p of a section with m info and l
+    parity bits whose parity p lies in ``patterns`` (distinct integers)."""
+    w = np.arange(1 << m, dtype=np.int64) << l
+    return np.sort((w[:, None] + np.asarray(patterns, dtype=np.int64)).ravel())
 
 
 def interleaved_decode(observations: list, matrices: list, codebook: TreeCodebook,
@@ -333,19 +321,19 @@ def interleaved_decode(observations: list, matrices: list, codebook: TreeCodeboo
                        solve_slot, memo: dict | None = None) -> DecodeResult:
     """Recover messages slot by slot, advancing the tree search after each slot.
 
-    ``solve_slot(observation, matrix, S)`` recovers one slot's fragment list
-    from the matrix columns indexed by S and returns (fragment bit rows,
+    ``solve_slot(observation, matrix, S)`` picks one slot's column indices
+    from the columns in S, a sorted int64 index array, and returns (indices,
     solver iterations, work units). mode="original" hands every slot the full
-    index set; mode="enhanced" restricts slots 2..L to the indices whose
-    parity bits the live paths admit. ``force_full_patterns`` keeps the
-    enhanced plumbing but substitutes the full set, which must reproduce
-    original-mode output exactly. Once every path has died the set is empty
-    and the remaining slots are not solved.
+    set; mode="enhanced" restricts slots 2..L to the indices whose parity the
+    live paths admit. ``force_full_patterns`` keeps the enhanced plumbing but
+    admits every parity, which must reproduce original-mode output exactly.
+    Once every path has died the set is empty and the remaining slots are not
+    solved.
 
-    ``memo`` maps (slot, S) to a solved slot: (bits, iterations, work units,
-    solve ms). Decodes of the same observations with the same solver may
-    share one, so each distinct slot problem is solved once. A reused solve
-    is charged in full: its iterations and work units, and its recorded
+    ``memo`` maps (slot, S bytes) to a solved slot: (indices, iterations, work
+    units, solve ms). Decodes of the same observations with the same solver
+    may share one, so each distinct slot problem is solved once. A reused
+    solve is charged in full: its iterations and work units, and its recorded
     solve time on top of ``wall_ms``, so every decode still reports what it
     would cost alone. Forced-full decodes neither read nor write the memo.
     """
@@ -365,27 +353,28 @@ def interleaved_decode(observations: list, matrices: list, codebook: TreeCodeboo
     diag = tracker.diagnostics
     for ell in range(1, prof.L + 1):
         m, l = prof.m[ell - 1], prof.l[ell - 1]
-        if ell == 1 or mode == "original" or force_full_patterns:
-            S = AdmissibleIndexSet.full(m + l)
+        if ell == 1 or mode == "original":
+            S = np.arange(1 << (m + l), dtype=np.int64)
         else:
-            S = AdmissibleIndexSet.from_patterns(tracker.admissible(), m, l)
-        bits, iterations, work = np.zeros((0, m + l), dtype=np.uint8), 0, 0
+            S = admissible_columns(np.arange(1 << l) if force_full_patterns
+                                   else tracker.admissible(), m, l)
+        found, iterations, work = np.zeros(0, np.int64), 0, 0
         if S.size:
-            key = (ell, S.indices.tobytes())
+            key = (ell, S.tobytes())
             if memo is not None and key in memo:
-                bits, iterations, work, solve_ms = memo[key]
+                found, iterations, work, solve_ms = memo[key]
                 reused_ms += solve_ms
             else:
                 t_solve = time.perf_counter()
-                bits, iterations, work = solve_slot(observations[ell - 1],
-                                                    matrices[ell - 1], S)
+                found, iterations, work = solve_slot(observations[ell - 1],
+                                                     matrices[ell - 1], S)
                 if memo is not None:
-                    memo[key] = (bits, iterations, work,
+                    memo[key] = (found, iterations, work,
                                  (time.perf_counter() - t_solve) * 1e3)
         if ell == 1:
-            tracker.start(bits)
+            tracker.start(found)
         else:
-            tracker.advance(bits)
+            tracker.advance(found)
         diag.cols.append(S.size)
         diag.iterations.append(iterations)
         diag.work_units += work

@@ -15,7 +15,7 @@ from uracs.ccs import (
     user_signals,
 )
 from uracs.errors import ResourceRefusalError
-from uracs.tree import AdmissibleIndexSet, ParityProfile, TreeCodebook, encode_messages
+from uracs.tree import ParityProfile, TreeCodebook, admissible_columns, encode_messages
 
 
 def test_index_fragment_bijection():
@@ -104,40 +104,34 @@ def test_user_signals_rows_are_columns():
 
 
 def test_top_k_support_tie_rules():
-    full = AdmissibleIndexSet.full(2)
+    full = np.arange(4)
     x = np.array([0.1, 0.9, 0.5, 0.9])
-    bits, idx = top_k_support(x, 2, full, 2)
-    assert idx.tolist() == [1, 3]  # tie on 0.9 goes to the lower index
-    np.testing.assert_array_equal(bits, ints_to_rows(np.array([1, 3]), 2))
-    # On a restricted set, x[j] scores fragment S.indices[j]; ties still go
-    # to the lower global index.
-    S = AdmissibleIndexSet(np.array([1, 3], dtype=np.int64))
-    bits2, idx2 = top_k_support(np.array([0.7, 0.7]), 1, S, 2)
-    assert idx2.tolist() == [1]
-    np.testing.assert_array_equal(bits2, ints_to_rows(np.array([1]), 2))
-    _, idx3 = top_k_support(np.array([0.2, 0.9]), 1, S, 2)
-    assert idx3.tolist() == [3]
+    # the tie on 0.9 goes to the lower index
+    assert top_k_support(x, 2, full).tolist() == [1, 3]
+    # On a restricted set, x[j] scores column S[j]; ties still go to the
+    # lower index.
+    S = np.array([1, 3], dtype=np.int64)
+    assert top_k_support(np.array([0.7, 0.7]), 1, S).tolist() == [1]
+    assert top_k_support(np.array([0.2, 0.9]), 1, S).tolist() == [3]
     with pytest.raises(ValueError):
-        top_k_support(x, 0, full, 2)
+        top_k_support(x, 0, full)
 
 
 def test_top_k_support_truncates_to_available_columns():
-    full = AdmissibleIndexSet.full(2)
-    bits, idx = top_k_support(np.array([1.0, 2.0, 3.0, 4.0]), 9, full, 2)
+    idx = top_k_support(np.array([1.0, 2.0, 3.0, 4.0]), 9, np.arange(4))
     assert idx.tolist() == [3, 2, 1, 0]
-    assert bits.shape == (4, 2)
 
 
 def test_prune_columns_matches_filter_oracle():
     A = build_sensing_matrix(8, 6, seed=8)  # fragments: 4 info + 2 parity bits
-    S = AdmissibleIndexSet.from_patterns(np.array([1, 2], dtype=np.int64), m=4, l=2)
+    S = admissible_columns(np.array([1, 2], dtype=np.int64), m=4, l=2)
     P = prune_columns(A, S)
     keep = [i for i in range(64) if (i & 0b11) in (1, 2)]
-    assert S.indices.tolist() == keep
+    assert S.tolist() == keep
     np.testing.assert_array_equal(P.columns, A.columns[:, keep])
     assert P.v == A.v
     # Full pattern set is the identity pruning: the matrix itself.
-    F = prune_columns(A, AdmissibleIndexSet.from_patterns(np.arange(4), m=4, l=2))
+    F = prune_columns(A, admissible_columns(np.arange(4), m=4, l=2))
     assert F is A
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from uracs import harness
 from uracs.cli import build_parser, main
 
 SISO_DATA = {
@@ -48,6 +49,32 @@ def test_main_writes_out_file(tmp_path, capsys):
     assert dest.read_text().startswith("K,ebn0_db,mode,")
     # Nothing goes to stdout when an output path is given.
     assert capsys.readouterr().out == ""
+
+
+def test_main_refuses_unwritable_out_before_any_trial(tmp_path, capsys, monkeypatch):
+    trials = []
+    real = harness.run_siso_trial
+
+    def counting(*args, **kwargs):
+        trials.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(harness, "run_siso_trial", counting)
+    cfg = write_cfg(tmp_path, SISO_DATA)
+    missing = tmp_path / "missing" / "dir" / "x.csv"
+    for out in (missing, tmp_path):
+        assert main(["siso", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: out: cannot write {str(out)!r}")
+        assert captured.out == ""
+    assert trials == []
+    assert not missing.parent.exists()
+    predict = write_cfg(tmp_path, {"scenario": "predict", "profile": "siso-default", "K": 25},
+                        name="predict.json")
+    assert main(["predict", "--config", predict, "--out", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith("config error: out: cannot write")
+    # a writable path still runs the trials
+    assert main(["siso", "--config", cfg, "--out", str(tmp_path / "rows.csv")]) == 0
+    assert len(trials) == SISO_DATA["trials"]
 
 
 def test_main_scenario_mismatch_is_config_error(tmp_path, capsys):

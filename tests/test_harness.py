@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -405,11 +406,14 @@ def test_mimo_lists_filled_outside_s_match_recorded_outcomes():
 
 
 def test_memory_budget_bounds_the_whole_trial(monkeypatch):
-    # Four MIMO blocks of 4-bit fragments: each 8 x 16 complex matrix needs
-    # 2048 bytes, the trial 8192. A budget that fits one matrix but not four
-    # refuses the trial before any matrix is built.
+    # Four MIMO blocks of 4-bit fragments (B = 10 info, 6 parity bits), K = 2,
+    # M = 16, n = 8: four 8 x 16 complex matrices take 8192 bytes; messages
+    # and fragments 2 x (10 + 16) bytes plus a 2 x 6 float64 parity product,
+    # 148 bytes; 2 x 8 user signals, four 8 x 16 blocks and a 2 x 16 fading
+    # draw, 560 complex numbers or 8960 bytes. 17300 bytes in all, and one
+    # byte less refuses the trial before any matrix is built.
     data = {"scenario": "mimo", "profile": {"m": [4, 2, 2, 2], "l": [0, 2, 2, 2]},
-            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 4096}
+            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 17299}
     cfg = parse_config(data)
 
     def no_build(*args, **kwargs):
@@ -419,13 +423,34 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
         m.setattr(harness, "build_complex_sensing_matrix", no_build)
         with pytest.raises(ResourceRefusalError):
             run_mimo_trial(cfg, 2, 16, 0)
-    run_mimo_trial(replace(cfg, memory_budget=8192), 2, 16, 0)
+    run_mimo_trial(replace(cfg, memory_budget=17300), 2, 16, 0)
     # The scalar trial builds one matrix per distinct width (3 and 4 bits
-    # here): 12 x (8 + 16) doubles, 2304 bytes in all.
-    siso = parse_config(siso_config(memory_budget=2303))
+    # here): 12 x (8 + 16) doubles, 2304 bytes. With K = 1, B = 7, 11 coded
+    # and 4 parity bits, messages and fragments take 7 + 11 + 8 x 4 = 50
+    # bytes and the user signals 12 doubles, 96 bytes: 2450 in all.
+    siso = parse_config(siso_config(memory_budget=2449))
     with pytest.raises(ResourceRefusalError):
         run_siso_trial(siso, 1, 10.0, 0)
-    run_siso_trial(replace(siso, memory_budget=2304), 1, 10.0, 0)
+    run_siso_trial(replace(siso, memory_budget=2450), 1, 10.0, 0)
+
+
+def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
+    # Matrices of a few KiB, but L = 3 MIMO blocks of 16 x 1e8 complex
+    # numbers take about 72 GiB, and 1e8 scalar-channel users' messages,
+    # fragments and signals about 14 GiB: both trials are refused under the
+    # default 256 MiB budget before a message is drawn.
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("the trial allocated before the refusal")
+
+    for name in ("random_bits", "build_sensing_matrix",
+                 "build_complex_sensing_matrix", "mimo_block_transmit"):
+        monkeypatch.setattr(harness, name, no_alloc)
+    mimo_cfg = parse_config({**MIMO_SMALL, "M": 1e8, "n": 16})
+    with pytest.raises(ResourceRefusalError, match="need 80000010852 bytes"):
+        run_mimo_trial(mimo_cfg, 2, 10 ** 8, 0)
+    siso = parse_config(siso_config(K=10 ** 8))
+    with pytest.raises(ResourceRefusalError):
+        run_siso_trial(siso, 10 ** 8, 10.0, 0)
 
 
 def test_run_experiment_siso_csv_shape_and_determinism(tmp_path):
@@ -509,3 +534,48 @@ def test_workers_do_not_change_results():
     text1 = run_experiment(cfg1)
     text2 = run_experiment(cfg2)
     assert text1 == text2
+
+
+def test_worker_pool_is_bounded_by_trials_and_cpus(monkeypatch):
+    # A forking pool starts all its processes at the first submit, so the
+    # pool gets at most one process per trial and per CPU, whatever
+    # ``workers`` asks for. An inline stand-in records the size it is asked
+    # for and starts no process.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+
+    def trial(cfg, x, t):
+        return x, t
+    for workers, trials, pool in [(100000, 2, [2]), (100000, 10, [4]), (3, 10, [3]),
+                                  (1, 10, []), (100000, 1, [])]:
+        sizes.clear()
+        cfg = parse_config(siso_config(workers=workers, trials=trials))
+        assert harness._map_trials(trial, cfg, "x") == [("x", t) for t in range(trials)]
+        assert sizes == pool
+    # an unknown CPU count runs the trials in this process
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    sizes.clear()
+    harness._map_trials(trial, parse_config(siso_config(workers=8, trials=5)), "x")
+    assert sizes == []
+    # merged by trial index, the pooled results are the serial ones
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    assert (run_experiment(parse_config(siso_config(trials=3, workers=100000)))
+            == run_experiment(parse_config(siso_config(trials=3))))
+    assert sizes == [3]

@@ -11,25 +11,25 @@ from uracs.mimo import (
     REFRESH_EVERY,
     TAU_INV,
     TAU_SING,
-    AdmissibleIndexSet,
     CovarianceState,
     activity_detect,
     decode_mimo,
     sample_covariance,
 )
-from uracs.tree import ParityProfile, TreeCodebook, encode_messages
+from uracs.tree import ParityProfile, TreeCodebook, admissible_columns, encode_messages
 
 
 def test_admissible_index_set_construction():
-    full = AdmissibleIndexSet.full(3)
-    np.testing.assert_array_equal(full.indices, np.arange(8))
-    assert full.size == 8
-    s = AdmissibleIndexSet.from_patterns(np.array([1, 3]), m=2, l=2)
-    np.testing.assert_array_equal(s.indices, [1, 3, 5, 7, 9, 11, 13, 15])
-    assert s.size == 8
+    # an index set is a sorted int64 array of column indices w * 2^l + p
+    s = admissible_columns(np.array([1, 3]), m=2, l=2)
+    assert s.dtype == np.int64
+    np.testing.assert_array_equal(s, [1, 3, 5, 7, 9, 11, 13, 15])
+    # every pattern admits the full set, and no pattern admits no column
+    np.testing.assert_array_equal(admissible_columns(np.arange(4), m=2, l=2), np.arange(16))
+    assert admissible_columns(np.zeros(0, dtype=np.int64), m=2, l=2).size == 0
     # l = 0 admits only the empty pattern and keeps every info word.
-    s0 = AdmissibleIndexSet.from_patterns(np.array([0]), m=3, l=0)
-    np.testing.assert_array_equal(s0.indices, np.arange(8))
+    s0 = admissible_columns(np.array([0]), m=3, l=0)
+    np.testing.assert_array_equal(s0, np.arange(8))
 
 
 def test_sample_covariance_matches_definition():
@@ -151,9 +151,8 @@ def test_activity_detect_exact_support_large_arrays():
     cfg = MimoChannelConfig(M=M, n=n, N0=N0, P=P, fading_seed=4, noise_seed=5)
     idx = np.array([7, 23])
     Y = mimo_block_transmit(idx, A.columns, cfg, block=0)
-    gamma, diag = activity_detect(sample_covariance(Y), A,
-                                  AdmissibleIndexSet.full(v), N0)
-    _, top = top_k_support(gamma, 2, AdmissibleIndexSet.full(v), v)
+    gamma, diag = activity_detect(sample_covariance(Y), A, np.arange(1 << v), N0)
+    top = top_k_support(gamma, 2, np.arange(1 << v))
     assert sorted(top.tolist()) == [7, 23]
     assert diag.sweeps_run >= 1
     assert diag.updates > 0
@@ -175,8 +174,7 @@ def test_drift_is_checked_once_per_refresh_interval(monkeypatch):
         return drift(self)
 
     monkeypatch.setattr(CovarianceState, "drift", counted_drift)
-    _, diag = activity_detect(sample_covariance(Y), A,
-                              AdmissibleIndexSet.full(v), N0, tol=0.0)
+    _, diag = activity_detect(sample_covariance(Y), A, np.arange(1 << v), N0, tol=0.0)
     assert diag.updates > 3 * REFRESH_EVERY
     assert 1 <= len(checks) <= -(-diag.updates // REFRESH_EVERY)
 
@@ -186,9 +184,9 @@ def test_activity_detect_restricted_sweep_stays_in_set():
     A = build_complex_sensing_matrix(n, v, radius=np.sqrt(n), seed=6)
     cfg = MimoChannelConfig(M=M, n=n, N0=N0, P=1.0, fading_seed=7, noise_seed=8)
     Y = mimo_block_transmit(np.array([5]), A.columns, cfg, block=0)
-    S = AdmissibleIndexSet(np.array([2, 5, 9], dtype=np.int64))
+    S = np.array([2, 5, 9], dtype=np.int64)
     gamma, _ = activity_detect(sample_covariance(Y), A, S, N0)
-    outside = np.setdiff1d(np.arange(16), S.indices)
+    outside = np.setdiff1d(np.arange(16), S)
     assert np.all(gamma[outside] == 0.0)
     assert gamma[5] > 0.0
 
@@ -199,7 +197,7 @@ def test_activity_detect_pure_noise_converges_immediately():
     n, v = 4, 3
     A = build_complex_sensing_matrix(n, v, radius=1.0, seed=9)
     gamma, diag = activity_detect(np.eye(n, dtype=np.complex128), A,
-                                  AdmissibleIndexSet.full(v), N0=1.0)
+                                  np.arange(1 << v), N0=1.0)
     assert np.all(gamma == 0.0)
     assert diag.sweeps_run == 1
     assert diag.updates == 0
@@ -284,14 +282,14 @@ def test_decode_mimo_list_rule(monkeypatch):
         if S.size == A.cols:
             gamma[[1, 3, 5, 7]] = [0.5, 0.7, 0.9, 0.7]
         else:
-            gamma[S.indices[-1]] = 1.0
+            gamma[S[-1]] = 1.0
         return gamma, uracs.mimo.ActivityDiagnostics(sweeps_run=1)
 
     monkeypatch.setattr(uracs.mimo, "activity_detect", fake_detect)
     prof, cb, W, mats, blocks, N0 = make_mimo_instance()
-    memo: dict = {}  # (slot, S bytes) -> (bits, ...): the lists decode_mimo chose
+    memo: dict = {}  # (slot, S bytes) -> (indices, ...): the lists decode_mimo chose
     decode_mimo(blocks, mats, cb, K=2, N0=N0, mode="enhanced", memo=memo)
-    lists = {ell: (np.frombuffer(key, dtype=np.int64), rows_to_ints(out[0]).tolist())
+    lists = {ell: (np.frombuffer(key, dtype=np.int64), out[0].tolist())
              for (ell, key), out in memo.items()}
     # ranked 5, then 3 and 7 tied at 0.7: the tie goes to 3, reported as [3, 5]
     assert lists[1][1] == [3, 5]

@@ -7,12 +7,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import uracs.tree as tree_module
 from uracs.bits import ints_to_rows, random_bits, rows_to_ints
 from uracs.tree import (
     DEFAULT_MIMO_PROFILE,
     DEFAULT_PATH_CAP,
     DEFAULT_SISO_PROFILE,
-    AdmissibleIndexSet,
     ParityProfile,
     PathTracker,
     TreeCodebook,
@@ -282,8 +282,8 @@ def test_tracker_advance_matches_brute_force():
     roots = ints_to_rows(np.arange(4), 2)
     frags = ints_to_rows(np.arange(16), 4)
     tracker = PathTracker(cb)
-    tracker.start(roots)
-    tracker.advance(frags)
+    tracker.start(np.arange(4))
+    tracker.advance(np.arange(16))
     got = set(zip(tracker._roots.tolist(), rows_to_ints(tracker._info).tolist()))
     expect = set()
     for i in range(4):
@@ -302,13 +302,13 @@ def test_admissible_parities_small():
     cb = TreeCodebook(prof, seed=17)
     info = ints_to_rows(np.array([0, 3]), 2)
     tracker = PathTracker(cb)
-    tracker.start(info)
+    tracker.start(np.array([0, 3]))
     pats = tracker.admissible()
     expect = sorted({radix2(cb.parity_rows(row, 2)[0]) for row in info})
     assert pats.tolist() == expect
     assert pats.dtype == np.int64
     # Once every path has died no pattern is admissible.
-    tracker.advance(np.zeros((0, 3), dtype=np.uint8))
+    tracker.advance(np.zeros(0, dtype=np.int64))
     assert tracker.admissible().size == 0
 
 
@@ -323,13 +323,13 @@ def test_tracker_admissible_never_misses_true_path():
         lists = encode_messages(W, cb)
         true_frags = [f[0] for f in lists]
         tracker = PathTracker(cb)
-        tracker.start(lists[0])
+        tracker.start(rows_to_ints(lists[0]))
         for ell in range(2, prof.L + 1):
             pats = tracker.admissible()
             m = prof.m[ell - 1]
             true_parity = radix2(true_frags[ell - 1][m:])
             assert true_parity in pats.tolist()
-            tracker.advance(lists[ell - 1])
+            tracker.advance(rows_to_ints(lists[ell - 1]))
         # The true message always survives to the end (the root may still
         # be ambiguous if a decoy path shares it, so only check survival).
         final = tracker.finalize()
@@ -347,9 +347,9 @@ def test_tracker_matches_tree_decode():
         for ell in range(prof.L)
     ]
     tracker = PathTracker(cb)
-    tracker.start(merged[0])
+    tracker.start(rows_to_ints(merged[0]))
     for ell in range(2, prof.L + 1):
-        tracker.advance(merged[ell - 1])
+        tracker.advance(rows_to_ints(merged[ell - 1]))
     a = tracker.finalize()
     b = tree_decode(merged, cb)
     assert a.messages == b.messages
@@ -416,6 +416,16 @@ def test_tree_decode_rejects_malformed_lists():
         tree_decode([good[0][0], good[1]], cb)
 
 
+def test_tree_decode_refuses_fragments_wider_than_63_bits():
+    # the path search takes fragments as int64 column indices, which a
+    # 64-bit fragment would overflow
+    prof = ParityProfile(m=(2, 62), l=(0, 2))
+    cb = TreeCodebook(prof, seed=61)
+    lists = encode_messages(np.zeros((1, prof.B), dtype=np.uint8), cb)
+    with pytest.raises(ValueError, match="wider than 63 bits"):
+        tree_decode(lists, cb)
+
+
 def test_codebook_determinism():
     prof = ParityProfile(m=(3, 2, 2), l=(0, 2, 3))
     a = TreeCodebook(prof, seed=77)
@@ -437,21 +447,20 @@ SLEEP_S = 0.01
 
 
 def memo_instance():
-    """Noiseless slot "observations" (the true fragments themselves), stand-in
-    matrices and a solver stub that keeps the fragments inside S after a
-    fixed sleep; ``calls`` logs |S| per solve."""
+    """Noiseless slot "observations" (the true fragment indices themselves),
+    stand-in matrices and a solver stub that keeps the fragments inside S
+    after a fixed sleep; ``calls`` logs |S| per solve."""
     prof = ParityProfile(m=(3, 3, 3), l=(0, 1, 3))
     cb = TreeCodebook(prof, seed=64)
     W = random_bits(np.random.default_rng(65), (3, prof.B))
-    frags = encode_messages(W, cb)
+    frags = [rows_to_ints(f) for f in encode_messages(W, cb)]
     mats = [SimpleNamespace(v=v) for v in prof.v]
     calls = []
 
     def solve_slot(fragments, A, S):
         time.sleep(SLEEP_S)
         calls.append(S.size)
-        keep = np.isin(rows_to_ints(fragments), S.indices)
-        return fragments[keep], 1, S.size
+        return fragments[np.isin(fragments, S)], 1, S.size
 
     def decode(mode, memo=None, force_full_patterns=False):
         return interleaved_decode(frags, mats, cb, mode, force_full_patterns,
@@ -479,7 +488,7 @@ def test_shared_memo_reuses_solves_and_charges_them_in_full():
         assert getattr(warm.diagnostics, name) == getattr(cold.diagnostics, name)
     # every reused solve adds its recorded time to the reusing decode's wall
     # time, so the warm decode costs what a cold one does
-    reused_ms = sum(memo[(ell, AdmissibleIndexSet.full(v).indices.tobytes())][3]
+    reused_ms = sum(memo[(ell, np.arange(1 << v).tobytes())][3]
                     for ell, (v, f) in enumerate(zip(prof.v, full), start=1) if f)
     assert warm.diagnostics.wall_ms >= reused_ms + len(calls) * SLEEP_S * 1e3
     assert warm.diagnostics.wall_ms >= prof.L * SLEEP_S * 1e3
@@ -496,3 +505,23 @@ def test_forced_full_decode_bypasses_the_memo():
     assert memo.keys() == before.keys()
     assert all(memo[k] is before[k] for k in memo)
     assert sorted(forced.messages) == sorted(orig.messages) == sent
+
+
+def test_forced_full_decode_runs_the_enhanced_branch(monkeypatch):
+    # A forced-full decode builds slots 2..L's index sets the way an enhanced
+    # decode does, from every parity pattern, and so solves the full sets.
+    prof, decode, calls, sent = memo_instance()
+    built = []
+    real = tree_module.admissible_columns
+
+    def recording(patterns, m, l):
+        built.append(np.asarray(patterns).tolist())
+        return real(patterns, m, l)
+    monkeypatch.setattr(tree_module, "admissible_columns", recording)
+    decode("original")
+    assert built == []
+    forced = decode("enhanced", force_full_patterns=True)
+    assert built == [list(range(1 << l)) for l in prof.l[1:]]
+    assert forced.diagnostics.cols == [1 << v for v in prof.v]
+    assert sorted(forced.messages) == sent
+
