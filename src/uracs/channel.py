@@ -7,45 +7,7 @@ Energy conventions (documented, not canonical):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class SisoChannelConfig:
-    """Scalar-channel parameters: y = sum_j d * x_j + z with z ~ N(0, 1)."""
-
-    d: float
-    B: int
-    L: int
-    noise_seed: int = 0
-
-    def __post_init__(self):
-        if self.d < 0:
-            raise ValueError("amplitude d must be nonnegative")
-        if self.B < 1 or self.L < 1:
-            raise ValueError("B and L must be at least 1")
-
-
-@dataclass(frozen=True)
-class MimoChannelConfig:
-    """Block-fading uplink: per-block Y = sum_j a_{i_j} h_j^T + Z."""
-
-    M: int
-    n: int
-    N0: float
-    P: float
-    fading_seed: int = 0
-    noise_seed: int = 0
-
-    def __post_init__(self):
-        if self.M < 1 or self.n < 1:
-            raise ValueError("M and n must be at least 1")
-        if self.N0 <= 0:
-            raise ValueError("noise power N0 must be positive")
-        if self.P <= 0:
-            raise ValueError("symbol power P must be positive")
 
 
 # Eb/N0 values a config may set, in dB. Far past any physical link, and far
@@ -72,31 +34,39 @@ def ebn0_to_power(ebn0_db: float, B: int, L: int, n: int, N0: float) -> float:
     return float(ebn0 * B * N0 / (L * n))
 
 
-def gmac_transmit(user_signals: np.ndarray, cfg: SisoChannelConfig,
+def gmac_transmit(user_signals: np.ndarray, d: float, noise_seed,
                   stream: int = 0) -> np.ndarray:
-    """Superimpose K per-user signals (rows) and add real Gaussian noise.
+    """y = d * sum_j x_j + z, z ~ N(0, I): superimpose K per-user signals
+    (rows) at amplitude d >= 0 and add real Gaussian noise.
 
-    ``stream`` picks an independent noise substream so successive slots of
-    one trial do not share noise.
+    ``stream`` picks an independent substream of ``noise_seed`` so
+    successive slots of one trial do not share noise.
     """
+    if not d >= 0:
+        raise ValueError("amplitude d must be nonnegative")
     user_signals = np.asarray(user_signals, dtype=np.float64)
     if user_signals.ndim == 1:
         user_signals = user_signals[None, :]
     if user_signals.ndim != 2:
         raise ValueError("user_signals must be (K, n)")
     n = user_signals.shape[1]
-    rng = np.random.default_rng((cfg.noise_seed, stream))
-    return cfg.d * user_signals.sum(axis=0) + rng.standard_normal(n)
+    rng = np.random.default_rng((noise_seed, stream))
+    return d * user_signals.sum(axis=0) + rng.standard_normal(n)
 
 
-def mimo_block_transmit(column_indices: np.ndarray, A: np.ndarray,
-                        cfg: MimoChannelConfig, block: int = 0) -> np.ndarray:
+def mimo_block_transmit(column_indices: np.ndarray, A: np.ndarray, M: int,
+                        N0: float, fading_seed, noise_seed,
+                        block: int = 0) -> np.ndarray:
     """One coherence block: Y = sum_j a_{i_j} h_j^T + Z, shape (n, M).
 
     Fading vectors h_j are circularly-symmetric complex normal CN(0, I_M),
     drawn fresh per block; Z entries are CN(0, N0). ``block`` keys the
-    per-block fading and noise substreams.
+    per-block substreams of ``fading_seed`` and ``noise_seed``.
     """
+    if M < 1:
+        raise ValueError("antenna count M must be at least 1")
+    if not N0 > 0:
+        raise ValueError("noise power N0 must be positive")
     A = np.asarray(A)
     column_indices = np.asarray(column_indices, dtype=np.int64)
     n = A.shape[0]
@@ -104,12 +74,12 @@ def mimo_block_transmit(column_indices: np.ndarray, A: np.ndarray,
     if column_indices.size and (column_indices.min() < 0 or
                                 column_indices.max() >= A.shape[1]):
         raise ValueError("column index out of range")
-    frng = np.random.default_rng((cfg.fading_seed, block))
-    nrng = np.random.default_rng((cfg.noise_seed, block))
-    H = (frng.standard_normal((K, cfg.M)) + 1j * frng.standard_normal((K, cfg.M)))
+    frng = np.random.default_rng((fading_seed, block))
+    nrng = np.random.default_rng((noise_seed, block))
+    H = (frng.standard_normal((K, M)) + 1j * frng.standard_normal((K, M)))
     H *= np.sqrt(0.5)
-    Z = (nrng.standard_normal((n, cfg.M)) + 1j * nrng.standard_normal((n, cfg.M)))
-    Z *= np.sqrt(cfg.N0 / 2.0)
+    Z = (nrng.standard_normal((n, M)) + 1j * nrng.standard_normal((n, M)))
+    Z *= np.sqrt(N0 / 2.0)
     Y = Z
     if K:
         Y = A[:, column_indices].astype(np.complex128) @ H + Z

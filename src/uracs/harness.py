@@ -27,9 +27,8 @@ from .bits import random_bits, rows_to_ints
 from .ccs import (DEFAULT_MEMORY_BUDGET, build_complex_sensing_matrix,
                   build_sensing_matrix, check_memory_budget, decode_siso,
                   user_signals)
-from .channel import (EBN0_DB_LIMIT, MimoChannelConfig, SisoChannelConfig,
-                      ebn0_to_amplitude, ebn0_to_power, gmac_transmit,
-                      mimo_block_transmit)
+from .channel import (EBN0_DB_LIMIT, ebn0_to_amplitude, ebn0_to_power,
+                      gmac_transmit, mimo_block_transmit)
 from .errors import ConfigError
 from .mimo import DEFAULT_CD_TOL, DEFAULT_SWEEPS, decode_mimo
 from .nnls import DEFAULT_NNLS_TOL
@@ -116,6 +115,13 @@ def _float(x) -> float:
     return float(x)
 
 
+def _str(x) -> str:
+    """A JSON string; other values are refused rather than converted."""
+    if not isinstance(x, str):
+        raise ValueError(f"expected a string, got {x!r}")
+    return x
+
+
 def _ebn0_db(x, what: str = "Eb/N0") -> float:
     """A finite Eb/N0 in dB within +-EBN0_DB_LIMIT."""
     x = _float(x)
@@ -124,9 +130,41 @@ def _ebn0_db(x, what: str = "Eb/N0") -> float:
     return x
 
 
+def _at_least(lo, parse=_int):
+    """``parse``, refusing values below ``lo``."""
+    def parse_bounded(x):
+        x = parse(x)
+        if x < lo:
+            raise ValueError(f"must be at least {lo}, got {x!r}")
+        return x
+    return parse_bounded
+
+
+def _positive(x) -> float:
+    """A finite number above 0."""
+    x = _float(x)
+    if x <= 0:
+        raise ValueError(f"must be positive, got {x!r}")
+    return x
+
+
+def _one_of(*choices):
+    """A parser accepting only the named strings."""
+    def parse_choice(x):
+        if x not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}, got {x!r}")
+        return x
+    return parse_choice
+
+
 def _listed(parse):
-    """A parser of one value or a list of values, giving a tuple."""
-    return lambda v: tuple(map(parse, v if isinstance(v, (list, tuple)) else [v]))
+    """A parser of one value or a non-empty list of values, giving a tuple."""
+    def parse_list(v):
+        values = tuple(map(parse, v if isinstance(v, (list, tuple)) else [v]))
+        if not values:
+            raise ValueError("need at least one value")
+        return values
+    return parse_list
 
 
 def _parse_profile(value) -> ParityProfile:
@@ -157,73 +195,52 @@ def _parse_search(value) -> dict:
 
 
 _ALL, _CHANNELS = ("siso", "mimo", "predict"), ("siso", "mimo")
-# config key -> (parser, scenarios that accept it)
+_POSITIVE_INT = _at_least(1)
+# config key -> (parser holding the key's whole rule, scenarios that accept it)
 _KEYS = {
-    "scenario": (str, _ALL), "profile": (_parse_profile, _ALL),
-    "K": (_listed(_int), _ALL), "trials": (_int, _ALL), "mode": (str, _ALL),
-    "master_seed": (_int, _ALL), "workers": (_int, _ALL), "out": (str, _ALL),
-    "timing": (str, _ALL), "list_size": (_int, _ALL),
-    "ebn0_db": (_listed(_ebn0_db), _CHANNELS), "n": (_int, _CHANNELS),
-    "nnls_tol": (_float, ("siso",)), "path_cap": (_int, _CHANNELS),
-    "memory_budget": (_int, _CHANNELS), "ebn0_search": (_parse_search, ("siso",)),
-    "M": (_listed(_int), ("mimo",)), "sweeps": (_int, ("mimo",)),
-    "cd_tol": (_float, ("mimo",)), "variant": (str, ("predict",)),
+    "scenario": (_one_of(*_ALL), _ALL), "profile": (_parse_profile, _ALL),
+    "K": (_listed(_POSITIVE_INT), _ALL), "trials": (_POSITIVE_INT, _ALL),
+    "mode": (_one_of("original", "enhanced", "both"), _ALL),
+    "master_seed": (_at_least(0), _ALL), "workers": (_POSITIVE_INT, _ALL),
+    "out": (_str, _ALL), "timing": (_one_of("model", "wall"), _ALL),
+    "list_size": (_POSITIVE_INT, _ALL),
+    "ebn0_db": (_listed(_ebn0_db), _CHANNELS), "n": (_POSITIVE_INT, _CHANNELS),
+    "nnls_tol": (_positive, ("siso",)), "path_cap": (_POSITIVE_INT, _CHANNELS),
+    "memory_budget": (_POSITIVE_INT, _CHANNELS),
+    "ebn0_search": (_parse_search, ("siso",)),
+    "M": (_listed(_POSITIVE_INT), ("mimo",)), "sweeps": (_POSITIVE_INT, ("mimo",)),
+    "cd_tol": (_at_least(0.0, _float), ("mimo",)),
+    "variant": (_one_of("full", "one_step", "both"), ("predict",)),
 }
+# keys a scenario cannot run without (a siso ebn0_search replaces ebn0_db)
+_REQUIRED = {"siso": ("profile", "K", "n", "ebn0_db"),
+             "mimo": ("profile", "K", "n", "M", "ebn0_db"),
+             "predict": ("profile", "K")}
+
+
+def _parse(key: str, value):
+    """``value`` through its key's row; an error names the key."""
+    try:
+        return _KEYS[key][0](value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{key}: {e}") from None
 
 
 def parse_config(data: dict) -> ExperimentConfig:
-    """Validate a configuration mapping; unknown keys are rejected."""
+    """Validate a configuration mapping; unknown keys are rejected. Each
+    key's own rule is its ``_KEYS`` row; only rules spanning keys are here."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    scenario = data.get("scenario")
-    if scenario not in _ALL:
-        raise ConfigError(f"scenario: must be one of {sorted(_ALL)}")
+    scenario = _parse("scenario", data.get("scenario"))
     unknown = [k for k in data if scenario not in _KEYS.get(k, (None, ()))[1]]
     if unknown:
         raise ConfigError(f"unknown keys for scenario {scenario}: {sorted(unknown)}")
-    for req in ("profile", "K"):
-        if req not in data:
+    for req in _REQUIRED[scenario]:
+        if req not in data and not (req == "ebn0_db" and "ebn0_search" in data):
             raise ConfigError(f"{req}: required")
-    values = {}
-    for key, value in data.items():
-        try:
-            values[key] = _KEYS[key][0](value)
-        except (TypeError, ValueError, OverflowError) as e:
-            raise ConfigError(f"{key}: {e}") from None
-    cfg = ExperimentConfig(**values)
-
-    if not cfg.K or any(k < 1 for k in cfg.K):
-        raise ConfigError("K: need at least one positive value")
-    if cfg.trials < 1:
-        raise ConfigError("trials: must be at least 1")
-    if cfg.mode not in ("original", "enhanced", "both"):
-        raise ConfigError("mode: must be original, enhanced, or both")
-    if cfg.timing not in ("model", "wall"):
-        raise ConfigError("timing: must be model or wall")
-    if cfg.workers < 1:
-        raise ConfigError("workers: must be at least 1")
-    if cfg.master_seed < 0:
-        raise ConfigError("master_seed: must be nonnegative")
-    if cfg.path_cap < 1:
-        raise ConfigError("path_cap: must be at least 1")
-    if cfg.list_size is not None and cfg.list_size < 1:
-        raise ConfigError("list_size: must be at least 1")
-    if cfg.nnls_tol <= 0:
-        raise ConfigError("nnls_tol: must be positive")
-    if scenario in _CHANNELS:
-        if cfg.n < 1:
-            raise ConfigError("n: required and must be at least 1")
-        if not cfg.ebn0_db and cfg.ebn0_search is None:
-            raise ConfigError("ebn0_db: required")
-    if scenario == "mimo":
-        if not cfg.M or any(m < 1 for m in cfg.M):
-            raise ConfigError("M: need at least one positive value")
-        if len(cfg.ebn0_db) != 1:
-            raise ConfigError("ebn0_db: mimo scenario takes a single value")
-        if cfg.sweeps < 1:
-            raise ConfigError("sweeps: must be at least 1")
-    if scenario == "predict" and cfg.variant not in ("full", "one_step", "both"):
-        raise ConfigError("variant: must be full, one_step, or both")
+    cfg = ExperimentConfig(**{key: _parse(key, value) for key, value in data.items()})
+    if scenario == "mimo" and len(cfg.ebn0_db) != 1:
+        raise ConfigError("ebn0_db: mimo scenario takes a single value")
     return cfg
 
 
@@ -316,11 +333,10 @@ def run_siso_trial(cfg: ExperimentConfig, K: int, ebn0_db: float,
                 for v in widths}
     matrices = [by_width[v] for v in prof.v]
 
-    ch = SisoChannelConfig(d=ebn0_to_amplitude(ebn0_db, prof.B, prof.L),
-                           B=prof.B, L=prof.L,
-                           noise_seed=derive_seed(cfg.master_seed, trial, NOISE))
-    y = [gmac_transmit(user_signals(frags[ell - 1], matrices[ell - 1]), ch,
-                       stream=ell) for ell in range(1, prof.L + 1)]
+    d = ebn0_to_amplitude(ebn0_db, prof.B, prof.L)
+    noise_seed = derive_seed(cfg.master_seed, trial, NOISE)
+    y = [gmac_transmit(user_signals(frags[ell - 1], matrices[ell - 1]), d,
+                       noise_seed, stream=ell) for ell in range(1, prof.L + 1)]
 
     return _decode_modes(decode_siso, cfg.modes, cfg, sent, y, matrices,
                          codebook, K, nnls_tol=cfg.nnls_tol)
@@ -339,11 +355,10 @@ def run_mimo_trial(cfg: ExperimentConfig, K: int, M: int,
                                              (mat_seed, ell), cfg.memory_budget)
                 for ell in range(1, prof.L + 1)]
 
-    ch = MimoChannelConfig(M=M, n=cfg.n, N0=N0, P=P,
-                           fading_seed=derive_seed(cfg.master_seed, trial, FADING),
-                           noise_seed=derive_seed(cfg.master_seed, trial, NOISE))
-    Y = [mimo_block_transmit(rows_to_ints(frags[ell - 1]),
-                             matrices[ell - 1].columns, ch, block=ell)
+    fading_seed = derive_seed(cfg.master_seed, trial, FADING)
+    noise_seed = derive_seed(cfg.master_seed, trial, NOISE)
+    Y = [mimo_block_transmit(rows_to_ints(frags[ell - 1]), matrices[ell - 1].columns,
+                             M, N0, fading_seed, noise_seed, block=ell)
          for ell in range(1, prof.L + 1)]
 
     return _decode_modes(decode_mimo, ("original", "enhanced"), cfg, sent, Y,
@@ -492,6 +507,8 @@ def _run_siso_search(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
             else:
                 while hi - lo > search["resolution_db"]:
                     mid = 0.5 * (lo + hi)
+                    if mid in (lo, hi):  # lo and hi are adjacent floats
+                        break
                     if mean_pupe(mid, mode) <= target:
                         hi = mid
                     else:

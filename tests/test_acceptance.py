@@ -14,8 +14,7 @@ import pytest
 from uracs.bits import random_bits, rows_to_ints
 from uracs.ccs import (build_complex_sensing_matrix, build_sensing_matrix,
                        decode_siso, user_signals)
-from uracs.channel import (MimoChannelConfig, SisoChannelConfig,
-                           ebn0_to_amplitude, ebn0_to_power, gmac_transmit,
+from uracs.channel import (ebn0_to_amplitude, ebn0_to_power, gmac_transmit,
                            mimo_block_transmit)
 from uracs.harness import (genie_path_stats, parse_config, run_experiment,
                            run_mimo_trial, run_siso_trial)
@@ -386,10 +385,8 @@ def test_criterion_8_forced_full_equivalence(capsys):
         rng = np.random.default_rng((83, t))
         W = random_bits(rng, (3, profile_s.B))
         frags = encode_messages(W, cb_s)
-        ch = SisoChannelConfig(d=d, B=profile_s.B, L=profile_s.L,
-                               noise_seed=(84, t))
-        y = [gmac_transmit(user_signals(frags[ell - 1], mats_s[ell - 1]), ch,
-                           stream=ell) for ell in range(1, profile_s.L + 1)]
+        y = [gmac_transmit(user_signals(frags[ell - 1], mats_s[ell - 1]), d,
+                           (84, t), stream=ell) for ell in range(1, profile_s.L + 1)]
         base = decode_siso(y, mats_s, cb_s, 3, mode="original")
         forced = decode_siso(y, mats_s, cb_s, 3, mode="enhanced",
                              force_full_patterns=True)
@@ -407,10 +404,9 @@ def test_criterion_8_forced_full_equivalence(capsys):
         rng = np.random.default_rng((93, t))
         W = random_bits(rng, (2, profile_m.B))
         frags = encode_messages(W, cb_m)
-        ch = MimoChannelConfig(M=32, n=8, N0=1.0, P=P,
-                               fading_seed=(94, t), noise_seed=(95, t))
         Y = [mimo_block_transmit(rows_to_ints(frags[ell - 1]),
-                                 mats_m[ell - 1].columns, ch, block=ell)
+                                 mats_m[ell - 1].columns, 32, 1.0, (94, t), (95, t),
+                                 block=ell)
              for ell in range(1, profile_m.L + 1)]
         base = decode_mimo(Y, mats_m, cb_m, 2, 1.0, mode="original")
         forced = decode_mimo(Y, mats_m, cb_m, 2, 1.0, mode="enhanced",

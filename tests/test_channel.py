@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from uracs.channel import (
-    MimoChannelConfig,
-    SisoChannelConfig,
     ebn0_to_amplitude,
     ebn0_to_power,
     gmac_transmit,
@@ -13,15 +11,14 @@ from uracs.channel import (
 )
 
 
-def test_config_validation():
+def test_transmit_validation():
     with pytest.raises(ValueError):
-        SisoChannelConfig(d=-1.0, B=10, L=2)
+        gmac_transmit(np.zeros((1, 4)), -1.0, 0)
+    A = np.zeros((8, 4), dtype=np.complex128)
     with pytest.raises(ValueError):
-        SisoChannelConfig(d=1.0, B=0, L=2)
+        mimo_block_transmit(np.array([0]), A, 4, 0.0, 0, 0)
     with pytest.raises(ValueError):
-        MimoChannelConfig(M=4, n=8, N0=0.0, P=1.0)
-    with pytest.raises(ValueError):
-        MimoChannelConfig(M=0, n=8, N0=1.0, P=1.0)
+        mimo_block_transmit(np.array([0]), A, 0, 1.0, 0, 0)
 
 
 def test_ebn0_amplitude_round_trip():
@@ -47,38 +44,33 @@ def test_gmac_noiseless_is_scaled_sum():
     # the sum of the user signals.
     rng = np.random.default_rng(0)
     X = rng.normal(size=(3, 32))
-    cfg = SisoChannelConfig(d=2.0, B=10, L=2, noise_seed=5)
-    y = gmac_transmit(X, cfg, stream=2)
+    y = gmac_transmit(X, 2.0, 5, stream=2)
     z = np.random.default_rng((5, 2)).standard_normal(32)
     np.testing.assert_allclose(y - z, 2.0 * X.sum(axis=0), atol=1e-12)
 
 
 def test_gmac_pure_noise_statistics():
-    cfg = SisoChannelConfig(d=1.0, B=10, L=2, noise_seed=1)
     samples = np.concatenate([
-        gmac_transmit(np.zeros((0, 4000)), cfg, stream=s) for s in range(10)
+        gmac_transmit(np.zeros((0, 4000)), 1.0, 1, stream=s) for s in range(10)
     ])
     assert samples.mean() == pytest.approx(0.0, abs=0.05)
     assert samples.std() == pytest.approx(1.0, rel=0.03)
 
 
 def test_gmac_streams_differ_and_are_reproducible():
-    cfg = SisoChannelConfig(d=1.0, B=10, L=2, noise_seed=3)
     X = np.zeros((1, 64))
-    a0 = gmac_transmit(X, cfg, stream=0)
-    a1 = gmac_transmit(X, cfg, stream=1)
+    a0 = gmac_transmit(X, 1.0, 3, stream=0)
+    a1 = gmac_transmit(X, 1.0, 3, stream=1)
     assert not np.array_equal(a0, a1)
-    np.testing.assert_array_equal(a0, gmac_transmit(X, cfg, stream=0))
-    other = SisoChannelConfig(d=1.0, B=10, L=2, noise_seed=4)
-    assert not np.array_equal(a0, gmac_transmit(X, other, stream=0))
+    np.testing.assert_array_equal(a0, gmac_transmit(X, 1.0, 3, stream=0))
+    assert not np.array_equal(a0, gmac_transmit(X, 1.0, 4, stream=0))
 
 
 def test_mimo_block_matches_dense_oracle():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-    cfg = MimoChannelConfig(M=6, n=4, N0=0.3, P=1.0, fading_seed=7, noise_seed=9)
     idx = np.array([2, 5, 2])  # repeated column is allowed
-    Y = mimo_block_transmit(idx, A, cfg, block=3)
+    Y = mimo_block_transmit(idx, A, 6, 0.3, 7, 9, block=3)
     # Reconstruct with the same substreams.
     frng = np.random.default_rng((7, 3))
     nrng = np.random.default_rng((9, 3))
@@ -89,8 +81,7 @@ def test_mimo_block_matches_dense_oracle():
 
 def test_mimo_zero_users_is_pure_noise():
     A = np.zeros((8, 4), dtype=np.complex128)
-    cfg = MimoChannelConfig(M=2048, n=8, N0=0.5, P=1.0, noise_seed=11)
-    Y = mimo_block_transmit(np.zeros(0, dtype=np.int64), A, cfg)
+    Y = mimo_block_transmit(np.zeros(0, dtype=np.int64), A, 2048, 0.5, 0, 11)
     assert Y.shape == (8, 2048)
     # Per-entry complex variance N0, split evenly between parts.
     assert Y.real.var() == pytest.approx(0.25, rel=0.05)
@@ -100,8 +91,7 @@ def test_mimo_zero_users_is_pure_noise():
 def test_mimo_fading_is_unit_variance_per_antenna():
     rng = np.random.default_rng(6)
     A = np.ones((1, 2), dtype=np.complex128)
-    cfg = MimoChannelConfig(M=20000, n=1, N0=1e-12, P=1.0, fading_seed=13)
-    Y = mimo_block_transmit(np.array([0]), A, cfg)
+    Y = mimo_block_transmit(np.array([0]), A, 20000, 1e-12, 13, 0)
     h = Y[0]
     # h ~ CN(0, 1): unit total variance, zero mean, independent halves.
     assert np.abs(h.mean()) < 0.02
@@ -116,16 +106,14 @@ def test_mimo_energy_accounting():
     rng = np.random.default_rng(8)
     A = rng.normal(size=(n, 8)) + 1j * rng.normal(size=(n, 8))
     A *= radius / np.linalg.norm(A, axis=0)
-    cfg = MimoChannelConfig(M=M, n=n, N0=1e-12, P=0.25, fading_seed=15)
-    Y = mimo_block_transmit(np.array([0, 1, 2]), A, cfg)
+    Y = mimo_block_transmit(np.array([0, 1, 2]), A, M, 1e-12, 15, 0)
     per_use = (np.abs(Y) ** 2).sum(axis=0).mean()
     assert per_use == pytest.approx(K * radius ** 2, rel=0.1)
 
 
 def test_mimo_rejects_bad_indices():
     A = np.zeros((4, 8), dtype=np.complex128)
-    cfg = MimoChannelConfig(M=2, n=4, N0=1.0, P=1.0)
     with pytest.raises(ValueError):
-        mimo_block_transmit(np.array([8]), A, cfg)
+        mimo_block_transmit(np.array([8]), A, 2, 1.0, 0, 0)
     with pytest.raises(ValueError):
-        mimo_block_transmit(np.array([-1]), A, cfg)
+        mimo_block_transmit(np.array([-1]), A, 2, 1.0, 0, 0)

@@ -1,9 +1,14 @@
 """Tests for the ura command line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import uracs
 from uracs import harness
 from uracs.cli import build_parser, main
 
@@ -174,3 +179,25 @@ def test_main_refuses_ebn0_beyond_the_limit(tmp_path, capsys):
     # the limit itself is accepted
     assert main(["siso", "--config", write_cfg(tmp_path, {**SISO_DATA, "ebn0_db": 300})]) == 0
     capsys.readouterr()
+
+
+def test_search_below_the_float_gap_ends(tmp_path):
+    # A resolution_db finer than the gap between adjacent floats at the
+    # threshold once made the bisection loop forever; it now stops when the
+    # midpoint equals an end, within 1e-12 dB of a 1e-12 dB search.
+    data = {**SISO_DATA, "trials": 2, "master_seed": 97, "mode": "original",
+            "ebn0_search": {"target_pupe": 0.5, "lo_db": 0.0, "hi_db": 24.0,
+                            "resolution_db": 1e-12}}
+    env = {**os.environ, "PYTHONPATH": str(Path(uracs.__file__).parents[1])}
+
+    def required(resolution_db):
+        data["ebn0_search"]["resolution_db"] = resolution_db
+        run = subprocess.run(
+            [sys.executable, "-m", "uracs.cli", "siso", "--config",
+             write_cfg(tmp_path, data)],
+            capture_output=True, text=True, env=env, timeout=60, check=True)
+        return [float(row.split(",")[3]) for row in run.stdout.splitlines()[1:]]
+
+    (coarse,), (fine,) = required(1e-12), required(1e-300)
+    assert 0.0 < fine < 24.0  # found by bisection
+    assert abs(fine - coarse) <= 1e-12

@@ -87,6 +87,9 @@ def test_parse_config_rejects_unknown_keys():
 
 
 def test_parse_config_field_errors_name_the_field():
+    # keys outside the siso scenario are set on a config of theirs
+    base = {"cd_tol": MIMO_SMALL, "sweeps": MIMO_SMALL, "M": MIMO_SMALL,
+            "variant": {"scenario": "predict", "profile": SMALL_PROFILE, "K": 2}}
     for key, value, frag in [
         ("K", [0], "K"),
         ("trials", 0, "trials"),
@@ -112,9 +115,19 @@ def test_parse_config_field_errors_name_the_field():
         ("nnls_tol", -1e-8, "nnls_tol"),
         ("nnls_tol", float("nan"), "nnls_tol"),
         ("nnls_tol", float("inf"), "nnls_tol"),
+        # memory_budget 0 once refused every trial as a resource refusal,
+        # and a negative cd_tol ran as if it were 0
+        ("memory_budget", 0, "memory_budget"),
+        ("cd_tol", -1, "cd_tol"),
+        ("sweeps", 0, "sweeps"),
+        ("M", [0], "M"),
+        ("workers", 0, "workers"),
+        ("variant", "x", "variant"),
+        # out null once wrote the CSV to a file named None
+        ("out", None, "out"),
     ]:
-        with pytest.raises(ConfigError, match=frag):
-            parse_config(siso_config(**{key: value}))
+        with pytest.raises(ConfigError, match=f"^{frag}: "):
+            parse_config({**base.get(key, siso_config()), key: value})
     # Integral floats are integers.
     assert parse_config(siso_config(K=2.0, n=12.0)).K == (2,)
 

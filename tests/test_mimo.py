@@ -6,7 +6,7 @@ import pytest
 from uracs.bits import random_bits, rows_to_ints
 import uracs.mimo
 from uracs.ccs import SensingMatrix, build_complex_sensing_matrix, top_k_support
-from uracs.channel import MimoChannelConfig, mimo_block_transmit
+from uracs.channel import mimo_block_transmit
 from uracs.mimo import (
     REFRESH_EVERY,
     TAU_INV,
@@ -129,10 +129,9 @@ def test_coordinate_step_is_bit_identical_to_reference_step():
         rng = np.random.default_rng(500 + i)
         n, v = (8, 16, 32)[i % 3], int(rng.integers(3, 7))
         A = build_complex_sensing_matrix(n, v, radius=np.sqrt(n), seed=(50, i))
-        cfg = MimoChannelConfig(M=64, n=n, N0=0.5, P=1.0,
-                                fading_seed=600 + i, noise_seed=700 + i)
         active = rng.choice(1 << v, int(rng.integers(1, 5)), replace=False)
-        cov = sample_covariance(mimo_block_transmit(active, A.columns, cfg, block=0))
+        cov = sample_covariance(mimo_block_transmit(active, A.columns, 64, 0.5,
+                                                    600 + i, 700 + i, block=0))
         st, ref = CovarianceState(cov, A, N0=0.5), CovarianceState(cov, A, N0=0.5)
         for _ in range(10):
             for k in range(1 << v):
@@ -148,9 +147,8 @@ def test_activity_detect_exact_support_large_arrays():
     n, v, M, N0 = 16, 5, 4096, 0.1
     P = 0.5
     A = build_complex_sensing_matrix(n, v, radius=np.sqrt(n * P), seed=3)
-    cfg = MimoChannelConfig(M=M, n=n, N0=N0, P=P, fading_seed=4, noise_seed=5)
     idx = np.array([7, 23])
-    Y = mimo_block_transmit(idx, A.columns, cfg, block=0)
+    Y = mimo_block_transmit(idx, A.columns, M, N0, 4, 5, block=0)
     gamma, diag = activity_detect(sample_covariance(Y), A, np.arange(1 << v), N0)
     top = top_k_support(gamma, 2, np.arange(1 << v))
     assert sorted(top.tolist()) == [7, 23]
@@ -164,8 +162,8 @@ def test_drift_is_checked_once_per_refresh_interval(monkeypatch):
     # REFRESH_EVERY.
     n, v, M, N0 = 16, 6, 256, 0.5
     A = build_complex_sensing_matrix(n, v, radius=np.sqrt(n), seed=12)
-    cfg = MimoChannelConfig(M=M, n=n, N0=N0, P=1.0, fading_seed=13, noise_seed=14)
-    Y = mimo_block_transmit(np.array([3, 17, 40, 58]), A.columns, cfg, block=0)
+    Y = mimo_block_transmit(np.array([3, 17, 40, 58]), A.columns, M, N0, 13, 14,
+                            block=0)
     checks = []
     drift = CovarianceState.drift
 
@@ -182,8 +180,7 @@ def test_drift_is_checked_once_per_refresh_interval(monkeypatch):
 def test_activity_detect_restricted_sweep_stays_in_set():
     n, v, M, N0 = 8, 4, 512, 0.2
     A = build_complex_sensing_matrix(n, v, radius=np.sqrt(n), seed=6)
-    cfg = MimoChannelConfig(M=M, n=n, N0=N0, P=1.0, fading_seed=7, noise_seed=8)
-    Y = mimo_block_transmit(np.array([5]), A.columns, cfg, block=0)
+    Y = mimo_block_transmit(np.array([5]), A.columns, M, N0, 7, 8, block=0)
     S = np.array([2, 5, 9], dtype=np.int64)
     gamma, _ = activity_detect(sample_covariance(Y), A, S, N0)
     outside = np.setdiff1d(np.arange(16), S)
@@ -214,10 +211,9 @@ def make_mimo_instance(K=2, seed=13):
     for ell in range(prof.L):
         A = build_complex_sensing_matrix(n, prof.v[ell],
                                          radius=np.sqrt(n * P), seed=(30, ell))
-        cfg = MimoChannelConfig(M=M, n=n, N0=N0, P=P,
-                                fading_seed=1000 + ell, noise_seed=2000 + ell)
         idx = rows_to_ints(frags[ell])
-        blocks.append(mimo_block_transmit(idx, A.columns, cfg, block=ell))
+        blocks.append(mimo_block_transmit(idx, A.columns, M, N0, 1000 + ell,
+                                          2000 + ell, block=ell))
         mats.append(A)
     return prof, cb, W, mats, blocks, N0
 
