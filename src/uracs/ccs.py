@@ -15,7 +15,7 @@ import numpy as np
 
 from .bits import rows_to_ints
 from .errors import ResourceRefusalError
-from .nnls import DEFAULT_NNLS_TOL, nnls_solve
+from .nnls import nnls_solve
 from .tree import DEFAULT_PATH_CAP, DecodeResult, TreeCodebook, interleaved_decode
 
 DEFAULT_MEMORY_BUDGET = 256 << 20  # bytes
@@ -106,8 +106,7 @@ def prune_columns(A: SensingMatrix, S: np.ndarray) -> SensingMatrix:
 def decode_siso(y_slots: list[np.ndarray], matrices: list[SensingMatrix],
                 codebook: TreeCodebook, K: int, mode: str = "original",
                 list_size: int | None = None, force_full_patterns: bool = False,
-                path_cap: int = DEFAULT_PATH_CAP, nnls_tol: float = DEFAULT_NNLS_TOL,
-                memo: dict | None = None) -> DecodeResult:
+                path_cap: int = DEFAULT_PATH_CAP, memo: dict | None = None) -> DecodeResult:
     """Recover messages from L slot observations (modes and memo: see
     interleaved_decode).
 
@@ -119,7 +118,7 @@ def decode_siso(y_slots: list[np.ndarray], matrices: list[SensingMatrix],
 
     def solve_slot(y, A, S):
         A_S = prune_columns(A, S)
-        res = nnls_solve(A_S.columns, y, tol=nnls_tol)
+        res = nnls_solve(A_S.columns, y)
         # work model: nnls iterations * rows * cols
         return (top_k_support(res.x, list_size, S), res.iterations,
                 res.iterations * A_S.rows * A_S.cols)

@@ -30,12 +30,11 @@ from .ccs import (DEFAULT_MEMORY_BUDGET, build_complex_sensing_matrix,
 from .channel import (EBN0_DB_LIMIT, ebn0_to_amplitude, ebn0_to_power,
                       gmac_transmit, mimo_block_transmit)
 from .errors import ConfigError
-from .mimo import DEFAULT_CD_TOL, DEFAULT_SWEEPS, decode_mimo
-from .nnls import DEFAULT_NNLS_TOL
+from .mimo import decode_mimo
 from .predictors import predict_table
 from .tree import (DEFAULT_MIMO_PROFILE, DEFAULT_PATH_CAP, DEFAULT_SISO_PROFILE,
-                   ParityProfile, PathTracker, TreeCodebook, encode_messages,
-                   fragment_values)
+                   MAX_FRAGMENT_BITS, ParityProfile, PathTracker, TreeCodebook,
+                   encode_messages, fragment_values)
 
 # purpose tags for per-trial substreams
 MESSAGES, CODEBOOK, MATRIX, NOISE, FADING = range(5)
@@ -75,24 +74,21 @@ class ExperimentConfig:
     profile: ParityProfile
     K: tuple[int, ...]
     trials: int = 1
-    mode: str = "both"
     master_seed: int = 0
     workers: int = 1
     out: str | None = None
+    # siso and mimo scenarios (ebn0_search: siso only); ebn0_db alone sets
+    # the SNR
+    mode: str = "both"
     timing: str = "model"
     list_size: int | None = None
-    # siso and mimo scenarios (nnls_tol and ebn0_search: siso only); ebn0_db
-    # alone sets the SNR
     ebn0_db: tuple[float, ...] = ()
     n: int = 0
-    nnls_tol: float = DEFAULT_NNLS_TOL
     path_cap: int = DEFAULT_PATH_CAP
     memory_budget: int = DEFAULT_MEMORY_BUDGET
     ebn0_search: dict | None = None
     # mimo scenario
     M: tuple[int, ...] = ()
-    sweeps: int = DEFAULT_SWEEPS
-    cd_tol: float = DEFAULT_CD_TOL
     # predict scenario
     variant: str = "both"
 
@@ -130,22 +126,14 @@ def _ebn0_db(x, what: str = "Eb/N0") -> float:
     return x
 
 
-def _at_least(lo, parse=_int):
-    """``parse``, refusing values below ``lo``."""
+def _at_least(lo: int):
+    """An integer parser refusing values below ``lo``."""
     def parse_bounded(x):
-        x = parse(x)
+        x = _int(x)
         if x < lo:
             raise ValueError(f"must be at least {lo}, got {x!r}")
         return x
     return parse_bounded
-
-
-def _positive(x) -> float:
-    """A finite number above 0."""
-    x = _float(x)
-    if x <= 0:
-        raise ValueError(f"must be positive, got {x!r}")
-    return x
 
 
 def _one_of(*choices):
@@ -174,7 +162,12 @@ def _parse_profile(value) -> ParityProfile:
         return NAMED_PROFILES[value]
     if not isinstance(value, dict) or set(value) != {"m", "l"}:
         raise ValueError("expected a name or an object with keys m, l")
-    return ParityProfile(m=tuple(map(_int, value["m"])), l=tuple(map(_int, value["l"])))
+    profile = ParityProfile(m=tuple(map(_int, value["m"])), l=tuple(map(_int, value["l"])))
+    # a fragment is an int64 column index from slot solver to path tracker
+    if max(profile.v) > MAX_FRAGMENT_BITS:
+        raise ValueError(f"sections may have at most {MAX_FRAGMENT_BITS} coded bits "
+                         f"(m + l), got {max(profile.v)}")
+    return profile
 
 
 _SEARCH_KEYS = {"target_pupe", "lo_db", "hi_db", "resolution_db"}
@@ -200,16 +193,14 @@ _POSITIVE_INT = _at_least(1)
 _KEYS = {
     "scenario": (_one_of(*_ALL), _ALL), "profile": (_parse_profile, _ALL),
     "K": (_listed(_POSITIVE_INT), _ALL), "trials": (_POSITIVE_INT, _ALL),
-    "mode": (_one_of("original", "enhanced", "both"), _ALL),
     "master_seed": (_at_least(0), _ALL), "workers": (_POSITIVE_INT, _ALL),
-    "out": (_str, _ALL), "timing": (_one_of("model", "wall"), _ALL),
-    "list_size": (_POSITIVE_INT, _ALL),
+    "out": (_str, _ALL),
+    "mode": (_one_of("original", "enhanced", "both"), _CHANNELS),
+    "timing": (_one_of("model", "wall"), _CHANNELS),
+    "list_size": (_POSITIVE_INT, _CHANNELS),
     "ebn0_db": (_listed(_ebn0_db), _CHANNELS), "n": (_POSITIVE_INT, _CHANNELS),
-    "nnls_tol": (_positive, ("siso",)), "path_cap": (_POSITIVE_INT, _CHANNELS),
-    "memory_budget": (_POSITIVE_INT, _CHANNELS),
-    "ebn0_search": (_parse_search, ("siso",)),
-    "M": (_listed(_POSITIVE_INT), ("mimo",)), "sweeps": (_POSITIVE_INT, ("mimo",)),
-    "cd_tol": (_at_least(0.0, _float), ("mimo",)),
+    "path_cap": (_POSITIVE_INT, _CHANNELS), "memory_budget": (_POSITIVE_INT, _CHANNELS),
+    "ebn0_search": (_parse_search, ("siso",)), "M": (_listed(_POSITIVE_INT), ("mimo",)),
     "variant": (_one_of("full", "one_step", "both"), ("predict",)),
 }
 # keys a scenario cannot run without (a siso ebn0_search replaces ebn0_db)
@@ -251,8 +242,8 @@ def load_config(path: str, **overrides) -> ExperimentConfig:
             data = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}")
+    except ValueError as e:  # not UTF-8, not JSON, or an integer too long to read
+        raise ConfigError(f"config is not valid UTF-8 JSON: {e}")
     if isinstance(data, dict):
         data.update(overrides)
     return parse_config(data)
@@ -338,8 +329,7 @@ def run_siso_trial(cfg: ExperimentConfig, K: int, ebn0_db: float,
     y = [gmac_transmit(user_signals(frags[ell - 1], matrices[ell - 1]), d,
                        noise_seed, stream=ell) for ell in range(1, prof.L + 1)]
 
-    return _decode_modes(decode_siso, cfg.modes, cfg, sent, y, matrices,
-                         codebook, K, nnls_tol=cfg.nnls_tol)
+    return _decode_modes(decode_siso, cfg.modes, cfg, sent, y, matrices, codebook, K)
 
 
 def run_mimo_trial(cfg: ExperimentConfig, K: int, M: int,
@@ -362,7 +352,7 @@ def run_mimo_trial(cfg: ExperimentConfig, K: int, M: int,
          for ell in range(1, prof.L + 1)]
 
     return _decode_modes(decode_mimo, ("original", "enhanced"), cfg, sent, Y,
-                         matrices, codebook, K, N0, sweeps=cfg.sweeps, tol=cfg.cd_tol)
+                         matrices, codebook, K, N0)
 
 
 def _map_trials(fn, cfg: ExperimentConfig, *args) -> list[TrialResult]:

@@ -138,7 +138,6 @@ def activity_detect(sample_cov: np.ndarray, A: SensingMatrix,
 def decode_mimo(Y_blocks: list[np.ndarray], matrices: list[SensingMatrix],
                 codebook: TreeCodebook, K: int, N0: float,
                 mode: str = "original", list_size: int | None = None,
-                sweeps: int = DEFAULT_SWEEPS, tol: float = DEFAULT_CD_TOL,
                 force_full_patterns: bool = False,
                 path_cap: int = DEFAULT_PATH_CAP,
                 memo: dict | None = None) -> DecodeResult:
@@ -154,8 +153,7 @@ def decode_mimo(Y_blocks: list[np.ndarray], matrices: list[SensingMatrix],
         list_size = K
 
     def solve_slot(Y, A, S):
-        gamma, adiag = activity_detect(sample_covariance(Y), A, S, N0,
-                                       sweeps=sweeps, tol=tol)
+        gamma, adiag = activity_detect(sample_covariance(Y), A, S, N0)
         found = np.sort(top_k_support(gamma, list_size, np.arange(A.cols)))
         # every visited coordinate costs an n^2 matvec whether or not it moves
         return found, adiag.sweeps_run, adiag.sweeps_run * S.size * A.rows ** 2

@@ -23,6 +23,8 @@ import numpy as np
 from .bits import ints_to_rows, rows_to_ints
 
 DEFAULT_PATH_CAP = 1 << 16
+# widest fragment (m + l coded bits) whose column index fits an int64
+MAX_FRAGMENT_BITS = 63
 
 
 @dataclass(frozen=True)
@@ -292,13 +294,13 @@ def tree_decode(lists: list[np.ndarray], codebook: TreeCodebook,
 
     A root yields a message iff exactly one message survives to the last
     stage; roots with no survivors, distinct survivors, or a capped search
-    count as failures. Fragments wider than 63 bits raise ValueError.
+    count as failures. Fragments wider than MAX_FRAGMENT_BITS raise ValueError.
     """
     prof = codebook.profile
     if len(lists) != prof.L:
         raise ValueError(f"{len(lists)} lists for an L={prof.L} profile")
-    if max(prof.v) > 63:
-        raise ValueError("fragments wider than 63 bits have no int64 index")
+    if max(prof.v) > MAX_FRAGMENT_BITS:
+        raise ValueError(f"fragments wider than {MAX_FRAGMENT_BITS} bits have no int64 index")
     for ell, (arr, v) in enumerate(zip(lists, prof.v), start=1):
         if arr.ndim != 2 or arr.shape[1] != v:
             raise ValueError(f"list {ell} fragments must be {v} bits wide")

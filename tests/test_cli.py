@@ -96,9 +96,50 @@ def test_main_bad_config_returns_2(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
     assert main(["siso", "--config", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()
-    cfg = write_cfg(tmp_path, {**SISO_DATA, "nnls_tol": 0.0})
+    cfg = write_cfg(tmp_path, {**SISO_DATA, "trials": 0})
     assert main(["siso", "--config", cfg]) == 2
-    assert capsys.readouterr().err.startswith("config error: nnls_tol")
+    assert capsys.readouterr().err.startswith("config error: trials")
+
+
+def test_main_config_not_utf8_is_config_error(tmp_path, capsys):
+    # a byte that is not UTF-8 once escaped as a UnicodeDecodeError
+    # traceback, and an integer literal of over 4300 digits as a ValueError
+    text = json.dumps(SISO_DATA).encode()
+    path = tmp_path / "cfg.json"
+    for body in (text.replace(b"siso", b"s\xffso"),
+                 text.replace(b'"n": 12', b'"n": 1' + b"0" * 5000)):
+        path.write_bytes(body)
+        assert main(["siso", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: config is not valid UTF-8 JSON: ")
+        assert captured.out == ""
+
+
+def test_main_refuses_sections_wider_than_63_bits(tmp_path, capsys):
+    # A fragment is an int64 column index, so a section may have at most 63
+    # coded bits. Wider ones once crashed: at m = 20000 the memory-budget
+    # message overflowed int-to-string conversion (ValueError), and a
+    # predict section of 2000 parity bits overflowed a float (OverflowError).
+    predict = {"scenario": "predict", "K": 2}
+    mimo = {**SISO_DATA, "scenario": "mimo", "n": 8, "M": 4}
+    for scenario, data, profile in [
+            ("siso", SISO_DATA, {"m": [20000, 2], "l": [0, 2]}),
+            ("siso", SISO_DATA, {"m": [64, 2], "l": [0, 2]}),
+            ("mimo", mimo, {"m": [2, 60], "l": [0, 4]}),
+            ("predict", predict, {"m": [3, 2], "l": [0, 2000]}),
+            ("predict", predict, {"m": [3, 2], "l": [0, 62]})]:
+        cfg = write_cfg(tmp_path, {**data, "profile": profile})
+        assert main([scenario, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: profile: sections may have at most 63 coded bits")
+    # 63 bits is accepted: predict runs, and a matrix of 2^63 columns is a
+    # resource refusal
+    cfg = write_cfg(tmp_path, {**predict, "profile": {"m": [3, 2], "l": [0, 61]}})
+    assert main(["predict", "--config", cfg]) == 0
+    assert capsys.readouterr().out.startswith("K,slot,variant,")
+    cfg = write_cfg(tmp_path, {**SISO_DATA, "profile": {"m": [61, 2], "l": [0, 2]}})
+    assert main(["siso", "--config", cfg]) == 3
+    assert capsys.readouterr().err.startswith("resource refusal:")
 
 
 def test_main_overrides_take_effect(tmp_path, capsys):

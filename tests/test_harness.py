@@ -86,9 +86,28 @@ def test_parse_config_rejects_unknown_keys():
         parse_config({"scenario": "siso", "K": 1, "ebn0_db": 1.0, "n": 4})
 
 
+def test_parse_config_refuses_keys_that_would_not_change_the_run():
+    # Solver tolerances and sweep counts are constants of the solvers, not
+    # config keys, and a predict run decodes nothing, so it takes no decode
+    # mode, timing or list size. Each key a scenario accepts changes its run.
+    predict = {"scenario": "predict", "profile": SMALL_PROFILE, "K": 2}
+    configs = {"siso": siso_config(), "mimo": MIMO_SMALL, "predict": predict}
+    cases = [(scenario, key, value) for scenario in configs
+             for key, value in [("nnls_tol", 1e-8), ("sweeps", 10), ("cd_tol", 1e-6)]]
+    cases += [("predict", "mode", "both"), ("predict", "timing", "model"),
+              ("predict", "list_size", 2)]
+    for scenario, key, value in cases:
+        with pytest.raises(ConfigError, match=f"^unknown keys for scenario {scenario}: "
+                                              rf"\['{key}'\]$"):
+            parse_config({**configs[scenario], key: value})
+    # the keys the command line sets stay on every scenario
+    cfg = parse_config({**predict, "trials": 3, "master_seed": 5, "workers": 2})
+    assert (cfg.trials, cfg.master_seed, cfg.workers) == (3, 5, 2)
+
+
 def test_parse_config_field_errors_name_the_field():
     # keys outside the siso scenario are set on a config of theirs
-    base = {"cd_tol": MIMO_SMALL, "sweeps": MIMO_SMALL, "M": MIMO_SMALL,
+    base = {"M": MIMO_SMALL,
             "variant": {"scenario": "predict", "profile": SMALL_PROFILE, "K": 2}}
     for key, value, frag in [
         ("K", [0], "K"),
@@ -108,18 +127,8 @@ def test_parse_config_field_errors_name_the_field():
         ("workers", True, "workers"),
         ("master_seed", float("nan"), "master_seed"),
         ("ebn0_db", "high", "ebn0_db"),
-        ("nnls_tol", None, "nnls_tol"),
-        # 0, negative and NaN once ran every solve to the iteration cap, and
-        # inf stopped every solve at x = 0
-        ("nnls_tol", 0.0, "nnls_tol"),
-        ("nnls_tol", -1e-8, "nnls_tol"),
-        ("nnls_tol", float("nan"), "nnls_tol"),
-        ("nnls_tol", float("inf"), "nnls_tol"),
-        # memory_budget 0 once refused every trial as a resource refusal,
-        # and a negative cd_tol ran as if it were 0
+        # memory_budget 0 once refused every trial as a resource refusal
         ("memory_budget", 0, "memory_budget"),
-        ("cd_tol", -1, "cd_tol"),
-        ("sweeps", 0, "sweeps"),
         ("M", [0], "M"),
         ("workers", 0, "workers"),
         ("variant", "x", "variant"),
@@ -144,7 +153,6 @@ def test_parse_config_refuses_non_finite_numbers():
         (siso_config(ebn0_db=float("inf")), "ebn0_db"),
         (siso_config(ebn0_db=[10.0, float("-inf")]), "ebn0_db"),
         ({**mimo_data, "ebn0_db": float("-inf")}, "ebn0_db"),
-        ({**mimo_data, "cd_tol": float("inf")}, "cd_tol"),
         (siso_config(ebn0_search={**search, "lo_db": float("-inf")}), "ebn0_search"),
         (siso_config(ebn0_search={**search, "hi_db": float("inf")}), "ebn0_search"),
         (siso_config(ebn0_search={**search, "target_pupe": float("nan")}), "ebn0_search"),
@@ -181,6 +189,26 @@ def test_readme_cli_configs_parse():
     assert len(blocks) == 3
     assert sorted(parse_config(json.loads(b)).scenario for b in blocks) == \
         ["mimo", "predict", "siso"]
+
+
+def test_readme_config_keys_match_the_key_table():
+    # README's "Config keys" bullets name, per scenario, the keys _KEYS
+    # accepts; a bullet's label names its scenarios, and words in
+    # parentheses describe values rather than name keys
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\nConfig keys (unknown keys are rejected):\n\n")[1].split("\n\n")[0]
+    labels = {"every scenario": ("siso", "mimo", "predict"),
+              "siso and mimo": ("siso", "mimo"),
+              "siso": ("siso",), "mimo": ("mimo",), "predict": ("predict",)}
+    listed: dict[str, set] = {"siso": set(), "mimo": set(), "predict": set()}
+    for bullet in section.split("\n- "):
+        label, keys = bullet.lstrip("- ").split(": ", 1)
+        names = re.findall(r"`(\w+)`", re.sub(r"\([^()]*\)", "", keys))
+        for scenario in labels[label]:
+            listed[scenario].update(names)
+    for scenario, keys in listed.items():
+        assert keys == {k for k, (_, where) in harness._KEYS.items() if scenario in where}, \
+            scenario
 
 
 def test_parse_config_named_profile_and_search():
@@ -254,9 +282,6 @@ def test_parse_config_mimo_constraints():
         parse_config({**data, "ebn0_db": [0.0, 2.0]})
     with pytest.raises(ConfigError, match="M"):
         parse_config({k: v for k, v in data.items() if k != "M"})
-    with pytest.raises(ConfigError, match="cd_tol"):
-        parse_config({**data, "cd_tol": float("nan")})
-    assert parse_config({**data, "cd_tol": 0.0}).cd_tol == 0.0
     # Eb/N0 alone sets the SNR: neither channel takes a noise level.
     with pytest.raises(ConfigError, match="unknown keys.*N0"):
         parse_config({**data, "N0": 2.0})

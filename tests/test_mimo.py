@@ -8,6 +8,8 @@ import uracs.mimo
 from uracs.ccs import SensingMatrix, build_complex_sensing_matrix, top_k_support
 from uracs.channel import mimo_block_transmit
 from uracs.mimo import (
+    DEFAULT_CD_TOL,
+    DEFAULT_SWEEPS,
     REFRESH_EVERY,
     TAU_INV,
     TAU_SING,
@@ -273,7 +275,7 @@ def test_decode_mimo_list_rule(monkeypatch):
     # columns by (-gamma, index), so ties go to the lower index, and it is
     # reported in index order. Once S runs out of positive gamma the list
     # fills up with the lowest zero-gamma columns, which may lie outside S.
-    def fake_detect(sample_cov, A, S, N0, sweeps, tol):
+    def fake_detect(sample_cov, A, S, N0, sweeps=DEFAULT_SWEEPS, tol=DEFAULT_CD_TOL):
         gamma = np.zeros(A.cols)
         if S.size == A.cols:
             gamma[[1, 3, 5, 7]] = [0.5, 0.7, 0.9, 0.7]
