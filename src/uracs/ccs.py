@@ -8,17 +8,13 @@ enhanced mode that set shrinks with the surviving tree paths.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bits import rows_to_ints
-from .errors import ResourceRefusalError
-from .nnls import nnls_solve
+from .nnls import DEFAULT_NNLS_TOL, nnls_solve
 from .tree import DEFAULT_PATH_CAP, DecodeResult, TreeCodebook, interleaved_decode
-
-DEFAULT_MEMORY_BUDGET = 256 << 20  # bytes
 
 
 @dataclass
@@ -42,37 +38,22 @@ def _seed_key(seed) -> tuple:
     return (int(seed),) if np.isscalar(seed) else tuple(int(s) for s in seed)
 
 
-def check_memory_budget(n: int, widths: Iterable[int], dtype,
-                        memory_budget: int, other_bytes: int = 0) -> None:
-    """Refuse, before anything is allocated, a set of full n x 2^v matrices
-    (one per entry of ``widths``) that, with ``other_bytes`` of other
-    arrays, exceeds the budget."""
-    need = sum(n * (1 << v) for v in widths) * np.dtype(dtype).itemsize + other_bytes
-    if need > memory_budget:
-        raise ResourceRefusalError(
-            f"sensing matrices and trial arrays need {need} bytes, budget is {memory_budget}")
-
-
-def build_sensing_matrix(n: int, v: int, seed,
-                         memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SensingMatrix:
+def build_sensing_matrix(n: int, v: int, seed) -> SensingMatrix:
     """Full 2^v-column real Gaussian matrix with unit-norm columns."""
     if n < 1 or v < 1:
         raise ValueError("need n >= 1 and v >= 1")
-    check_memory_budget(n, (v,), np.float64, memory_budget)
     rng = np.random.default_rng(_seed_key(seed) + (n, v))
     A = rng.standard_normal((n, 1 << v))
     A /= np.linalg.norm(A, axis=0)
     return SensingMatrix(columns=A, v=v)
 
 
-def build_complex_sensing_matrix(n: int, v: int, radius: float, seed,
-                                 memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SensingMatrix:
+def build_complex_sensing_matrix(n: int, v: int, radius: float, seed) -> SensingMatrix:
     """Full 2^v-column complex matrix, every column on the sphere of the given radius."""
     if n < 1 or v < 1:
         raise ValueError("need n >= 1 and v >= 1")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    check_memory_budget(n, (v,), np.complex128, memory_budget)
     rng = np.random.default_rng(_seed_key(seed) + (n, v))
     cols = 1 << v
     A = rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
@@ -104,21 +85,23 @@ def prune_columns(A: SensingMatrix, S: np.ndarray) -> SensingMatrix:
 
 
 def decode_siso(y_slots: list[np.ndarray], matrices: list[SensingMatrix],
-                codebook: TreeCodebook, K: int, mode: str = "original",
-                list_size: int | None = None, force_full_patterns: bool = False,
-                path_cap: int = DEFAULT_PATH_CAP, memo: dict | None = None) -> DecodeResult:
+                codebook: TreeCodebook, list_size: int, mode: str = "original",
+                force_full_patterns: bool = False, path_cap: int = DEFAULT_PATH_CAP,
+                memo: dict | None = None) -> DecodeResult:
     """Recover messages from L slot observations (modes and memo: see
     interleaved_decode).
 
     Each slot runs NNLS on the matrix columns of its index set and keeps the
-    top ``list_size`` (default K) fragments.
+    top ``list_size`` fragments. The NNLS tolerance is DEFAULT_NNLS_TOL, or
+    the slot's rounding level when that is larger: the gradient A^T r of a
+    slot with a large ||y|| carries rounding noise of about eps sqrt(n) ||y||,
+    which a fixed tolerance would chase until the iteration cap.
     """
-    if list_size is None:
-        list_size = K
-
     def solve_slot(y, A, S):
         A_S = prune_columns(A, S)
-        res = nnls_solve(A_S.columns, y)
+        tol = max(DEFAULT_NNLS_TOL,
+                  64 * np.finfo(float).eps * np.sqrt(A.rows) * np.linalg.norm(y))
+        res = nnls_solve(A_S.columns, y, tol)
         # work model: nnls iterations * rows * cols
         return (top_k_support(res.x, list_size, S), res.iterations,
                 res.iterations * A_S.rows * A_S.cols)

@@ -24,22 +24,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits import random_bits, rows_to_ints
-from .ccs import (DEFAULT_MEMORY_BUDGET, build_complex_sensing_matrix,
-                  build_sensing_matrix, check_memory_budget, decode_siso,
-                  user_signals)
+from .ccs import build_complex_sensing_matrix, build_sensing_matrix, decode_siso, user_signals
 from .channel import (EBN0_DB_LIMIT, ebn0_to_amplitude, ebn0_to_power,
                       gmac_transmit, mimo_block_transmit)
-from .errors import ConfigError
+from .errors import ConfigError, ResourceRefusalError
 from .mimo import decode_mimo
 from .predictors import predict_table
 from .tree import (DEFAULT_MIMO_PROFILE, DEFAULT_PATH_CAP, DEFAULT_SISO_PROFILE,
-                   MAX_FRAGMENT_BITS, ParityProfile, PathTracker, TreeCodebook,
-                   encode_messages, fragment_values)
+                   ParityProfile, PathTracker, TreeCodebook, encode_messages,
+                   fragment_values)
 
 # purpose tags for per-trial substreams
 MESSAGES, CODEBOOK, MATRIX, NOISE, FADING = range(5)
 # MIMO noise power; the symbol power follows from Eb/N0, so N0 sets no SNR
 N0 = 1.0
+DEFAULT_MEMORY_BUDGET = 256 << 20  # bytes
 
 NAMED_PROFILES = {
     "siso-default": DEFAULT_SISO_PROFILE,
@@ -77,8 +76,8 @@ class ExperimentConfig:
     master_seed: int = 0
     workers: int = 1
     out: str | None = None
-    # siso and mimo scenarios (ebn0_search: siso only); ebn0_db alone sets
-    # the SNR
+    # siso and mimo scenarios (ebn0_search: siso only, and it sets its own
+    # SNR points); ebn0_db alone sets the SNR
     mode: str = "both"
     timing: str = "model"
     list_size: int | None = None
@@ -162,12 +161,7 @@ def _parse_profile(value) -> ParityProfile:
         return NAMED_PROFILES[value]
     if not isinstance(value, dict) or set(value) != {"m", "l"}:
         raise ValueError("expected a name or an object with keys m, l")
-    profile = ParityProfile(m=tuple(map(_int, value["m"])), l=tuple(map(_int, value["l"])))
-    # a fragment is an int64 column index from slot solver to path tracker
-    if max(profile.v) > MAX_FRAGMENT_BITS:
-        raise ValueError(f"sections may have at most {MAX_FRAGMENT_BITS} coded bits "
-                         f"(m + l), got {max(profile.v)}")
-    return profile
+    return ParityProfile(m=tuple(map(_int, value["m"])), l=tuple(map(_int, value["l"])))
 
 
 _SEARCH_KEYS = {"target_pupe", "lo_db", "hi_db", "resolution_db"}
@@ -230,6 +224,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         if req not in data and not (req == "ebn0_db" and "ebn0_search" in data):
             raise ConfigError(f"{req}: required")
     cfg = ExperimentConfig(**{key: _parse(key, value) for key, value in data.items()})
+    # an ebn0_search picks its own Eb/N0 points and its CSV has no cost column
+    for key in ("ebn0_db", "timing"):
+        if key in data and cfg.ebn0_search is not None:
+            raise ConfigError(f"{key}: not used with ebn0_search")
     if scenario == "mimo" and len(cfg.ebn0_db) != 1:
         raise ConfigError("ebn0_db: mimo scenario takes a single value")
     return cfg
@@ -282,14 +280,16 @@ def _draw_messages(cfg: ExperimentConfig, K: int, trial: int):
 
 
 def _decode_modes(decode, modes, cfg: ExperimentConfig, sent: list[int],
-                  *args, **kwargs) -> TrialResult:
-    """decode(*args, mode=mode, ...) for each mode on the same observations,
-    sharing one memo, so each distinct slot problem is solved once per trial."""
+                  observations, matrices, codebook, *args) -> TrialResult:
+    """decode(observations, matrices, codebook, list_size, *args, mode=mode,
+    ...) for each mode, with list_size = cfg.list_size or K, sharing one
+    memo, so each distinct slot problem is solved once per trial."""
     result = TrialResult(sent=sent)
+    list_size = cfg.list_size or len(sent)
     memo: dict = {}
     for mode in modes:
-        dec = decode(*args, mode=mode, list_size=cfg.list_size,
-                     path_cap=cfg.path_cap, memo=memo, **kwargs)
+        dec = decode(observations, matrices, codebook, list_size, *args, mode=mode,
+                     path_cap=cfg.path_cap, memo=memo)
         d = dec.diagnostics
         result.outcomes[mode] = ModeOutcome(
             decoded=dec.messages, pupe=pupe(sent, dec.messages, len(sent)),
@@ -297,17 +297,33 @@ def _decode_modes(decode, modes, cfg: ExperimentConfig, sent: list[int],
     return result
 
 
-def _check_trial_memory(cfg: ExperimentConfig, K: int, widths, dtype, M: int = 0) -> None:
-    """Refuse a trial, before it allocates anything, whose sensing matrices
-    (one n x 2^v matrix of ``dtype`` per entry of ``widths``) and arrays that
-    grow with K or M exceed the budget. Those arrays are the messages and
-    fragments (uint8, and the float64 parity product behind them), one
-    slot's K x n user signals and, for MIMO, the L n x M observation blocks
-    and one block's K x M fading draw (all of ``dtype``)."""
-    prof = cfg.profile
-    other = (K * (prof.B + sum(prof.v) + 8 * sum(prof.l))
-             + (K * cfg.n + prof.L * cfg.n * M + K * M) * np.dtype(dtype).itemsize)
-    check_memory_budget(cfg.n, widths, dtype, cfg.memory_budget, other)
+def _check_trial_memory(cfg: ExperimentConfig, K: int, M: int = 0) -> None:
+    """Refuse a trial, before it allocates anything, whose arrays exceed the
+    budget. ``M`` is a MIMO trial's antenna count, 0 for a scalar trial.
+
+    Counted: the messages and fragments (uint8, and the float64 parity
+    product behind them); the sensing matrices (real, one per distinct
+    width, or complex, one per MIMO block); one slot's K x n user signals;
+    for MIMO, the L n x M blocks and one block's K x M fading draw; and one
+    slot solve at the widest section: a pruned n x 2^v copy of the matrix
+    and NNLS's (p + 1) x (n + p + 1) passive buffers, p = min(n, 2^v), or
+    CovarianceState's two n x 2^v row copies and three n x n matrices."""
+    prof, n = cfg.profile, cfg.n
+    cols = 1 << max(prof.v)
+    if M:
+        itemsize = np.dtype(np.complex128).itemsize
+        matrices = sum(n << v for v in prof.v)
+        solve = 2 * n * cols + 3 * n * n
+    else:
+        itemsize = np.dtype(np.float64).itemsize
+        matrices = sum(n << v for v in set(prof.v))
+        p = min(n, cols) + 1
+        solve = n * cols + p * (n + p)
+    need = (K * (prof.B + sum(prof.v) + 8 * sum(prof.l))
+            + (matrices + solve + K * n + prof.L * n * M + K * M) * itemsize)
+    if need > cfg.memory_budget:
+        raise ResourceRefusalError(f"sensing matrices and trial arrays need {need} "
+                                   f"bytes, budget is {cfg.memory_budget}")
 
 
 def run_siso_trial(cfg: ExperimentConfig, K: int, ebn0_db: float,
@@ -315,13 +331,11 @@ def run_siso_trial(cfg: ExperimentConfig, K: int, ebn0_db: float,
     """One scalar-channel trial; decodes every mode in cfg.modes on the same
     messages, matrices, and noise."""
     prof = cfg.profile
-    # one matrix per distinct fragment width, shared by the slots of that width
-    widths = set(prof.v)
-    _check_trial_memory(cfg, K, widths, np.float64)
+    _check_trial_memory(cfg, K)
     codebook, sent, frags = _draw_messages(cfg, K, trial)
     mat_seed = derive_seed(cfg.master_seed, trial, MATRIX)
-    by_width = {v: build_sensing_matrix(cfg.n, v, mat_seed, cfg.memory_budget)
-                for v in widths}
+    # one matrix per distinct fragment width, shared by the slots of that width
+    by_width = {v: build_sensing_matrix(cfg.n, v, mat_seed) for v in set(prof.v)}
     matrices = [by_width[v] for v in prof.v]
 
     d = ebn0_to_amplitude(ebn0_db, prof.B, prof.L)
@@ -329,20 +343,19 @@ def run_siso_trial(cfg: ExperimentConfig, K: int, ebn0_db: float,
     y = [gmac_transmit(user_signals(frags[ell - 1], matrices[ell - 1]), d,
                        noise_seed, stream=ell) for ell in range(1, prof.L + 1)]
 
-    return _decode_modes(decode_siso, cfg.modes, cfg, sent, y, matrices, codebook, K)
+    return _decode_modes(decode_siso, cfg.modes, cfg, sent, y, matrices, codebook)
 
 
 def run_mimo_trial(cfg: ExperimentConfig, K: int, M: int,
                    trial: int) -> TrialResult:
     """One MIMO trial; always decodes both modes so the runtime ratio is paired."""
     prof = cfg.profile
-    _check_trial_memory(cfg, K, prof.v, np.complex128, M)
+    _check_trial_memory(cfg, K, M)
     codebook, sent, frags = _draw_messages(cfg, K, trial)
     P = ebn0_to_power(cfg.ebn0_db[0], prof.B, prof.L, cfg.n, N0)
     radius = float(np.sqrt(cfg.n * P))
     mat_seed = derive_seed(cfg.master_seed, trial, MATRIX)
-    matrices = [build_complex_sensing_matrix(cfg.n, prof.v[ell - 1], radius,
-                                             (mat_seed, ell), cfg.memory_budget)
+    matrices = [build_complex_sensing_matrix(cfg.n, prof.v[ell - 1], radius, (mat_seed, ell))
                 for ell in range(1, prof.L + 1)]
 
     fading_seed = derive_seed(cfg.master_seed, trial, FADING)
@@ -352,7 +365,7 @@ def run_mimo_trial(cfg: ExperimentConfig, K: int, M: int,
          for ell in range(1, prof.L + 1)]
 
     return _decode_modes(decode_mimo, ("original", "enhanced"), cfg, sent, Y,
-                         matrices, codebook, K, N0)
+                         matrices, codebook, N0)
 
 
 def _map_trials(fn, cfg: ExperimentConfig, *args) -> list[TrialResult]:

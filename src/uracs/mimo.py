@@ -9,8 +9,6 @@ indices that the admissible parity patterns of the surviving tree paths generate
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ccs import SensingMatrix, top_k_support
@@ -34,7 +32,7 @@ def sample_covariance(Y: np.ndarray) -> np.ndarray:
 
 
 class CovarianceState:
-    """Running gamma estimate and inverse of N0*I + A diag(gamma) A^H."""
+    """Running gamma, inverse of N0*I + A diag(gamma) A^H, and solve counters."""
 
     def __init__(self, sample_cov: np.ndarray, A: SensingMatrix, N0: float):
         n = A.rows
@@ -49,6 +47,7 @@ class CovarianceState:
         # column k as a contiguous row, and its conjugate, for coordinate_step
         self._rows = np.ascontiguousarray(A.columns.T)
         self._rows_conj = self._rows.conj()
+        self.sweeps_run = 0
         self.updates = 0
         self.skipped = 0
         self._since_check = 0
@@ -104,59 +103,46 @@ class CovarianceState:
         return d_eff
 
 
-@dataclass
-class ActivityDiagnostics:
-    sweeps_run: int = 0
-    updates: int = 0
-    skipped: int = 0
-
-
 def activity_detect(sample_cov: np.ndarray, A: SensingMatrix,
                     S: np.ndarray, N0: float, sweeps: int = DEFAULT_SWEEPS,
-                    tol: float = DEFAULT_CD_TOL) -> tuple[np.ndarray, ActivityDiagnostics]:
+                    tol: float = DEFAULT_CD_TOL) -> tuple[np.ndarray, CovarianceState]:
     """Coordinate descent over the column indices S; ascending order within a sweep.
 
     Stops after ``sweeps`` full passes or when the largest absolute gamma
     change within a pass drops below ``tol``. Entries outside S stay zero.
+    Returns gamma and the final state, which holds the solve's counters.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
     state = CovarianceState(sample_cov, A, N0)
-    diag = ActivityDiagnostics()
     for _ in range(sweeps):
         max_change = 0.0
         for k in S.tolist():
             max_change = max(max_change, abs(state.coordinate_step(k)))
-        diag.sweeps_run += 1
+        state.sweeps_run += 1
         if max_change < tol:
             break
-    diag.updates = state.updates
-    diag.skipped = state.skipped
-    return state.gamma, diag
+    return state.gamma, state
 
 
 def decode_mimo(Y_blocks: list[np.ndarray], matrices: list[SensingMatrix],
-                codebook: TreeCodebook, K: int, N0: float,
-                mode: str = "original", list_size: int | None = None,
-                force_full_patterns: bool = False,
+                codebook: TreeCodebook, list_size: int, N0: float,
+                mode: str = "original", force_full_patterns: bool = False,
                 path_cap: int = DEFAULT_PATH_CAP,
                 memo: dict | None = None) -> DecodeResult:
     """Recover messages from L block observations (modes and memo: see
     interleaved_decode).
 
     Each block runs activity detection over its index set and keeps the
-    ``list_size`` (default K) largest gamma entries, in index order. They are
-    ranked over all columns, so a list short of positive gamma fills up with
-    zero-gamma columns, which may lie outside the set.
+    ``list_size`` largest gamma entries, in index order. They are ranked over
+    all columns, so a list short of positive gamma fills up with zero-gamma
+    columns, which may lie outside the set.
     """
-    if list_size is None:
-        list_size = K
-
     def solve_slot(Y, A, S):
-        gamma, adiag = activity_detect(sample_covariance(Y), A, S, N0)
+        gamma, state = activity_detect(sample_covariance(Y), A, S, N0)
         found = np.sort(top_k_support(gamma, list_size, np.arange(A.cols)))
         # every visited coordinate costs an n^2 matvec whether or not it moves
-        return found, adiag.sweeps_run, adiag.sweeps_run * S.size * A.rows ** 2
+        return found, state.sweeps_run, state.sweeps_run * S.size * A.rows ** 2
 
     return interleaved_decode(Y_blocks, matrices, codebook, mode,
                               force_full_patterns, path_cap, solve_slot, memo)

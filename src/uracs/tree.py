@@ -47,6 +47,9 @@ class ParityProfile:
             raise ValueError("the first section carries no parity (l[0] must be 0)")
         if any(m + l <= 0 for m, l in zip(self.m, self.l)):
             raise ValueError("every section must have m + l > 0")
+        if max(self.v) > MAX_FRAGMENT_BITS:
+            raise ValueError(f"sections may have at most {MAX_FRAGMENT_BITS} coded bits "
+                             f"(m + l), got {max(self.v)}")
 
     @property
     def B(self) -> int:
@@ -294,13 +297,11 @@ def tree_decode(lists: list[np.ndarray], codebook: TreeCodebook,
 
     A root yields a message iff exactly one message survives to the last
     stage; roots with no survivors, distinct survivors, or a capped search
-    count as failures. Fragments wider than MAX_FRAGMENT_BITS raise ValueError.
+    count as failures.
     """
     prof = codebook.profile
     if len(lists) != prof.L:
         raise ValueError(f"{len(lists)} lists for an L={prof.L} profile")
-    if max(prof.v) > MAX_FRAGMENT_BITS:
-        raise ValueError(f"fragments wider than {MAX_FRAGMENT_BITS} bits have no int64 index")
     for ell, (arr, v) in enumerate(zip(lists, prof.v), start=1):
         if arr.ndim != 2 or arr.shape[1] != v:
             raise ValueError(f"list {ell} fragments must be {v} bits wide")

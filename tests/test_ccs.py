@@ -8,13 +8,11 @@ from uracs.bits import ints_to_rows, random_bits, rows_to_ints
 from uracs.ccs import (
     build_complex_sensing_matrix,
     build_sensing_matrix,
-    check_memory_budget,
     decode_siso,
     prune_columns,
     top_k_support,
     user_signals,
 )
-from uracs.errors import ResourceRefusalError
 from uracs.tree import ParityProfile, TreeCodebook, admissible_columns, encode_messages
 
 
@@ -51,20 +49,6 @@ def test_build_complex_sensing_matrix_radius():
     np.testing.assert_allclose(np.linalg.norm(A.columns, axis=0), 3.0, atol=1e-12)
     with pytest.raises(ValueError):
         build_complex_sensing_matrix(8, 5, radius=0.0, seed=2)
-
-
-def test_memory_budget_refusal():
-    with pytest.raises(ResourceRefusalError):
-        build_sensing_matrix(64, 20, seed=0, memory_budget=1 << 20)
-    with pytest.raises(ResourceRefusalError):
-        build_complex_sensing_matrix(64, 16, radius=1.0, seed=0,
-                                     memory_budget=1 << 20)
-    # A matrix that fits is built without complaint.
-    build_sensing_matrix(8, 4, seed=0, memory_budget=1 << 20)
-    # The check bounds the sum over a set of widths, not each matrix alone.
-    check_memory_budget(8, (4, 4), np.float64, 2 * 8 * 16 * 8)
-    with pytest.raises(ResourceRefusalError):
-        check_memory_budget(8, (4, 4), np.float64, 2 * 8 * 16 * 8 - 1)
 
 
 def test_column_cross_correlation_is_small():
@@ -152,14 +136,14 @@ def test_decode_siso_noiseless_roundtrip_both_modes():
     prof, cb, W, mats, y = make_noiseless_instance(seed_cb=21, seed_msg=4)
     sent = sorted(int(x) for x in rows_to_ints(W))
     for mode in ("original", "enhanced"):
-        res = decode_siso(y, mats, cb, K=2, mode=mode)
+        res = decode_siso(y, mats, cb, list_size=2, mode=mode)
         assert res.failures == 0
         assert sorted(res.messages) == sent
         assert len(res.diagnostics.cols) == prof.L
         assert len(res.diagnostics.iterations) == prof.L
     # Enhanced mode never solves a larger system than original mode.
-    orig = decode_siso(y, mats, cb, K=2, mode="original")
-    enh = decode_siso(y, mats, cb, K=2, mode="enhanced")
+    orig = decode_siso(y, mats, cb, list_size=2, mode="original")
+    enh = decode_siso(y, mats, cb, list_size=2, mode="enhanced")
     assert all(e <= o for e, o in
                zip(enh.diagnostics.cols, orig.diagnostics.cols))
     assert enh.diagnostics.cols[0] == orig.diagnostics.cols[0]
@@ -171,8 +155,8 @@ def test_decode_siso_forced_full_patterns_equals_original():
     prof, cb, W, mats, y = make_noiseless_instance(seed_cb=21, seed_msg=4)
     rng = np.random.default_rng(11)
     noisy = [yy + 0.3 * rng.standard_normal(yy.shape) for yy in y]
-    a = decode_siso(noisy, mats, cb, K=2, mode="original")
-    b = decode_siso(noisy, mats, cb, K=2, mode="enhanced",
+    a = decode_siso(noisy, mats, cb, list_size=2, mode="original")
+    b = decode_siso(noisy, mats, cb, list_size=2, mode="enhanced",
                     force_full_patterns=True)
     assert a.messages == b.messages
     assert a.failures == b.failures
@@ -183,7 +167,7 @@ def test_decode_siso_forced_full_patterns_equals_original():
 
 def test_decode_siso_work_model_is_iterations_times_size():
     prof, cb, W, mats, y = make_noiseless_instance(seed_cb=21, seed_msg=4)
-    res = decode_siso(y, mats, cb, K=2, mode="enhanced")
+    res = decode_siso(y, mats, cb, list_size=2, mode="enhanced")
     d = res.diagnostics
     expect = sum(it * 24 * c for it, c in zip(d.iterations, d.cols))
     assert d.work_units == expect
@@ -202,7 +186,7 @@ def test_decode_siso_dead_paths_after_total_cap():
     mats = [build_sensing_matrix(16, prof.v[ell], seed=(20, ell))
             for ell in range(prof.L)]
     y = [slot_signal(frags[ell], mats[ell]) for ell in range(prof.L)]
-    res = decode_siso(y, mats, cb, K=1, mode="enhanced", list_size=4, path_cap=3)
+    res = decode_siso(y, mats, cb, list_size=4, mode="enhanced", path_cap=3)
     assert res.messages == []
     # Every slot-1 list entry opens a root; all four roots blow past the cap.
     assert res.failures == 4
@@ -214,10 +198,10 @@ def test_decode_siso_dead_paths_after_total_cap():
 def test_decode_siso_input_validation():
     prof, cb, W, mats, y = make_noiseless_instance(seed_cb=21, seed_msg=4)
     with pytest.raises(ValueError):
-        decode_siso(y, mats, cb, K=2, mode="fancy")
+        decode_siso(y, mats, cb, list_size=2, mode="fancy")
     with pytest.raises(ValueError):
-        decode_siso(y[:2], mats, cb, K=2)
+        decode_siso(y[:2], mats, cb, list_size=2)
     bad = list(mats)
     bad[1] = build_sensing_matrix(24, 5, seed=0)
     with pytest.raises(ValueError):
-        decode_siso(y, bad, cb, K=2)
+        decode_siso(y, bad, cb, list_size=2)

@@ -20,6 +20,8 @@ SISO_DATA = {
     "ebn0_db": 10.0,
     "n": 12,
 }
+# an ebn0_search picks its own Eb/N0 points, so its config has no ebn0_db
+SEARCH_DATA = {k: v for k, v in SISO_DATA.items() if k != "ebn0_db"}
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -178,11 +180,17 @@ def test_main_bad_ebn0_search_is_config_error(tmp_path, capsys):
     search = {"target_pupe": 0.5, "lo_db": 0.0, "hi_db": 8.0, "resolution_db": 1.0}
     for key, value in [("target_pupe", "abc"), ("target_pupe", None),
                        ("resolution_db", float("nan"))]:
-        data = {**SISO_DATA, "ebn0_search": {**search, key: value}}
+        data = {**SEARCH_DATA, "ebn0_search": {**search, key: value}}
         cfg = write_cfg(tmp_path, data)
         assert main(["siso", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ebn0_search")
+    # keys the search would leave unread are refused beside it
+    for key, value in [("ebn0_db", 10.0), ("timing", "wall")]:
+        cfg = write_cfg(tmp_path, {**SEARCH_DATA, "ebn0_search": search, key: value})
+        assert main(["siso", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {key}: not used with ebn0_search")
 
 
 def test_main_refuses_non_finite_numbers_negative_seed_and_zero_path_cap(tmp_path, capsys):
@@ -213,8 +221,7 @@ def test_main_refuses_ebn0_beyond_the_limit(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("config error: ebn0_db")
     search = {"target_pupe": 0.5, "lo_db": 0.0, "hi_db": 8.0, "resolution_db": 1.0}
     for key, value in [("hi_db", 5000), ("lo_db", -5000)]:
-        data = {**SISO_DATA, "ebn0_search": {**search, key: value}}
-        del data["ebn0_db"]
+        data = {**SEARCH_DATA, "ebn0_search": {**search, key: value}}
         assert main(["siso", "--config", write_cfg(tmp_path, data)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: ebn0_search: {key}")
     # the limit itself is accepted
@@ -226,7 +233,7 @@ def test_search_below_the_float_gap_ends(tmp_path):
     # A resolution_db finer than the gap between adjacent floats at the
     # threshold once made the bisection loop forever; it now stops when the
     # midpoint equals an end, within 1e-12 dB of a 1e-12 dB search.
-    data = {**SISO_DATA, "trials": 2, "master_seed": 97, "mode": "original",
+    data = {**SEARCH_DATA, "trials": 2, "master_seed": 97, "mode": "original",
             "ebn0_search": {"target_pupe": 0.5, "lo_db": 0.0, "hi_db": 24.0,
                             "resolution_db": 1e-12}}
     env = {**os.environ, "PYTHONPATH": str(Path(uracs.__file__).parents[1])}

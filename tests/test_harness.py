@@ -216,7 +216,6 @@ def test_parse_config_named_profile_and_search():
         "scenario": "siso",
         "profile": "siso-default",
         "K": [25, 50],
-        "ebn0_db": [2.0, 4.0],
         "n": 128,
         "ebn0_search": {"target_pupe": 0.1, "lo_db": 0.0, "hi_db": 8.0,
                         "resolution_db": 0.25},
@@ -256,8 +255,11 @@ def test_ebn0_search_rows(extra, search, required):
         "ebn0_search": {"target_pupe": 0.5, "resolution_db": 2.0, **search}}
     cfg = parse_config(data)
     text = run_experiment(cfg)
-    # the search sets its own Eb/N0 points, so an ebn0_db grid changes nothing
-    assert run_experiment(parse_config({**data, "ebn0_db": 0.0})) == text
+    # the search sets its own Eb/N0 points and its CSV has no cost column,
+    # so an ebn0_db grid or a timing beside it is refused
+    for key, value in [("ebn0_db", 0.0), ("timing", "model")]:
+        with pytest.raises(ConfigError, match=f"^{key}: not used with ebn0_search$"):
+            parse_config({**data, key: value})
     lines = text.splitlines()
     assert lines[0] == "K,mode,target_pupe,required_ebn0_db,trials"
     rows = [line.split(",") for line in lines[1:]]
@@ -443,15 +445,44 @@ def test_mimo_lists_filled_outside_s_match_recorded_outcomes():
             assert (o.decoded, o.per_slot, o.work_units, o.pupe) == (decoded, per_slot, work, 0.0)
 
 
+def test_siso_decodes_at_200_db_converge_and_match_16_db(monkeypatch):
+    # nnls_solve's default tolerance, 1e-8, lies below the rounding noise of
+    # the gradient A^T r once ||y|| exceeds about 1e5. At 200 dB half of
+    # this config's slot solves then cycled to the 10 c iteration cap, and
+    # PUPE rose from 0.25 to 0.75 (original) and 0.5 (enhanced). decode_siso
+    # floors the tolerance at the slot's rounding level.
+    real, solves = ccs.nnls_solve, []
+
+    def recording(*args, **kwargs):
+        solves.append(real(*args, **kwargs))
+        return solves[-1]
+    monkeypatch.setattr(ccs, "nnls_solve", recording)
+    data = {"scenario": "siso", "profile": {"m": [6, 4, 3], "l": [0, 2, 3]},
+            "K": 2, "n": 24}
+
+    def pupe_by_mode(ebn0_db):
+        cfg = parse_config({**data, "ebn0_db": ebn0_db})
+        results = [run_siso_trial(cfg, 2, ebn0_db, t) for t in range(4)]
+        return {mode: [r.outcomes[mode].pupe for r in results] for mode in cfg.modes}
+
+    low = pupe_by_mode(16.0)
+    solves.clear()
+    assert pupe_by_mode(200.0) == low
+    assert solves
+    assert all(s.converged and s.iterations < 10 * s.x.size for s in solves)
+
+
 def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     # Four MIMO blocks of 4-bit fragments (B = 10 info, 6 parity bits), K = 2,
     # M = 16, n = 8: four 8 x 16 complex matrices take 8192 bytes; messages
     # and fragments 2 x (10 + 16) bytes plus a 2 x 6 float64 parity product,
     # 148 bytes; 2 x 8 user signals, four 8 x 16 blocks and a 2 x 16 fading
-    # draw, 560 complex numbers or 8960 bytes. 17300 bytes in all, and one
-    # byte less refuses the trial before any matrix is built.
+    # draw, 560 complex numbers or 8960 bytes; one block's activity
+    # detection, two 8 x 16 row copies and three 8 x 8 matrices, 448 complex
+    # numbers or 7168 bytes. 24468 bytes in all, and one byte less refuses
+    # the trial before any matrix is built.
     data = {"scenario": "mimo", "profile": {"m": [4, 2, 2, 2], "l": [0, 2, 2, 2]},
-            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 17299}
+            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 24467}
     cfg = parse_config(data)
 
     def no_build(*args, **kwargs):
@@ -459,24 +490,32 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(harness, "build_complex_sensing_matrix", no_build)
-        with pytest.raises(ResourceRefusalError):
+        with pytest.raises(ResourceRefusalError,
+                           match="need 24468 bytes, budget is 24467"):
             run_mimo_trial(cfg, 2, 16, 0)
-    run_mimo_trial(replace(cfg, memory_budget=17300), 2, 16, 0)
+    run_mimo_trial(replace(cfg, memory_budget=24468), 2, 16, 0)
     # The scalar trial builds one matrix per distinct width (3 and 4 bits
     # here): 12 x (8 + 16) doubles, 2304 bytes. With K = 1, B = 7, 11 coded
     # and 4 parity bits, messages and fragments take 7 + 11 + 8 x 4 = 50
-    # bytes and the user signals 12 doubles, 96 bytes: 2450 in all.
-    siso = parse_config(siso_config(memory_budget=2449))
-    with pytest.raises(ResourceRefusalError):
+    # bytes and the user signals 12 doubles, 96 bytes. One slot solve at the
+    # 4-bit width holds a pruned 12 x 16 copy of its matrix and NNLS's
+    # passive buffers, 13 x (12 + 13) for min(12, 16) = 12: 517 doubles,
+    # 4136 bytes. 6586 in all.
+    siso = parse_config(siso_config(memory_budget=6585))
+    with pytest.raises(ResourceRefusalError, match="need 6586 bytes, budget is 6585"):
         run_siso_trial(siso, 1, 10.0, 0)
-    run_siso_trial(replace(siso, memory_budget=2450), 1, 10.0, 0)
+    run_siso_trial(replace(siso, memory_budget=6586), 1, 10.0, 0)
 
 
 def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
     # Matrices of a few KiB, but L = 3 MIMO blocks of 16 x 1e8 complex
-    # numbers take about 72 GiB, and 1e8 scalar-channel users' messages,
-    # fragments and signals about 14 GiB: both trials are refused under the
-    # default 256 MiB budget before a message is drawn.
+    # numbers and a 2 x 1e8 fading draw take 8e10 bytes; with 100 bytes of
+    # messages and fragments, three matrices (640 complex numbers), one
+    # block's activity detection (1280) and the 2 x 16 user signals (32),
+    # 80000031332 bytes. 1e8 scalar-channel users' messages and fragments
+    # (50 bytes each) and signals (12 doubles each) take 14600000000 bytes,
+    # and 6440 more for the matrices and one slot solve. Both trials are
+    # refused under the default 256 MiB budget before a message is drawn.
     def no_alloc(*args, **kwargs):
         raise AssertionError("the trial allocated before the refusal")
 
@@ -484,10 +523,10 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
                  "build_complex_sensing_matrix", "mimo_block_transmit"):
         monkeypatch.setattr(harness, name, no_alloc)
     mimo_cfg = parse_config({**MIMO_SMALL, "M": 1e8, "n": 16})
-    with pytest.raises(ResourceRefusalError, match="need 80000010852 bytes"):
+    with pytest.raises(ResourceRefusalError, match="need 80000031332 bytes"):
         run_mimo_trial(mimo_cfg, 2, 10 ** 8, 0)
     siso = parse_config(siso_config(K=10 ** 8))
-    with pytest.raises(ResourceRefusalError):
+    with pytest.raises(ResourceRefusalError, match="need 14600006440 bytes"):
         run_siso_trial(siso, 10 ** 8, 10.0, 0)
 
 

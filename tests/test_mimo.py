@@ -1,5 +1,7 @@
 """Tests for covariance-based MIMO activity detection and the block decoder."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -151,11 +153,12 @@ def test_activity_detect_exact_support_large_arrays():
     A = build_complex_sensing_matrix(n, v, radius=np.sqrt(n * P), seed=3)
     idx = np.array([7, 23])
     Y = mimo_block_transmit(idx, A.columns, M, N0, 4, 5, block=0)
-    gamma, diag = activity_detect(sample_covariance(Y), A, np.arange(1 << v), N0)
+    gamma, state = activity_detect(sample_covariance(Y), A, np.arange(1 << v), N0)
     top = top_k_support(gamma, 2, np.arange(1 << v))
     assert sorted(top.tolist()) == [7, 23]
-    assert diag.sweeps_run >= 1
-    assert diag.updates > 0
+    assert state.gamma is gamma
+    assert state.sweeps_run >= 1
+    assert state.updates > 0
 
 
 def test_drift_is_checked_once_per_refresh_interval(monkeypatch):
@@ -174,9 +177,9 @@ def test_drift_is_checked_once_per_refresh_interval(monkeypatch):
         return drift(self)
 
     monkeypatch.setattr(CovarianceState, "drift", counted_drift)
-    _, diag = activity_detect(sample_covariance(Y), A, np.arange(1 << v), N0, tol=0.0)
-    assert diag.updates > 3 * REFRESH_EVERY
-    assert 1 <= len(checks) <= -(-diag.updates // REFRESH_EVERY)
+    _, state = activity_detect(sample_covariance(Y), A, np.arange(1 << v), N0, tol=0.0)
+    assert state.updates > 3 * REFRESH_EVERY
+    assert 1 <= len(checks) <= -(-state.updates // REFRESH_EVERY)
 
 
 def test_activity_detect_restricted_sweep_stays_in_set():
@@ -195,11 +198,11 @@ def test_activity_detect_pure_noise_converges_immediately():
     # clamped to zero and the loop stops after one sweep.
     n, v = 4, 3
     A = build_complex_sensing_matrix(n, v, radius=1.0, seed=9)
-    gamma, diag = activity_detect(np.eye(n, dtype=np.complex128), A,
-                                  np.arange(1 << v), N0=1.0)
+    gamma, state = activity_detect(np.eye(n, dtype=np.complex128), A,
+                                   np.arange(1 << v), N0=1.0)
     assert np.all(gamma == 0.0)
-    assert diag.sweeps_run == 1
-    assert diag.updates == 0
+    assert state.sweeps_run == 1
+    assert state.updates == 0
 
 
 def make_mimo_instance(K=2, seed=13):
@@ -224,11 +227,11 @@ def test_decode_mimo_roundtrip_both_modes():
     prof, cb, W, mats, blocks, N0 = make_mimo_instance()
     sent = sorted(int(x) for x in rows_to_ints(W))
     for mode in ("original", "enhanced"):
-        res = decode_mimo(blocks, mats, cb, K=2, N0=N0, mode=mode)
+        res = decode_mimo(blocks, mats, cb, list_size=2, N0=N0, mode=mode)
         assert sorted(res.messages) == sent
         assert res.failures == 0
-    orig = decode_mimo(blocks, mats, cb, K=2, N0=N0, mode="original")
-    enh = decode_mimo(blocks, mats, cb, K=2, N0=N0, mode="enhanced")
+    orig = decode_mimo(blocks, mats, cb, list_size=2, N0=N0, mode="original")
+    enh = decode_mimo(blocks, mats, cb, list_size=2, N0=N0, mode="enhanced")
     assert orig.diagnostics.cols == [8, 16, 16]
     assert enh.diagnostics.cols[0] == 8
     assert all(e <= o for e, o in
@@ -240,8 +243,8 @@ def test_decode_mimo_roundtrip_both_modes():
 
 def test_decode_mimo_forced_full_equals_original():
     prof, cb, W, mats, blocks, N0 = make_mimo_instance(seed=17)
-    a = decode_mimo(blocks, mats, cb, K=2, N0=N0, mode="original")
-    b = decode_mimo(blocks, mats, cb, K=2, N0=N0, mode="enhanced",
+    a = decode_mimo(blocks, mats, cb, list_size=2, N0=N0, mode="original")
+    b = decode_mimo(blocks, mats, cb, list_size=2, N0=N0, mode="enhanced",
                     force_full_patterns=True)
     assert a.messages == b.messages
     assert a.failures == b.failures
@@ -252,7 +255,7 @@ def test_decode_mimo_forced_full_equals_original():
 
 def test_decode_mimo_work_model():
     prof, cb, W, mats, blocks, N0 = make_mimo_instance()
-    res = decode_mimo(blocks, mats, cb, K=2, N0=N0, mode="enhanced")
+    res = decode_mimo(blocks, mats, cb, list_size=2, N0=N0, mode="enhanced")
     d = res.diagnostics
     expect = sum(s * sz * 64 for s, sz in zip(d.iterations, d.cols))
     assert d.work_units == expect
@@ -261,13 +264,13 @@ def test_decode_mimo_work_model():
 def test_decode_mimo_input_validation():
     prof, cb, W, mats, blocks, N0 = make_mimo_instance()
     with pytest.raises(ValueError):
-        decode_mimo(blocks, mats, cb, K=2, N0=N0, mode="turbo")
+        decode_mimo(blocks, mats, cb, list_size=2, N0=N0, mode="turbo")
     with pytest.raises(ValueError):
-        decode_mimo(blocks[:2], mats, cb, K=2, N0=N0)
+        decode_mimo(blocks[:2], mats, cb, list_size=2, N0=N0)
     bad = list(mats)
     bad[1] = build_complex_sensing_matrix(8, 5, radius=1.0, seed=0)
     with pytest.raises(ValueError):
-        decode_mimo(blocks, bad, cb, K=2, N0=N0)
+        decode_mimo(blocks, bad, cb, list_size=2, N0=N0)
 
 
 def test_decode_mimo_list_rule(monkeypatch):
@@ -281,12 +284,12 @@ def test_decode_mimo_list_rule(monkeypatch):
             gamma[[1, 3, 5, 7]] = [0.5, 0.7, 0.9, 0.7]
         else:
             gamma[S[-1]] = 1.0
-        return gamma, uracs.mimo.ActivityDiagnostics(sweeps_run=1)
+        return gamma, SimpleNamespace(sweeps_run=1)
 
     monkeypatch.setattr(uracs.mimo, "activity_detect", fake_detect)
     prof, cb, W, mats, blocks, N0 = make_mimo_instance()
     memo: dict = {}  # (slot, S bytes) -> (indices, ...): the lists decode_mimo chose
-    decode_mimo(blocks, mats, cb, K=2, N0=N0, mode="enhanced", memo=memo)
+    decode_mimo(blocks, mats, cb, list_size=2, N0=N0, mode="enhanced", memo=memo)
     lists = {ell: (np.frombuffer(key, dtype=np.int64), out[0].tolist())
              for (ell, key), out in memo.items()}
     # ranked 5, then 3 and 7 tied at 0.7: the tie goes to 3, reported as [3, 5]
@@ -297,4 +300,4 @@ def test_decode_mimo_list_rule(monkeypatch):
         assert got == [0, int(S[-1])]
     assert any(0 not in S for S, _ in restricted)
     with pytest.raises(ValueError):
-        decode_mimo(blocks, mats, cb, K=2, N0=N0, list_size=0)
+        decode_mimo(blocks, mats, cb, list_size=0, N0=N0)

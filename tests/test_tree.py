@@ -416,14 +416,12 @@ def test_tree_decode_rejects_malformed_lists():
         tree_decode([good[0][0], good[1]], cb)
 
 
-def test_tree_decode_refuses_fragments_wider_than_63_bits():
+def test_profile_refuses_sections_wider_than_63_bits():
     # the path search takes fragments as int64 column indices, which a
-    # 64-bit fragment would overflow
-    prof = ParityProfile(m=(2, 62), l=(0, 2))
-    cb = TreeCodebook(prof, seed=61)
-    lists = encode_messages(np.zeros((1, prof.B), dtype=np.uint8), cb)
-    with pytest.raises(ValueError, match="wider than 63 bits"):
-        tree_decode(lists, cb)
+    # 64-bit fragment would overflow, so no profile may have one
+    with pytest.raises(ValueError, match="at most 63 coded bits \\(m \\+ l\\), got 64"):
+        ParityProfile(m=(2, 62), l=(0, 2))
+    assert ParityProfile(m=(2, 61), l=(0, 2)).v == (2, 63)
 
 
 def test_codebook_determinism():
