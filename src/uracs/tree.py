@@ -83,8 +83,13 @@ class TreeCodebook:
     """Seeded GF(2) generator matrices G[j][l] (m_j x l_l) for j < l.
 
     Equal (profile, seed) pairs reproduce identical parity on both sides of
-    the link. Each matrix comes from an independent PRNG stream keyed by
-    (seed, j, l).
+    the link. Each matrix comes from an independent PCG64 stream seeded by
+    ``SeedSequence`` with the entropy words of the tuple (seed, j, l): the
+    seed's 32-bit chunks, low chunk first, then j, then l. Its m_j * l_l
+    bits, row by row, are bit 7 of the first m_j * l_l bytes of the stream's
+    64-bit outputs read little-endian. That is the top bit of each byte,
+    which is what ``default_rng((seed, j, l)).integers(0, 2, (m_j, l_l),
+    np.uint8)`` returns, without building a Generator per block.
 
     All of them live in one read-only B x sum(l) float64 0/1 matrix ``G``
     that maps a message's info bits to the parity bits of every section: the
@@ -97,14 +102,26 @@ class TreeCodebook:
     def __init__(self, profile: ParityProfile, seed: int):
         self.profile = profile
         self.seed = int(seed)
+        # SeedSequence's rule; the chunks below would not be its words
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         # row offsets of each section's info bits, column offsets of its parity
         self._rows = np.cumsum((0,) + profile.m)
         self._cols = np.cumsum((0,) + profile.l)
         self.G = np.zeros((profile.B, self._cols[-1]))
+        # entropy words of (seed, j, ell); only the last two change per block
+        words = np.array([self.seed >> s & 0xFFFFFFFF
+                          for s in range(0, max(self.seed.bit_length(), 1), 32)] + [0, 0],
+                         dtype=np.uint32)
         for ell in range(2, profile.L + 1):
             for j in range(1, ell):
-                self.generator(j, ell)[...] = np.random.default_rng((self.seed, j, ell)).integers(
-                    0, 2, size=(profile.m[j - 1], profile.l[ell - 1]), dtype=np.uint8)
+                bits = profile.m[j - 1] * profile.l[ell - 1]
+                if not bits:
+                    continue
+                words[-2:] = j, ell
+                raw = np.random.PCG64(np.random.SeedSequence(words)).random_raw(-(-bits // 8))
+                stream = raw.astype("<u8", copy=False).view(np.uint8)[:bits] >> 7
+                self.generator(j, ell)[...] = stream.reshape(profile.m[j - 1], profile.l[ell - 1])
         self.G.flags.writeable = False
 
     def generator(self, j: int, ell: int) -> np.ndarray:
@@ -230,7 +247,10 @@ class PathTracker:
         """Admissible parity patterns for the next stage, as sorted integers."""
         if self.stage >= self.codebook.profile.L:
             raise ValueError("already at the final stage")
-        return np.unique(self._next)
+        patterns = np.sort(self._next)
+        first = np.ones(patterns.size, dtype=bool)
+        np.not_equal(patterns[1:], patterns[:-1], out=first[1:])
+        return patterns[first]
 
     def advance(self, fragments: np.ndarray) -> None:
         """Extend every live path into the next index list, pruning inconsistent branches."""
@@ -247,22 +267,20 @@ class PathTracker:
         parities = parities[order]
         lo = np.searchsorted(parities, self._next, side="left")
         counts = np.searchsorted(parities, self._next, side="right") - lo
-        rep = np.repeat(np.arange(self._next.shape[0]), counts)
-        run_start = np.cumsum(counts) - counts
-        taken = fragments[order[np.repeat(lo - run_start, counts) + np.arange(rep.shape[0])]]
-        new_info = np.hstack([self._info[rep], ints_to_rows(taken >> l, m)])
-        new_roots = self._roots[rep]
         # worst-case branching is exponential; abandon roots that blow up
-        per_root = np.bincount(new_roots, minlength=self.root_count)
+        # before building their paths
+        per_root = np.bincount(self._roots, weights=counts, minlength=self.root_count)
         over = np.flatnonzero(per_root > self.path_cap)
         if over.size:
             newly = set(int(r) for r in over) - self._failed
             self._failed.update(newly)
             self.diagnostics.capped_roots += len(newly)
-            keep = ~np.isin(new_roots, over)
-            new_info = new_info[keep]
-            new_roots = new_roots[keep]
-        self._enter(ell, new_info, new_roots)
+            counts[np.isin(self._roots, over)] = 0
+        rep = np.repeat(np.arange(self._next.shape[0]), counts)
+        run_start = np.cumsum(counts) - counts
+        taken = fragments[order[np.repeat(lo - run_start, counts) + np.arange(rep.shape[0])]]
+        self._enter(ell, np.hstack([self._info[rep], ints_to_rows(taken >> l, m)]),
+                    self._roots[rep])
 
     def finalize(self) -> DecodeResult:
         """Settle per-root books: one surviving message per root, else a failure."""

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import uracs.tree as tree_module
 from uracs.bits import ints_to_rows, random_bits, rows_to_ints
+from uracs.harness import CODEBOOK, derive_seed
 from uracs.tree import (
     DEFAULT_MIMO_PROFILE,
     DEFAULT_PATH_CAP,
@@ -203,10 +205,17 @@ def test_float_parity_equals_integer_parity(profile):
 
 
 def test_generator_blocks_are_read_only_views_of_the_seeded_streams():
+    # Seeds of one and of two or more 32-bit entropy words (trials seed the
+    # codebook with 64-bit derive_seed values), and profiles with m = 0 or
+    # l = 0 sections, whose blocks are empty (mimo-96 has both).
     rng = np.random.default_rng(29)
-    for prof in [DEFAULT_SISO_PROFILE, DEFAULT_MIMO_PROFILE] + [
-            random_profile(rng) for _ in range(20)]:
-        seed = int(rng.integers(1 << 32))
+    edge_seeds = [0, (1 << 32) - 1, 1 << 32, 1 << 63, (1 << 64) - 1] + [
+        derive_seed(master, trial, CODEBOOK) for master, trial in [(1, 0), (7, 3), (2026, 199)]]
+    cases = [(prof, seed) for prof in (DEFAULT_SISO_PROFILE, DEFAULT_MIMO_PROFILE,
+                                       ParityProfile(m=(3, 0, 5, 2), l=(0, 4, 0, 9)))
+             for seed in edge_seeds]
+    cases += [(random_profile(rng), int(rng.integers(1 << 32))) for _ in range(20)]
+    for prof, seed in cases:
         cb = TreeCodebook(prof, seed)
         for ell in range(2, prof.L + 1):
             for j in range(1, ell):
@@ -217,6 +226,14 @@ def test_generator_blocks_are_read_only_views_of_the_seeded_streams():
                 assert not G.flags.writeable
                 with pytest.raises(ValueError):
                     G[...] = 0
+
+
+def test_codebook_refuses_negative_seeds():
+    # SeedSequence refuses them too; the seed's 32-bit chunks never run out
+    prof = ParityProfile(m=(2, 2), l=(0, 2))
+    for seed in (-1, -(1 << 64)):
+        with pytest.raises(ValueError, match="non-negative"):
+            TreeCodebook(prof, seed)
 
 
 def test_messages_wider_than_63_bits_keep_every_bit():
@@ -392,6 +409,49 @@ def test_path_cap_marks_root_failed():
     res2 = tree_decode(lists, cb, path_cap=100)
     assert res2.diagnostics.capped_roots == 0
     assert res2.failures == 1
+
+
+def test_capped_roots_keep_the_other_paths_in_order():
+    # advance keeps the extended paths of roots within the cap, in parent
+    # order and then list order, exactly as if it built every path first
+    rng = np.random.default_rng(41)
+    prof = ParityProfile(m=(3, 2), l=(0, 1))
+    cb = TreeCodebook(prof, seed=43)
+    for cap in (2, 5, 100):
+        roots = rng.integers(0, 8, 6)
+        # 8 entries with parity 0 and 3 with parity 1: a cap of 5 drops only
+        # the roots that expect parity 0
+        frags = rng.permutation(np.r_[rng.integers(0, 4, 8) << 1, (rng.integers(0, 4, 3) << 1) | 1])
+        tracker = PathTracker(cb, path_cap=cap)
+        tracker.start(roots)
+        expect = []
+        for root, w in enumerate(roots):
+            parity = rows_to_ints(cb.parity_rows(ints_to_rows(np.array([w]), 3), 2))[0]
+            expect += [(root, (int(w) << 2) | int(f) >> 1) for f in frags if f & 1 == parity]
+        per_root = np.bincount([r for r, _ in expect], minlength=roots.size)
+        over = set(np.flatnonzero(per_root > cap).tolist())
+        tracker.advance(frags)
+        assert list(zip(tracker._roots.tolist(), rows_to_ints(tracker._info).tolist())) == [
+            (r, msg) for r, msg in expect if r not in over]
+        assert tracker.diagnostics.capped_roots == len(over)
+
+
+def test_capped_roots_never_build_their_paths():
+    # 64 roots of 64 branches each: stage 3 would build 262,144 paths
+    # (over 20 MB) before dropping every root over the cap of 100
+    prof = ParityProfile(m=(6, 6, 6), l=(0, 0, 0))
+    tracker = PathTracker(TreeCodebook(prof, seed=5), path_cap=100)
+    tracker.start(np.arange(64))
+    tracemalloc.start()
+    try:
+        tracker.advance(np.arange(64))
+        tracker.advance(np.arange(64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tracker.diagnostics.capped_roots == 64
+    assert tracker.live_path_count() == 0
+    assert peak < 2 << 20
 
 
 def test_empty_slot_kills_all_roots():
