@@ -19,7 +19,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -65,35 +65,6 @@ def pupe(sent: list[int], decoded: list[int], K: int) -> float:
 
 # ----------------------------------------------------------------------------
 # configuration
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    scenario: str
-    profile: ParityProfile
-    K: tuple[int, ...]
-    trials: int = 1
-    master_seed: int = 0
-    workers: int = 1
-    out: str | None = None
-    # siso and mimo scenarios (ebn0_search: siso only, and it sets its own
-    # SNR points); ebn0_db alone sets the SNR
-    mode: str = "both"
-    timing: str = "model"
-    list_size: int | None = None
-    ebn0_db: tuple[float, ...] = ()
-    n: int = 0
-    path_cap: int = DEFAULT_PATH_CAP
-    memory_budget: int = DEFAULT_MEMORY_BUDGET
-    ebn0_search: dict | None = None
-    # mimo scenario
-    M: tuple[int, ...] = ()
-    # predict scenario
-    variant: str = "both"
-
-    @property
-    def modes(self) -> tuple[str, ...]:
-        return ("original", "enhanced") if self.mode == "both" else (self.mode,)
 
 
 def _int(x) -> int:
@@ -183,47 +154,69 @@ def _parse_search(value) -> dict:
 
 _ALL, _CHANNELS = ("siso", "mimo", "predict"), ("siso", "mimo")
 _POSITIVE_INT = _at_least(1)
-# config key -> (parser holding the key's whole rule, scenarios that accept it)
-_KEYS = {
-    "scenario": (_one_of(*_ALL), _ALL), "profile": (_parse_profile, _ALL),
-    "K": (_listed(_POSITIVE_INT), _ALL), "trials": (_POSITIVE_INT, _ALL),
-    "master_seed": (_at_least(0), _ALL), "workers": (_POSITIVE_INT, _ALL),
-    "out": (_str, _ALL),
-    "mode": (_one_of("original", "enhanced", "both"), _CHANNELS),
-    "timing": (_one_of("model", "wall"), _CHANNELS),
-    "list_size": (_POSITIVE_INT, _CHANNELS),
-    "ebn0_db": (_listed(_ebn0_db), _CHANNELS), "n": (_POSITIVE_INT, _CHANNELS),
-    "path_cap": (_POSITIVE_INT, _CHANNELS), "memory_budget": (_POSITIVE_INT, _CHANNELS),
-    "ebn0_search": (_parse_search, ("siso",)), "M": (_listed(_POSITIVE_INT), ("mimo",)),
-    "variant": (_one_of("full", "one_step", "both"), ("predict",)),
-}
-# keys a scenario cannot run without (a siso ebn0_search replaces ebn0_db)
-_REQUIRED = {"siso": ("profile", "K", "n", "ebn0_db"),
-             "mimo": ("profile", "K", "n", "M", "ebn0_db"),
-             "predict": ("profile", "K")}
 
 
-def _parse(key: str, value):
-    """``value`` through its key's row; an error names the key."""
-    try:
-        return _KEYS[key][0](value)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"{key}: {e}") from None
+def _key(parse, default=MISSING, scenarios=_ALL, required=False):
+    """The field of one config key, holding the key's whole rule: ``parse``
+    checks and converts its value, ``scenarios`` accept it, and with
+    ``required`` none of them runs without it."""
+    return field(default=default, metadata={"parse": parse, "scenarios": scenarios,
+                                            "required": required})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One field per config key, made by ``_key``. Of the keys a scenario
+    requires, the first one missing in field order is reported."""
+
+    scenario: str = _key(_one_of(*_ALL), required=True)
+    profile: ParityProfile = _key(_parse_profile, required=True)
+    K: tuple[int, ...] = _key(_listed(_POSITIVE_INT), required=True)
+    trials: int = _key(_POSITIVE_INT, 1)
+    master_seed: int = _key(_at_least(0), 0)
+    workers: int = _key(_POSITIVE_INT, 1)
+    out: str | None = _key(_str, None)
+    n: int = _key(_POSITIVE_INT, 0, _CHANNELS, required=True)
+    M: tuple[int, ...] = _key(_listed(_POSITIVE_INT), (), ("mimo",), required=True)
+    ebn0_db: tuple[float, ...] = _key(_listed(_ebn0_db), (), _CHANNELS, required=True)
+    mode: str = _key(_one_of("original", "enhanced", "both"), "both", _CHANNELS)
+    timing: str = _key(_one_of("model", "wall"), "model", _CHANNELS)
+    list_size: int | None = _key(_POSITIVE_INT, None, _CHANNELS)
+    path_cap: int = _key(_POSITIVE_INT, DEFAULT_PATH_CAP, _CHANNELS)
+    memory_budget: int = _key(_POSITIVE_INT, DEFAULT_MEMORY_BUDGET, _CHANNELS)
+    ebn0_search: dict | None = _key(_parse_search, None, ("siso",))
+    variant: str = _key(_one_of("full", "one_step", "both"), "both", ("predict",))
+
+    @property
+    def modes(self) -> tuple[str, ...]:
+        return ("original", "enhanced") if self.mode == "both" else (self.mode,)
 
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a configuration mapping; unknown keys are rejected. Each
-    key's own rule is its ``_KEYS`` row; only rules spanning keys are here."""
+    key's own rule is its ``ExperimentConfig`` field; only rules spanning
+    keys are here."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    scenario = _parse("scenario", data.get("scenario"))
-    unknown = [k for k in data if scenario not in _KEYS.get(k, (None, ()))[1]]
+    rules = {f.name: f.metadata for f in fields(ExperimentConfig)}
+
+    def parse(key: str, value):
+        try:
+            return rules[key]["parse"](value)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ConfigError(f"{key}: {e}") from None
+
+    scenario = parse("scenario", data.get("scenario"))
+    accepted = [key for key, rule in rules.items() if scenario in rule["scenarios"]]
+    unknown = [k for k in data if k not in accepted]
     if unknown:
         raise ConfigError(f"unknown keys for scenario {scenario}: {sorted(unknown)}")
-    for req in _REQUIRED[scenario]:
-        if req not in data and not (req == "ebn0_db" and "ebn0_search" in data):
-            raise ConfigError(f"{req}: required")
-    cfg = ExperimentConfig(**{key: _parse(key, value) for key, value in data.items()})
+    # a siso ebn0_search replaces ebn0_db
+    for key in accepted:
+        if (rules[key]["required"] and key not in data
+                and not (key == "ebn0_db" and "ebn0_search" in data)):
+            raise ConfigError(f"{key}: required")
+    cfg = ExperimentConfig(**{key: parse(key, value) for key, value in data.items()})
     # an ebn0_search picks its own Eb/N0 points and its CSV has no cost column
     for key in ("ebn0_db", "timing"):
         if key in data and cfg.ebn0_search is not None:
@@ -307,13 +300,13 @@ def _check_trial_memory(cfg: ExperimentConfig, K: int, M: int = 0) -> None:
     for MIMO, the L n x M blocks and one block's K x M fading draw; and one
     slot solve at the widest section: a pruned n x 2^v copy of the matrix
     and NNLS's (p + 1) x (n + p + 1) passive buffers, p = min(n, 2^v), or
-    CovarianceState's two n x 2^v row copies and three n x n matrices."""
+    CovarianceState's one n x 2^v row copy and three n x n matrices."""
     prof, n = cfg.profile, cfg.n
     cols = 1 << max(prof.v)
     if M:
         itemsize = np.dtype(np.complex128).itemsize
         matrices = sum(n << v for v in prof.v)
-        solve = 2 * n * cols + 3 * n * n
+        solve = n * cols + 3 * n * n
     else:
         itemsize = np.dtype(np.float64).itemsize
         matrices = sum(n << v for v in set(prof.v))

@@ -39,14 +39,12 @@ class CovarianceState:
         if sample_cov.shape != (n, n):
             raise ValueError("sample covariance shape must match matrix rows")
         self.sample_cov = np.asarray(sample_cov, dtype=np.complex128)
-        self.A = A
         self.N0 = float(N0)
         self._eye = np.eye(n, dtype=np.complex128)
         self.sigma_inv = self._eye / self.N0
         self.gamma = np.zeros(A.cols)
-        # column k as a contiguous row, and its conjugate, for coordinate_step
+        # column k of A as a contiguous row; the state's one copy of A
         self._rows = np.ascontiguousarray(A.columns.T)
-        self._rows_conj = self._rows.conj()
         self.sweeps_run = 0
         self.updates = 0
         self.skipped = 0
@@ -57,8 +55,8 @@ class CovarianceState:
         supp = np.flatnonzero(self.gamma > 0)
         sigma = self.N0 * self._eye
         if supp.size:
-            cols = self.A.columns[:, supp]
-            sigma += (cols * self.gamma[supp]) @ cols.conj().T
+            rows = self._rows[supp]
+            sigma += (rows.T * self.gamma[supp]) @ rows.conj()
         return sigma
 
     def cost(self) -> float:
@@ -68,9 +66,8 @@ class CovarianceState:
         return float(logdet + np.trace(np.linalg.solve(sigma, self.sample_cov)).real)
 
     def drift(self) -> float:
-        n = self.A.rows
         err = self.sigma_inv @ self.covariance() - self._eye
-        return float(np.linalg.norm(err) / np.sqrt(n))
+        return float(np.linalg.norm(err) / np.sqrt(len(err)))
 
     def refresh_inverse(self) -> None:
         self.sigma_inv = np.linalg.inv(self.covariance())
@@ -79,7 +76,7 @@ class CovarianceState:
         """One clamped descent step on gamma[k]; returns the applied change."""
         s = self.sigma_inv @ self._rows[k]
         sc = s.conj()
-        quad = float((self._rows_conj[k] @ s).real)  # a^H Sigma^-1 a
+        quad = float(np.vdot(self._rows[k], s).real)  # a^H Sigma^-1 a
         fit = float((sc @ (self.sample_cov @ s)).real)
         d_star = (fit - quad) / quad ** 2
         g = float(self.gamma[k])

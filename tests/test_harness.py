@@ -4,7 +4,7 @@ import json
 import math
 import re
 from concurrent.futures import Future
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -192,8 +192,8 @@ def test_readme_cli_configs_parse():
 
 
 def test_readme_config_keys_match_the_key_table():
-    # README's "Config keys" bullets name, per scenario, the keys _KEYS
-    # accepts; a bullet's label names its scenarios, and words in
+    # README's "Config keys" bullets name, per scenario, the ExperimentConfig
+    # fields it accepts; a bullet's label names its scenarios, and words in
     # parentheses describe values rather than name keys
     text = README.read_text(encoding="utf-8")
     section = text.split("\nConfig keys (unknown keys are rejected):\n\n")[1].split("\n\n")[0]
@@ -207,8 +207,36 @@ def test_readme_config_keys_match_the_key_table():
         for scenario in labels[label]:
             listed[scenario].update(names)
     for scenario, keys in listed.items():
-        assert keys == {k for k, (_, where) in harness._KEYS.items() if scenario in where}, \
-            scenario
+        assert keys == {f.name for f in fields(ExperimentConfig)
+                        if scenario in f.metadata["scenarios"]}, scenario
+
+
+def test_every_config_field_holds_its_rule():
+    # each field is one config key: a parser, the scenarios that accept it,
+    # and whether they require it
+    for f in fields(ExperimentConfig):
+        rule = f.metadata
+        assert callable(rule["parse"]), f.name
+        assert rule["scenarios"] and set(rule["scenarios"]) <= set(harness.RUNNERS), f.name
+        assert isinstance(rule["required"], bool), f.name
+
+
+@pytest.mark.parametrize("scenario,order", [
+    ("siso", ["profile", "K", "n", "ebn0_db"]),
+    ("mimo", ["profile", "K", "n", "M", "ebn0_db"]),
+    ("predict", ["profile", "K"]),
+])
+def test_missing_keys_are_reported_in_field_order(scenario, order):
+    # the first missing key is named, and supplying it names the next one:
+    # so a siso config with neither n nor ebn0_db names n, and a mimo config
+    # with neither M nor ebn0_db names M
+    values = {"profile": SMALL_PROFILE, "K": 2, "n": 8, "M": 4, "ebn0_db": 6.0}
+    data = {"scenario": scenario}
+    for key in order:
+        with pytest.raises(ConfigError, match=f"^{key}: required$"):
+            parse_config(data)
+        data[key] = values[key]
+    assert parse_config(data).scenario == scenario
 
 
 def test_parse_config_named_profile_and_search():
@@ -478,11 +506,11 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     # and fragments 2 x (10 + 16) bytes plus a 2 x 6 float64 parity product,
     # 148 bytes; 2 x 8 user signals, four 8 x 16 blocks and a 2 x 16 fading
     # draw, 560 complex numbers or 8960 bytes; one block's activity
-    # detection, two 8 x 16 row copies and three 8 x 8 matrices, 448 complex
-    # numbers or 7168 bytes. 24468 bytes in all, and one byte less refuses
+    # detection, one 8 x 16 row copy and three 8 x 8 matrices, 320 complex
+    # numbers or 5120 bytes. 22420 bytes in all, and one byte less refuses
     # the trial before any matrix is built.
     data = {"scenario": "mimo", "profile": {"m": [4, 2, 2, 2], "l": [0, 2, 2, 2]},
-            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 24467}
+            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 22419}
     cfg = parse_config(data)
 
     def no_build(*args, **kwargs):
@@ -491,9 +519,9 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(harness, "build_complex_sensing_matrix", no_build)
         with pytest.raises(ResourceRefusalError,
-                           match="need 24468 bytes, budget is 24467"):
+                           match="need 22420 bytes, budget is 22419"):
             run_mimo_trial(cfg, 2, 16, 0)
-    run_mimo_trial(replace(cfg, memory_budget=24468), 2, 16, 0)
+    run_mimo_trial(replace(cfg, memory_budget=22420), 2, 16, 0)
     # The scalar trial builds one matrix per distinct width (3 and 4 bits
     # here): 12 x (8 + 16) doubles, 2304 bytes. With K = 1, B = 7, 11 coded
     # and 4 parity bits, messages and fragments take 7 + 11 + 8 x 4 = 50
@@ -511,8 +539,8 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
     # Matrices of a few KiB, but L = 3 MIMO blocks of 16 x 1e8 complex
     # numbers and a 2 x 1e8 fading draw take 8e10 bytes; with 100 bytes of
     # messages and fragments, three matrices (640 complex numbers), one
-    # block's activity detection (1280) and the 2 x 16 user signals (32),
-    # 80000031332 bytes. 1e8 scalar-channel users' messages and fragments
+    # block's activity detection (1024) and the 2 x 16 user signals (32),
+    # 80000027236 bytes. 1e8 scalar-channel users' messages and fragments
     # (50 bytes each) and signals (12 doubles each) take 14600000000 bytes,
     # and 6440 more for the matrices and one slot solve. Both trials are
     # refused under the default 256 MiB budget before a message is drawn.
@@ -523,7 +551,7 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
                  "build_complex_sensing_matrix", "mimo_block_transmit"):
         monkeypatch.setattr(harness, name, no_alloc)
     mimo_cfg = parse_config({**MIMO_SMALL, "M": 1e8, "n": 16})
-    with pytest.raises(ResourceRefusalError, match="need 80000031332 bytes"):
+    with pytest.raises(ResourceRefusalError, match="need 80000027236 bytes"):
         run_mimo_trial(mimo_cfg, 2, 10 ** 8, 0)
     siso = parse_config(siso_config(K=10 ** 8))
     with pytest.raises(ResourceRefusalError, match="need 14600006440 bytes"):

@@ -100,10 +100,10 @@ def test_cost_decreases_and_inverse_tracks_covariance():
     assert diffs.max() <= 1e-9  # non-increasing per clamped step
 
 
-def reference_coordinate_step(st, k):
-    """The coordinate step as first written: strided column, a fresh
+def reference_coordinate_step(st, A, k):
+    """The coordinate step as first written: strided column of A, a fresh
     conjugate per use and np.outer for the rank-one update."""
-    a = st.A.columns[:, k]
+    a = A.columns[:, k]
     s = st.sigma_inv @ a
     quad = float((a.conj() @ s).real)
     fit = float((s.conj() @ (st.sample_cov @ s)).real)
@@ -139,10 +139,56 @@ def test_coordinate_step_is_bit_identical_to_reference_step():
         st, ref = CovarianceState(cov, A, N0=0.5), CovarianceState(cov, A, N0=0.5)
         for _ in range(10):
             for k in range(1 << v):
-                assert st.coordinate_step(k) == reference_coordinate_step(ref, k)
+                assert st.coordinate_step(k) == reference_coordinate_step(ref, A, k)
         assert np.array_equal(st.gamma, ref.gamma)
         assert np.array_equal(st.sigma_inv, ref.sigma_inv)
         assert (st.updates, st.skipped) == (ref.updates, ref.skipped)
+
+
+def test_drift_check_refreshes_a_perturbed_inverse(monkeypatch):
+    # An error of about 1e-6 I in the tracked inverse is past TAU_INV, so the
+    # next drift check recomputes the inverse from the covariance.
+    n, v, M, N0 = 16, 5, 256, 0.5
+    A = build_complex_sensing_matrix(n, v, radius=np.sqrt(n), seed=21)
+    Y = mimo_block_transmit(np.array([4, 19]), A.columns, M, N0, 22, 23, block=0)
+    st = CovarianceState(sample_covariance(Y), A, N0)
+    for k in range(1 << v):
+        st.coordinate_step(k)
+    assert st.drift() < TAU_INV
+    refreshes = []
+    refresh = CovarianceState.refresh_inverse
+
+    def counted_refresh(self):
+        refreshes.append(self.updates)
+        refresh(self)
+
+    monkeypatch.setattr(CovarianceState, "refresh_inverse", counted_refresh)
+    st.sigma_inv += 1e-6 * np.eye(n)
+    check_at = (st.updates // REFRESH_EVERY + 1) * REFRESH_EVERY
+    for step in range(100 * REFRESH_EVERY):
+        st.coordinate_step(step % (1 << v))
+        if st.updates == check_at:
+            break
+    assert refreshes == [check_at]
+    np.testing.assert_array_equal(st.sigma_inv, np.linalg.inv(st.covariance()))
+
+
+def test_singular_step_is_skipped_and_changes_nothing():
+    # With sigma_inv = I / N0 and N0 = |a_k|^2, quad = 1; with a zero sample
+    # covariance the step from gamma[k] = 1 is d_eff = -1, so 1 + d_eff quad
+    # = 0 and the rank-one update would divide by zero.
+    n, v, k = 8, 3, 5
+    A = build_complex_sensing_matrix(n, v, radius=np.sqrt(n), seed=24)
+    a = A.columns[:, k]
+    N0 = float(np.vdot(a, a).real)
+    st = CovarianceState(np.zeros((n, n)), A, N0)
+    st.gamma[k] = 1.0
+    gamma, sigma_inv = st.gamma.copy(), st.sigma_inv.copy()
+    np.testing.assert_array_equal(sigma_inv, np.eye(n) / N0)
+    assert st.coordinate_step(k) == 0.0
+    assert (st.skipped, st.updates) == (1, 0)
+    np.testing.assert_array_equal(st.gamma, gamma)
+    np.testing.assert_array_equal(st.sigma_inv, sigma_inv)
 
 
 def test_activity_detect_exact_support_large_arrays():
