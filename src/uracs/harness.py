@@ -299,8 +299,11 @@ def _check_trial_memory(cfg: ExperimentConfig, K: int, M: int = 0) -> None:
     width, or complex, one per MIMO block); one slot's K x n user signals;
     for MIMO, the L n x M blocks and one block's K x M fading draw; and one
     slot solve at the widest section: a pruned n x 2^v copy of the matrix
-    and NNLS's (p + 1) x (n + p + 1) passive buffers, p = min(n, 2^v), or
-    CovarianceState's one n x 2^v row copy and three n x n matrices."""
+    and NNLS's passive set for p = min(n, 2^v) columns (the columns and Q
+    of their factor, n x p each, R^-1, p x p, three vectors of length p, and
+    the three n x p blocks a leave holds at once while it re-orthogonalises
+    Q), or CovarianceState's one n x 2^v row copy and three n x n
+    matrices."""
     prof, n = cfg.profile, cfg.n
     cols = 1 << max(prof.v)
     if M:
@@ -310,8 +313,8 @@ def _check_trial_memory(cfg: ExperimentConfig, K: int, M: int = 0) -> None:
     else:
         itemsize = np.dtype(np.float64).itemsize
         matrices = sum(n << v for v in set(prof.v))
-        p = min(n, cols) + 1
-        solve = n * cols + p * (n + p)
+        p = min(n, cols)
+        solve = n * cols + p * (5 * n + p + 3)
     need = (K * (prof.B + sum(prof.v) + 8 * sum(prof.l))
             + (matrices + solve + K * n + prof.L * n * M + K * M) * itemsize)
     if need > cfg.memory_budget:

@@ -527,12 +527,14 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     # and 4 parity bits, messages and fragments take 7 + 11 + 8 x 4 = 50
     # bytes and the user signals 12 doubles, 96 bytes. One slot solve at the
     # 4-bit width holds a pruned 12 x 16 copy of its matrix and NNLS's
-    # passive buffers, 13 x (12 + 13) for min(12, 16) = 12: 517 doubles,
-    # 4136 bytes. 6586 in all.
-    siso = parse_config(siso_config(memory_budget=6585))
-    with pytest.raises(ResourceRefusalError, match="need 6586 bytes, budget is 6585"):
+    # passive set for min(12, 16) = 12 columns, 12 x (5 x 12 + 12 + 3): the
+    # columns, Q and the three blocks of a leave, 12 x 12 each, R^-1 and
+    # three vectors. 1092 doubles, 8736 bytes.
+    # 11186 in all.
+    siso = parse_config(siso_config(memory_budget=11185))
+    with pytest.raises(ResourceRefusalError, match="need 11186 bytes, budget is 11185"):
         run_siso_trial(siso, 1, 10.0, 0)
-    run_siso_trial(replace(siso, memory_budget=6586), 1, 10.0, 0)
+    run_siso_trial(replace(siso, memory_budget=11186), 1, 10.0, 0)
 
 
 def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
@@ -542,7 +544,7 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
     # block's activity detection (1024) and the 2 x 16 user signals (32),
     # 80000027236 bytes. 1e8 scalar-channel users' messages and fragments
     # (50 bytes each) and signals (12 doubles each) take 14600000000 bytes,
-    # and 6440 more for the matrices and one slot solve. Both trials are
+    # and 11040 more for the matrices and one slot solve. Both trials are
     # refused under the default 256 MiB budget before a message is drawn.
     def no_alloc(*args, **kwargs):
         raise AssertionError("the trial allocated before the refusal")
@@ -554,7 +556,7 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
     with pytest.raises(ResourceRefusalError, match="need 80000027236 bytes"):
         run_mimo_trial(mimo_cfg, 2, 10 ** 8, 0)
     siso = parse_config(siso_config(K=10 ** 8))
-    with pytest.raises(ResourceRefusalError, match="need 14600006440 bytes"):
+    with pytest.raises(ResourceRefusalError, match="need 14600011040 bytes"):
         run_siso_trial(siso, 10 ** 8, 10.0, 0)
 
 
