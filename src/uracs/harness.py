@@ -302,14 +302,15 @@ def _check_trial_memory(cfg: ExperimentConfig, K: int, M: int = 0) -> None:
     and NNLS's passive set for p = min(n, 2^v) columns (the columns and Q
     of their factor, n x p each, R^-1, p x p, three vectors of length p, and
     the three n x p blocks a leave holds at once while it re-orthogonalises
-    Q), or CovarianceState's one n x 2^v row copy and three n x n
-    matrices."""
+    Q), or CovarianceState's one n x 2^v row copy and four n x n
+    matrices (the sample covariance, the identity, the tracked inverse and
+    the buffer its rank-one updates are written into)."""
     prof, n = cfg.profile, cfg.n
     cols = 1 << max(prof.v)
     if M:
         itemsize = np.dtype(np.complex128).itemsize
         matrices = sum(n << v for v in prof.v)
-        solve = n * cols + 3 * n * n
+        solve = n * cols + 4 * n * n
     else:
         itemsize = np.dtype(np.float64).itemsize
         matrices = sum(n << v for v in set(prof.v))

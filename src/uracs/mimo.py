@@ -5,6 +5,11 @@ covariance N0*I + A diag(gamma) A^H. Coordinate descent fits gamma to the
 sample covariance one column at a time, maintaining the running inverse by
 rank-one updates. The enhanced decoder restricts the sweep to the column
 indices that the admissible parity patterns of the surviving tree paths generate.
+
+A step is a few hundred flops on n x n arrays, so its time is mostly numpy's
+per-call overhead: it calls ndarray.dot, not ``@`` (at n = 16 with numpy 2.4,
+``sigma_inv.dot(a)`` takes about 1.0 us and ``sigma_inv @ a`` 1.9 us), and
+writes its rank-one update into one buffer allocated with the state.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ class CovarianceState:
         self.gamma = np.zeros(A.cols)
         # column k of A as a contiguous row; the state's one copy of A
         self._rows = np.ascontiguousarray(A.columns.T)
+        # the rank-one update of each step is written here
+        self._outer = np.empty((n, n), dtype=np.complex128)
         self.sweeps_run = 0
         self.updates = 0
         self.skipped = 0
@@ -56,7 +63,7 @@ class CovarianceState:
         sigma = self.N0 * self._eye
         if supp.size:
             rows = self._rows[supp]
-            sigma += (rows.T * self.gamma[supp]) @ rows.conj()
+            sigma += (rows.T * self.gamma[supp]).dot(rows.conj())
         return sigma
 
     def cost(self) -> float:
@@ -66,7 +73,8 @@ class CovarianceState:
         return float(logdet + np.trace(np.linalg.solve(sigma, self.sample_cov)).real)
 
     def drift(self) -> float:
-        err = self.sigma_inv @ self.covariance() - self._eye
+        err = self.sigma_inv.dot(self.covariance())
+        err -= self._eye
         return float(np.linalg.norm(err) / np.sqrt(len(err)))
 
     def refresh_inverse(self) -> None:
@@ -74,10 +82,11 @@ class CovarianceState:
 
     def coordinate_step(self, k: int) -> float:
         """One clamped descent step on gamma[k]; returns the applied change."""
-        s = self.sigma_inv @ self._rows[k]
+        a = self._rows[k]
+        s = self.sigma_inv.dot(a)
         sc = s.conj()
-        quad = float(np.vdot(self._rows[k], s).real)  # a^H Sigma^-1 a
-        fit = float((sc @ (self.sample_cov @ s)).real)
+        quad = float(np.vdot(a, s).real)  # a^H Sigma^-1 a
+        fit = float(sc.dot(self.sample_cov.dot(s)).real)
         d_star = (fit - quad) / quad ** 2
         g = float(self.gamma[k])
         new_gamma = max(g + d_star, 0.0)
@@ -90,7 +99,9 @@ class CovarianceState:
         if d_eff != 0.0:
             # rank-one inverse update with the clamped step, so sigma_inv
             # stays the inverse of the covariance implied by gamma
-            self.sigma_inv -= (d_eff / denom) * (s[:, None] * sc)
+            outer = np.multiply.outer(s, sc, out=self._outer)
+            outer *= d_eff / denom
+            self.sigma_inv -= outer
             self.updates += 1
             self._since_check += 1
             if self._since_check == REFRESH_EVERY:
@@ -112,10 +123,13 @@ def activity_detect(sample_cov: np.ndarray, A: SensingMatrix,
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
     state = CovarianceState(sample_cov, A, N0)
+    step, order = state.coordinate_step, S.tolist()
     for _ in range(sweeps):
         max_change = 0.0
-        for k in S.tolist():
-            max_change = max(max_change, abs(state.coordinate_step(k)))
+        for k in order:
+            change = abs(step(k))
+            if change > max_change:
+                max_change = change
         state.sweeps_run += 1
         if max_change < tol:
             break

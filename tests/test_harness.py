@@ -506,11 +506,12 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     # and fragments 2 x (10 + 16) bytes plus a 2 x 6 float64 parity product,
     # 148 bytes; 2 x 8 user signals, four 8 x 16 blocks and a 2 x 16 fading
     # draw, 560 complex numbers or 8960 bytes; one block's activity
-    # detection, one 8 x 16 row copy and three 8 x 8 matrices, 320 complex
-    # numbers or 5120 bytes. 22420 bytes in all, and one byte less refuses
-    # the trial before any matrix is built.
+    # detection, one 8 x 16 row copy and four 8 x 8 matrices (the last the
+    # rank-one update buffer), 384 complex numbers or 6144 bytes. 23444
+    # bytes in all, and one byte less refuses the trial before any matrix is
+    # built.
     data = {"scenario": "mimo", "profile": {"m": [4, 2, 2, 2], "l": [0, 2, 2, 2]},
-            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 22419}
+            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 23443}
     cfg = parse_config(data)
 
     def no_build(*args, **kwargs):
@@ -519,9 +520,9 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(harness, "build_complex_sensing_matrix", no_build)
         with pytest.raises(ResourceRefusalError,
-                           match="need 22420 bytes, budget is 22419"):
+                           match="need 23444 bytes, budget is 23443"):
             run_mimo_trial(cfg, 2, 16, 0)
-    run_mimo_trial(replace(cfg, memory_budget=22420), 2, 16, 0)
+    run_mimo_trial(replace(cfg, memory_budget=23444), 2, 16, 0)
     # The scalar trial builds one matrix per distinct width (3 and 4 bits
     # here): 12 x (8 + 16) doubles, 2304 bytes. With K = 1, B = 7, 11 coded
     # and 4 parity bits, messages and fragments take 7 + 11 + 8 x 4 = 50
@@ -541,8 +542,8 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
     # Matrices of a few KiB, but L = 3 MIMO blocks of 16 x 1e8 complex
     # numbers and a 2 x 1e8 fading draw take 8e10 bytes; with 100 bytes of
     # messages and fragments, three matrices (640 complex numbers), one
-    # block's activity detection (1024) and the 2 x 16 user signals (32),
-    # 80000027236 bytes. 1e8 scalar-channel users' messages and fragments
+    # block's activity detection (1280) and the 2 x 16 user signals (32),
+    # 80000031332 bytes. 1e8 scalar-channel users' messages and fragments
     # (50 bytes each) and signals (12 doubles each) take 14600000000 bytes,
     # and 11040 more for the matrices and one slot solve. Both trials are
     # refused under the default 256 MiB budget before a message is drawn.
@@ -553,7 +554,7 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
                  "build_complex_sensing_matrix", "mimo_block_transmit"):
         monkeypatch.setattr(harness, name, no_alloc)
     mimo_cfg = parse_config({**MIMO_SMALL, "M": 1e8, "n": 16})
-    with pytest.raises(ResourceRefusalError, match="need 80000027236 bytes"):
+    with pytest.raises(ResourceRefusalError, match="need 80000031332 bytes"):
         run_mimo_trial(mimo_cfg, 2, 10 ** 8, 0)
     siso = parse_config(siso_config(K=10 ** 8))
     with pytest.raises(ResourceRefusalError, match="need 14600011040 bytes"):

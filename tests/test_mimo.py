@@ -173,6 +173,74 @@ def test_drift_check_refreshes_a_perturbed_inverse(monkeypatch):
     np.testing.assert_array_equal(st.sigma_inv, np.linalg.inv(st.covariance()))
 
 
+def reference_activity_detect(st, A, S, sweeps=DEFAULT_SWEEPS, tol=DEFAULT_CD_TOL):
+    """activity_detect's sweep loop as first written, over
+    reference_coordinate_step. Also returns the (sweep, position in S) of
+    each step that refreshed the inverse: a refresh rebinds sigma_inv, where
+    a rank-one update writes into it."""
+    refreshed = []
+    for sweep in range(sweeps):
+        max_change = 0.0
+        for i, k in enumerate(S.tolist()):
+            before = st.sigma_inv
+            max_change = max(max_change, abs(reference_coordinate_step(st, A, k)))
+            if st.sigma_inv is not before:
+                refreshed.append((sweep, i))
+        st.sweeps_run += 1
+        if max_change < tol:
+            break
+    return refreshed
+
+
+def test_activity_detect_is_bit_identical_to_reference_loop(monkeypatch):
+    # Whole activity_detect calls against the reference loop: over all
+    # columns, over a sorted pruned subset, with a tol that stops the run
+    # early, and from an inverse perturbed past TAU_INV, whose first drift
+    # check refreshes it in the middle of a sweep.
+    n, v, M, N0 = 16, 6, 64, 0.5
+    A = build_complex_sensing_matrix(n, v, radius=np.sqrt(n), seed=41)
+    active = np.array([3, 17, 40, 58])
+    cov = sample_covariance(mimo_block_transmit(active, A.columns, M, N0, 42, 43,
+                                                block=0))
+    full = np.arange(1 << v)
+    pruned = np.union1d(active, np.random.default_rng(44).choice(1 << v, 20,
+                                                                 replace=False))
+    assert 20 <= pruned.size < full.size
+    cases = {"full": (full, DEFAULT_CD_TOL, 0.0),
+             "pruned": (pruned, DEFAULT_CD_TOL, 0.0),
+             "early stop": (full, 1e-2, 0.0),
+             "refresh": (full, DEFAULT_CD_TOL, 1e-6)}
+    for name, (S, tol, perturb) in cases.items():
+        refreshes = []
+
+        class Perturbed(CovarianceState):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.sigma_inv += perturb * np.eye(n)
+
+            def refresh_inverse(self):
+                refreshes.append(self.updates)
+                super().refresh_inverse()
+
+        monkeypatch.setattr(uracs.mimo, "CovarianceState", Perturbed)
+        gamma, st = activity_detect(cov, A, S, N0, tol=tol)
+        ref = CovarianceState(cov, A, N0)
+        ref.sigma_inv += perturb * np.eye(n)
+        refreshed = reference_activity_detect(ref, A, S, tol=tol)
+        assert np.array_equal(gamma, ref.gamma), name
+        assert np.array_equal(st.sigma_inv, ref.sigma_inv), name
+        assert ((st.sweeps_run, st.updates, st.skipped)
+                == (ref.sweeps_run, ref.updates, ref.skipped)), name
+        assert len(refreshes) == len(refreshed), name
+        if name == "early stop":
+            assert 1 < st.sweeps_run < DEFAULT_SWEEPS
+        if name == "refresh":
+            # the first drift check, at update REFRESH_EVERY, is mid-sweep
+            _, i = refreshed[0]
+            assert refreshes[0] == REFRESH_EVERY
+            assert 0 < i < S.size - 1
+
+
 def test_singular_step_is_skipped_and_changes_nothing():
     # With sigma_inv = I / N0 and N0 = |a_k|^2, quad = 1; with a zero sample
     # covariance the step from gamma[k] = 1 is d_eff = -1, so 1 + d_eff quad
