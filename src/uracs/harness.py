@@ -297,27 +297,35 @@ def _check_trial_memory(cfg: ExperimentConfig, K: int, M: int = 0) -> None:
     Counted: the messages and fragments (uint8, and the float64 parity
     product behind them); the sensing matrices (real, one per distinct
     width, or complex, one per MIMO block); one slot's K x n user signals;
-    for MIMO, the L n x M blocks and one block's K x M fading draw; and one
-    slot solve at the widest section: a pruned n x 2^v copy of the matrix
-    and NNLS's passive set for p = min(n, 2^v) columns (the columns and Q
-    of their factor, n x p each, R^-1, p x p, three vectors of length p, and
-    the three n x p blocks a leave holds at once while it re-orthogonalises
-    Q), or CovarianceState's one n x 2^v row copy and four n x n
-    matrices (the sample covariance, the identity, the tracked inverse and
-    the buffer its rank-one updates are written into)."""
+    for MIMO, the L n x M blocks and what building the last one holds
+    beside the others: three K x M arrays while its fading draw is made
+    from real draws, then the draw and two more n x M blocks, because its
+    noise, the product of its columns with the draw and their sum exist at
+    once; and one slot solve at the widest section: a pruned n x 2^v copy
+    of the matrix and NNLS's passive set for p = min(n, 2^v) columns (the
+    columns and Q of their factor, n x p each, R^-1, p x p, three vectors of
+    length p, and the three n x p blocks a leave holds at once while it
+    re-orthogonalises Q), or CovarianceState's one n x 2^v row copy and four
+    n x n matrices (the sample covariance, the identity, the tracked inverse
+    and the buffer its rank-one updates are written into) plus what its
+    drift check adds: three copies of the supported rows, up to n x 2^v
+    each, and three n x n matrices (the covariance, a product beside it,
+    and the drift or the recomputed inverse)."""
     prof, n = cfg.profile, cfg.n
     cols = 1 << max(prof.v)
     if M:
         itemsize = np.dtype(np.complex128).itemsize
         matrices = sum(n << v for v in prof.v)
-        solve = n * cols + 4 * n * n
+        blocks = (prof.L + 2) * n * M + 3 * K * M
+        solve = 4 * n * cols + 7 * n * n
     else:
         itemsize = np.dtype(np.float64).itemsize
         matrices = sum(n << v for v in set(prof.v))
+        blocks = 0
         p = min(n, cols)
         solve = n * cols + p * (5 * n + p + 3)
     need = (K * (prof.B + sum(prof.v) + 8 * sum(prof.l))
-            + (matrices + solve + K * n + prof.L * n * M + K * M) * itemsize)
+            + (matrices + blocks + solve + K * n) * itemsize)
     if need > cfg.memory_budget:
         raise ResourceRefusalError(f"sensing matrices and trial arrays need {need} "
                                    f"bytes, budget is {cfg.memory_budget}")

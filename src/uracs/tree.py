@@ -209,20 +209,22 @@ class PathTracker:
     """Stage-by-stage path search shared by the batch and the slot-interleaved decoders.
 
     Paths from all roots advance jointly; per-root books are settled in
-    :meth:`finalize`. A root whose live path count exceeds ``path_cap`` is
-    abandoned and counted as failed.
+    :meth:`finalize`. A root whose live path count would exceed ``path_cap``
+    loses its paths in that stage and is counted once in ``capped_roots``.
     """
 
     def __init__(self, codebook: TreeCodebook, path_cap: int = DEFAULT_PATH_CAP):
         self.codebook = codebook
         self.path_cap = int(path_cap)
+        # a dead root has 0 paths, which a negative cap would count again
+        if self.path_cap < 0:
+            raise ValueError(f"path_cap must be non-negative, got {self.path_cap}")
         self.stage = 0
         self.root_count = 0
         self._info = np.zeros((0, 0), dtype=np.uint8)
         self._roots = np.zeros(0, dtype=np.int64)
         # parity integer each live path expects in the next stage's fragment
         self._next = np.zeros(0, dtype=np.int64)
-        self._failed: set[int] = set()
         self.diagnostics = DecodeDiagnostics()
 
     def _enter(self, stage: int, info: np.ndarray, roots: np.ndarray) -> None:
@@ -267,15 +269,12 @@ class PathTracker:
         parities = parities[order]
         lo = np.searchsorted(parities, self._next, side="left")
         counts = np.searchsorted(parities, self._next, side="right") - lo
-        # worst-case branching is exponential; abandon roots that blow up
-        # before building their paths
-        per_root = np.bincount(self._roots, weights=counts, minlength=self.root_count)
-        over = np.flatnonzero(per_root > self.path_cap)
-        if over.size:
-            newly = set(int(r) for r in over) - self._failed
-            self._failed.update(newly)
-            self.diagnostics.capped_roots += len(newly)
-            counts[np.isin(self._roots, over)] = 0
+        # worst-case branching is exponential; drop the paths of roots that
+        # blow up before building them, so a capped root has none from here on
+        over = np.bincount(self._roots, weights=counts, minlength=self.root_count) > self.path_cap
+        if over.any():
+            self.diagnostics.capped_roots += int(np.count_nonzero(over))
+            counts[over[self._roots]] = 0
         rep = np.repeat(np.arange(self._next.shape[0]), counts)
         run_start = np.cumsum(counts) - counts
         taken = fragments[order[np.repeat(lo - run_start, counts) + np.arange(rep.shape[0])]]
@@ -286,24 +285,15 @@ class PathTracker:
         """Settle per-root books: one surviving message per root, else a failure."""
         if self.stage != self.codebook.profile.L:
             raise ValueError("finalize called before the final stage")
-        messages: list[int] = []
-        seen: set[int] = set()
-        successes = 0
+        # live paths stay in root order, so the dict keeps roots in order
         by_root: dict[int, set[int]] = {}
-        for root, msg in zip(self._roots, rows_to_ints(self._info)):
-            by_root.setdefault(int(root), set()).add(int(msg))
-        for root in range(self.root_count):
-            survivors = by_root.get(root)
-            # identical-message survivors are unambiguous, count them once
-            if survivors is not None and len(survivors) == 1 and root not in self._failed:
-                successes += 1
-                msg = next(iter(survivors))
-                if msg not in seen:
-                    seen.add(msg)
-                    messages.append(msg)
+        for root, msg in zip(self._roots.tolist(), rows_to_ints(self._info).tolist()):
+            by_root.setdefault(root, set()).add(msg)
+        # identical-message survivors are unambiguous, count them once
+        decoded = [next(iter(msgs)) for msgs in by_root.values() if len(msgs) == 1]
         return DecodeResult(
-            messages=messages,
-            failures=self.root_count - successes,
+            messages=list(dict.fromkeys(decoded)),
+            failures=self.root_count - len(decoded),
             diagnostics=self.diagnostics,
         )
 
@@ -332,9 +322,11 @@ def tree_decode(lists: list[np.ndarray], codebook: TreeCodebook,
 
 def admissible_columns(patterns: np.ndarray, m: int, l: int) -> np.ndarray:
     """Sorted column indices w * 2^l + p of a section with m info and l
-    parity bits whose parity p lies in ``patterns`` (distinct integers)."""
+    parity bits whose parity p lies in ``patterns``. The patterns must be
+    sorted, distinct and below 2^l: then each row w * 2^l + patterns lies
+    within [w * 2^l, (w + 1) * 2^l), so the row-major sum is ascending."""
     w = np.arange(1 << m, dtype=np.int64) << l
-    return np.sort((w[:, None] + np.asarray(patterns, dtype=np.int64)).ravel())
+    return (w[:, None] + np.asarray(patterns, dtype=np.int64)).ravel()
 
 
 def interleaved_decode(observations: list, matrices: list, codebook: TreeCodebook,

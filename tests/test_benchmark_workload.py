@@ -5,7 +5,8 @@ Its ``decode_timer`` reads each decode's ``mode`` keyword, and its
 forced-full re-runs set ``force_full_patterns`` by keyword on the enhanced
 decodes. Both wrap ``harness.decode_siso``/``decode_mimo``, so a change to
 the decoders' call signature shows here as a failed trial, an unrecorded
-mode or a forced-full run that differs from the original decode.
+mode or a forced-full run that differs from the original decode. Its genie
+trials run ``genie_tree_trial`` and the path tracker.
 """
 
 import importlib.util
@@ -50,3 +51,16 @@ def test_workload_times_and_rechecks_the_decoders(workload, kind):
         assert rec["problems"] == []
     for rec in records:
         assert [mode for mode, _ in rec["decode_ms"]] == ["original", "enhanced"]
+
+
+def test_workload_runs_the_genie_trials(workload):
+    # the tree-genie workload's trial path: perfect lists into the path tracker
+    config = {"scenario": "predict", "profile": {"m": [6, 4, 2], "l": [0, 3, 4]}, "K": 4}
+    bench = workload.Bench({"kind": "genie", "config": config,
+                            "equivalence_trials": 0}, uracs)
+    records = [bench.trial(t, bench.call) for t in range(3)]
+    assert bench.equivalence(records) == []
+    for rec in records:
+        assert "error" not in rec, rec["error"]
+        assert rec["problems"] == []
+        assert rec["live"][0] == 4

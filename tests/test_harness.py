@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 from concurrent.futures import Future
 from dataclasses import fields, replace
 from pathlib import Path
@@ -504,14 +505,14 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     # Four MIMO blocks of 4-bit fragments (B = 10 info, 6 parity bits), K = 2,
     # M = 16, n = 8: four 8 x 16 complex matrices take 8192 bytes; messages
     # and fragments 2 x (10 + 16) bytes plus a 2 x 6 float64 parity product,
-    # 148 bytes; 2 x 8 user signals, four 8 x 16 blocks and a 2 x 16 fading
-    # draw, 560 complex numbers or 8960 bytes; one block's activity
-    # detection, one 8 x 16 row copy and four 8 x 8 matrices (the last the
-    # rank-one update buffer), 384 complex numbers or 6144 bytes. 23444
-    # bytes in all, and one byte less refuses the trial before any matrix is
-    # built.
+    # 148 bytes; 2 x 8 user signals, and the (4 + 2) 8 x 16 blocks and three
+    # 2 x 16 arrays the last block's transmission holds, 880 complex numbers
+    # or 14080 bytes; one block's activity detection, one 8 x 16 row copy,
+    # three more in its drift check, and 4 + 3 8 x 8 matrices, 960 complex
+    # numbers or 15360 bytes. 37780 bytes in all, and one byte less refuses
+    # the trial before any matrix is built.
     data = {"scenario": "mimo", "profile": {"m": [4, 2, 2, 2], "l": [0, 2, 2, 2]},
-            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 23443}
+            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 37779}
     cfg = parse_config(data)
 
     def no_build(*args, **kwargs):
@@ -520,9 +521,9 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(harness, "build_complex_sensing_matrix", no_build)
         with pytest.raises(ResourceRefusalError,
-                           match="need 23444 bytes, budget is 23443"):
+                           match="need 37780 bytes, budget is 37779"):
             run_mimo_trial(cfg, 2, 16, 0)
-    run_mimo_trial(replace(cfg, memory_budget=23444), 2, 16, 0)
+    run_mimo_trial(replace(cfg, memory_budget=37780), 2, 16, 0)
     # The scalar trial builds one matrix per distinct width (3 and 4 bits
     # here): 12 x (8 + 16) doubles, 2304 bytes. With K = 1, B = 7, 11 coded
     # and 4 parity bits, messages and fragments take 7 + 11 + 8 x 4 = 50
@@ -539,12 +540,13 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
 
 
 def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
-    # Matrices of a few KiB, but L = 3 MIMO blocks of 16 x 1e8 complex
-    # numbers and a 2 x 1e8 fading draw take 8e10 bytes; with 100 bytes of
-    # messages and fragments, three matrices (640 complex numbers), one
-    # block's activity detection (1280) and the 2 x 16 user signals (32),
-    # 80000031332 bytes. 1e8 scalar-channel users' messages and fragments
-    # (50 bytes each) and signals (12 doubles each) take 14600000000 bytes,
+    # Matrices of a few KiB, but the L + 2 = 5 MIMO blocks of 16 x 1e8
+    # complex numbers and three 2 x 1e8 arrays of the fading draw take
+    # 1.376e11 bytes; with 100 bytes of messages and fragments, three
+    # matrices (640 complex numbers), one block's activity detection (2816)
+    # and the 2 x 16 user signals (32), 137600055908 bytes. 1e8
+    # scalar-channel users' messages and fragments (50 bytes each) and
+    # signals (12 doubles each) take 14600000000 bytes,
     # and 11040 more for the matrices and one slot solve. Both trials are
     # refused under the default 256 MiB budget before a message is drawn.
     def no_alloc(*args, **kwargs):
@@ -554,11 +556,46 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
                  "build_complex_sensing_matrix", "mimo_block_transmit"):
         monkeypatch.setattr(harness, name, no_alloc)
     mimo_cfg = parse_config({**MIMO_SMALL, "M": 1e8, "n": 16})
-    with pytest.raises(ResourceRefusalError, match="need 80000031332 bytes"):
+    with pytest.raises(ResourceRefusalError, match="need 137600055908 bytes"):
         run_mimo_trial(mimo_cfg, 2, 10 ** 8, 0)
     siso = parse_config(siso_config(K=10 ** 8))
     with pytest.raises(ResourceRefusalError, match="need 14600011040 bytes"):
         run_siso_trial(siso, 10 ** 8, 10.0, 0)
+
+
+@pytest.mark.parametrize("data", [
+    # 8 x 20000 blocks: the last block's transmission holds two more of them
+    {"scenario": "mimo", "profile": {"m": [4, 2, 2, 2], "l": [0, 2, 2, 2]},
+     "K": 2, "M": 20000, "ebn0_db": 6.0, "n": 8},
+    # 16 x 64 blocks: the drift checks' copies of the dictionary rows count
+    {"scenario": "mimo", "profile": {"m": [5, 4, 2, 1], "l": [0, 1, 3, 4]},
+     "K": 4, "M": 64, "ebn0_db": 0.0, "n": 16},
+    {"scenario": "siso", "profile": {"m": [8, 7, 5, 4], "l": [0, 1, 3, 4]},
+     "K": 8, "ebn0_db": 16.0, "n": 64},
+], ids=["mimo-wide-m", "mimo-desk", "siso-desk"])
+def test_memory_plan_covers_the_traced_peak_of_a_trial(data):
+    # A budget one byte below what a trial really allocates refuses it. The
+    # path search is not in the plan; these profiles keep it small.
+    cfg = parse_config(data)
+    K, M = cfg.K[0], cfg.M[0] if cfg.M else 0
+
+    def run(cfg, trial):
+        if M:
+            return run_mimo_trial(cfg, K, M, trial)
+        return run_siso_trial(cfg, K, cfg.ebn0_db[0], trial)
+
+    # the first trial also pays one-off costs of numpy and of the imports
+    run(cfg, 0)
+    peak = 0
+    for trial in (1, 2):
+        tracemalloc.start()
+        try:
+            run(cfg, trial)
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    with pytest.raises(ResourceRefusalError):
+        run(replace(cfg, memory_budget=peak - 1), 1)
 
 
 def test_run_experiment_siso_csv_shape_and_determinism(tmp_path):

@@ -411,6 +411,40 @@ def test_path_cap_marks_root_failed():
     assert res2.failures == 1
 
 
+def test_path_cap_zero_caps_each_root_once_and_a_negative_cap_is_refused():
+    # l = 0 everywhere: every path continues into every fragment. A cap of 0
+    # drops each of the 3 roots at stage 2, and the dead roots are not
+    # counted again at stage 3. A negative cap would count them there too
+    # (0 paths > cap), so the tracker refuses it.
+    prof = ParityProfile(m=(2, 2, 2), l=(0, 0, 0))
+    cb = TreeCodebook(prof, seed=47)
+    lists = [ints_to_rows(np.arange(3), 2)] + [ints_to_rows(np.arange(2), 2)] * 2
+    res = tree_decode(lists, cb, path_cap=0)
+    assert res.diagnostics.capped_roots == 3
+    assert res.diagnostics.live_paths == [3, 0, 0]
+    assert (res.messages, res.failures) == ([], 3)
+    for cap in (-1, -100):
+        with pytest.raises(ValueError, match="path_cap must be non-negative"):
+            PathTracker(cb, path_cap=cap)
+
+
+def test_admissible_columns_match_the_filter_oracle():
+    # random m, l <= 6 and random sorted, distinct pattern sets, the empty
+    # and the full set among them: the columns are exactly those whose low l
+    # bits are an admissible pattern, in strictly increasing order
+    rng = np.random.default_rng(67)
+    for m, l in itertools.product(range(7), repeat=2):
+        sizes = [0, 1 << l] + rng.integers(0, (1 << l) + 1, 3).tolist()
+        for size in sizes:
+            patterns = np.sort(rng.choice(1 << l, size, replace=False))
+            S = tree_module.admissible_columns(patterns, m, l)
+            admitted = set(patterns.tolist())
+            oracle = [i for i in range(1 << (m + l)) if i & ((1 << l) - 1) in admitted]
+            assert S.dtype == np.int64
+            assert S.tolist() == oracle
+            assert (np.diff(S) > 0).all()
+
+
 def test_capped_roots_keep_the_other_paths_in_order():
     # advance keeps the extended paths of roots within the cap, in parent
     # order and then list order, exactly as if it built every path first
