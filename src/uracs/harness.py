@@ -23,6 +23,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
+from . import mimo
 from .bits import random_bits, rows_to_ints
 from .ccs import build_complex_sensing_matrix, build_sensing_matrix, decode_siso, user_signals
 from .channel import (EBN0_DB_LIMIT, ebn0_to_amplitude, ebn0_to_power,
@@ -297,27 +298,30 @@ def _check_trial_memory(cfg: ExperimentConfig, K: int, M: int = 0) -> None:
     Counted: the messages and fragments (uint8, and the float64 parity
     product behind them); the sensing matrices (real, one per distinct
     width, or complex, one per MIMO block); one slot's K x n user signals;
-    for MIMO, the L n x M blocks and what building the last one holds
-    beside the others: three K x M arrays while its fading draw is made
-    from real draws, then the draw and two more n x M blocks, because its
-    noise, the product of its columns with the draw and their sum exist at
-    once; and one slot solve at the widest section: a pruned n x 2^v copy
-    of the matrix and NNLS's passive set for p = min(n, 2^v) columns (the
-    columns and Q of their factor, n x p each, R^-1, p x p, three vectors of
-    length p, and the three n x p blocks a leave holds at once while it
-    re-orthogonalises Q), or CovarianceState's one n x 2^v row copy and four
-    n x n matrices (the sample covariance, the identity, the tracked inverse
-    and the buffer its rank-one updates are written into) plus what its
-    drift check adds: three copies of the supported rows, up to n x 2^v
-    each, and three n x n matrices (the covariance, a product beside it,
-    and the drift or the recomputed inverse)."""
+    for MIMO, the L n x n sample covariances and the one n x M block in
+    flight with what it holds beside it: three K x M arrays while its fading
+    draw is made from real draws, then two more n x M blocks (its noise and
+    the product of its columns with the draw, or the conjugate copy its
+    covariance is taken with); one slot solve at the widest section: a
+    pruned n x 2^v copy of the matrix and NNLS's passive set for
+    p = min(n, 2^v) columns (the columns and Q of their factor, n x p each,
+    R^-1, p x p, three vectors of length p, and the three n x p blocks a
+    leave holds at once while it re-orthogonalises Q), or CovarianceState's
+    one n x 2^v row copy and three n x n matrices beside the block's
+    covariance (the identity, the tracked inverse and the buffer its
+    rank-one updates are written into) plus what its drift check adds:
+    three copies of the supported rows, up to n x 2^v each, and three n x n
+    matrices (the covariance, a product beside it, and the drift or the
+    recomputed inverse); and one complex ufunc buffer of np.getbufsize()
+    elements, for the casts numpy makes inside a mixed-type call, which no
+    array above holds."""
     prof, n = cfg.profile, cfg.n
     cols = 1 << max(prof.v)
     if M:
         itemsize = np.dtype(np.complex128).itemsize
         matrices = sum(n << v for v in prof.v)
-        blocks = (prof.L + 2) * n * M + 3 * K * M
-        solve = 4 * n * cols + 7 * n * n
+        blocks = 3 * n * M + 3 * K * M + prof.L * n * n
+        solve = 4 * n * cols + 6 * n * n
     else:
         itemsize = np.dtype(np.float64).itemsize
         matrices = sum(n << v for v in set(prof.v))
@@ -325,7 +329,8 @@ def _check_trial_memory(cfg: ExperimentConfig, K: int, M: int = 0) -> None:
         p = min(n, cols)
         solve = n * cols + p * (5 * n + p + 3)
     need = (K * (prof.B + sum(prof.v) + 8 * sum(prof.l))
-            + (matrices + blocks + solve + K * n) * itemsize)
+            + (matrices + blocks + solve + K * n) * itemsize
+            + np.getbufsize() * np.dtype(np.complex128).itemsize)
     if need > cfg.memory_budget:
         raise ResourceRefusalError(f"sensing matrices and trial arrays need {need} "
                                    f"bytes, budget is {cfg.memory_budget}")
@@ -365,11 +370,15 @@ def run_mimo_trial(cfg: ExperimentConfig, K: int, M: int,
 
     fading_seed = derive_seed(cfg.master_seed, trial, FADING)
     noise_seed = derive_seed(cfg.master_seed, trial, NOISE)
-    Y = [mimo_block_transmit(rows_to_ints(frags[ell - 1]), matrices[ell - 1].columns,
-                             M, N0, fading_seed, noise_seed, block=ell)
-         for ell in range(1, prof.L + 1)]
+    # the decoder sees a block only through its sample covariance, so each
+    # block is dropped once its covariance exists (looked up on its module,
+    # so that a patched sample_covariance sees every call)
+    covs = [mimo.sample_covariance(mimo_block_transmit(
+                rows_to_ints(frags[ell - 1]), matrices[ell - 1].columns, M, N0,
+                fading_seed, noise_seed, block=ell))
+            for ell in range(1, prof.L + 1)]
 
-    return _decode_modes(decode_mimo, ("original", "enhanced"), cfg, sent, Y,
+    return _decode_modes(decode_mimo, ("original", "enhanced"), cfg, sent, covs,
                          matrices, codebook, N0)
 
 

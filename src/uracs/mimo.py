@@ -136,24 +136,24 @@ def activity_detect(sample_cov: np.ndarray, A: SensingMatrix,
     return state.gamma, state
 
 
-def decode_mimo(Y_blocks: list[np.ndarray], matrices: list[SensingMatrix],
+def decode_mimo(covariances: list[np.ndarray], matrices: list[SensingMatrix],
                 codebook: TreeCodebook, list_size: int, N0: float,
                 mode: str = "original", force_full_patterns: bool = False,
                 path_cap: int = DEFAULT_PATH_CAP,
                 memo: dict | None = None) -> DecodeResult:
-    """Recover messages from L block observations (modes and memo: see
-    interleaved_decode).
+    """Recover messages from the sample covariances of L blocks (modes and
+    memo: see interleaved_decode).
 
     Each block runs activity detection over its index set and keeps the
     ``list_size`` largest gamma entries, in index order. They are ranked over
     all columns, so a list short of positive gamma fills up with zero-gamma
     columns, which may lie outside the set.
     """
-    def solve_slot(Y, A, S):
-        gamma, state = activity_detect(sample_covariance(Y), A, S, N0)
+    def solve_slot(sample_cov, A, S):
+        gamma, state = activity_detect(sample_cov, A, S, N0)
         found = np.sort(top_k_support(gamma, list_size, np.arange(A.cols)))
         # every visited coordinate costs an n^2 matvec whether or not it moves
         return found, state.sweeps_run, state.sweeps_run * S.size * A.rows ** 2
 
-    return interleaved_decode(Y_blocks, matrices, codebook, mode,
+    return interleaved_decode(covariances, matrices, codebook, mode,
                               force_full_patterns, path_cap, solve_slot, memo)

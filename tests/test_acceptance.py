@@ -404,13 +404,13 @@ def test_criterion_8_forced_full_equivalence(capsys):
         rng = np.random.default_rng((93, t))
         W = random_bits(rng, (2, profile_m.B))
         frags = encode_messages(W, cb_m)
-        Y = [mimo_block_transmit(rows_to_ints(frags[ell - 1]),
-                                 mats_m[ell - 1].columns, 32, 1.0, (94, t), (95, t),
-                                 block=ell)
-             for ell in range(1, profile_m.L + 1)]
-        base = decode_mimo(Y, mats_m, cb_m, 2, 1.0, mode="original")
-        forced = decode_mimo(Y, mats_m, cb_m, 2, 1.0, mode="enhanced",
-                             force_full_patterns=True)
+        covs = [sample_covariance(mimo_block_transmit(
+                    rows_to_ints(frags[ell - 1]), mats_m[ell - 1].columns, 32, 1.0,
+                    (94, t), (95, t), block=ell))
+                for ell in range(1, profile_m.L + 1)]
+        base = decode_mimo(covs, mats_m, cb_m, 2, 1.0, mode="original")
+        forced = decode_mimo(covs, mats_m, cb_m, 2, 1.0, mode="enhanced",
+                                force_full_patterns=True)
         mimo_equal += int(forced.messages == base.messages
                           and forced.failures == base.failures)
 

@@ -505,14 +505,16 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     # Four MIMO blocks of 4-bit fragments (B = 10 info, 6 parity bits), K = 2,
     # M = 16, n = 8: four 8 x 16 complex matrices take 8192 bytes; messages
     # and fragments 2 x (10 + 16) bytes plus a 2 x 6 float64 parity product,
-    # 148 bytes; 2 x 8 user signals, and the (4 + 2) 8 x 16 blocks and three
-    # 2 x 16 arrays the last block's transmission holds, 880 complex numbers
-    # or 14080 bytes; one block's activity detection, one 8 x 16 row copy,
-    # three more in its drift check, and 4 + 3 8 x 8 matrices, 960 complex
-    # numbers or 15360 bytes. 37780 bytes in all, and one byte less refuses
-    # the trial before any matrix is built.
+    # 148 bytes; 2 x 8 user signals, one 8 x 16 block in flight with two
+    # more beside it and three 2 x 16 arrays of its fading draw, and four
+    # 8 x 8 sample covariances, 752 complex numbers or 12032 bytes; one
+    # block's activity detection, one 8 x 16 row copy, three more in its
+    # drift check, and 3 + 3 8 x 8 matrices, 896 complex numbers or 14336
+    # bytes; and one complex ufunc buffer of np.getbufsize() = 8192 (numpy's
+    # default) elements, 131072 bytes. 165780 bytes in all, and one byte
+    # less refuses the trial before any matrix is built.
     data = {"scenario": "mimo", "profile": {"m": [4, 2, 2, 2], "l": [0, 2, 2, 2]},
-            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 37779}
+            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 165779}
     cfg = parse_config(data)
 
     def no_build(*args, **kwargs):
@@ -521,9 +523,9 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(harness, "build_complex_sensing_matrix", no_build)
         with pytest.raises(ResourceRefusalError,
-                           match="need 37780 bytes, budget is 37779"):
+                           match="need 165780 bytes, budget is 165779"):
             run_mimo_trial(cfg, 2, 16, 0)
-    run_mimo_trial(replace(cfg, memory_budget=37780), 2, 16, 0)
+    run_mimo_trial(replace(cfg, memory_budget=165780), 2, 16, 0)
     # The scalar trial builds one matrix per distinct width (3 and 4 bits
     # here): 12 x (8 + 16) doubles, 2304 bytes. With K = 1, B = 7, 11 coded
     # and 4 parity bits, messages and fragments take 7 + 11 + 8 x 4 = 50
@@ -531,24 +533,27 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     # 4-bit width holds a pruned 12 x 16 copy of its matrix and NNLS's
     # passive set for min(12, 16) = 12 columns, 12 x (5 x 12 + 12 + 3): the
     # columns, Q and the three blocks of a leave, 12 x 12 each, R^-1 and
-    # three vectors. 1092 doubles, 8736 bytes.
-    # 11186 in all.
-    siso = parse_config(siso_config(memory_budget=11185))
-    with pytest.raises(ResourceRefusalError, match="need 11186 bytes, budget is 11185"):
+    # three vectors. 1092 doubles, 8736 bytes. With the 131072-byte ufunc
+    # buffer, 142258 in all.
+    siso = parse_config(siso_config(memory_budget=142257))
+    with pytest.raises(ResourceRefusalError, match="need 142258 bytes, budget is 142257"):
         run_siso_trial(siso, 1, 10.0, 0)
-    run_siso_trial(replace(siso, memory_budget=11186), 1, 10.0, 0)
+    run_siso_trial(replace(siso, memory_budget=142258), 1, 10.0, 0)
 
 
 def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
-    # Matrices of a few KiB, but the L + 2 = 5 MIMO blocks of 16 x 1e8
-    # complex numbers and three 2 x 1e8 arrays of the fading draw take
-    # 1.376e11 bytes; with 100 bytes of messages and fragments, three
-    # matrices (640 complex numbers), one block's activity detection (2816)
-    # and the 2 x 16 user signals (32), 137600055908 bytes. 1e8
+    # Matrices of a few KiB, but one MIMO block of 16 x 1e8 complex numbers
+    # in flight with two more beside it and three 2 x 1e8 arrays of its
+    # fading draw take 8.64e10 bytes; with 100 bytes of messages and
+    # fragments, three matrices (640 complex numbers), three 16 x 16 sample
+    # covariances (768),
+    # one block's activity detection (2560), the 2 x 16 user signals (32)
+    # and the 131072-byte ufunc buffer, 86400195172 bytes. 1e8
     # scalar-channel users' messages and fragments (50 bytes each) and
-    # signals (12 doubles each) take 14600000000 bytes,
-    # and 11040 more for the matrices and one slot solve. Both trials are
-    # refused under the default 256 MiB budget before a message is drawn.
+    # signals (12 doubles each) take 14600000000 bytes, and 11040 more for
+    # the matrices and one slot solve, with the ufunc buffer 14600142112.
+    # Both trials are refused under the default 256 MiB budget before a
+    # message is drawn.
     def no_alloc(*args, **kwargs):
         raise AssertionError("the trial allocated before the refusal")
 
@@ -556,10 +561,10 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
                  "build_complex_sensing_matrix", "mimo_block_transmit"):
         monkeypatch.setattr(harness, name, no_alloc)
     mimo_cfg = parse_config({**MIMO_SMALL, "M": 1e8, "n": 16})
-    with pytest.raises(ResourceRefusalError, match="need 137600055908 bytes"):
+    with pytest.raises(ResourceRefusalError, match="need 86400195172 bytes"):
         run_mimo_trial(mimo_cfg, 2, 10 ** 8, 0)
     siso = parse_config(siso_config(K=10 ** 8))
-    with pytest.raises(ResourceRefusalError, match="need 14600011040 bytes"):
+    with pytest.raises(ResourceRefusalError, match="need 14600142112 bytes"):
         run_siso_trial(siso, 10 ** 8, 10.0, 0)
 
 
@@ -572,7 +577,10 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
      "K": 4, "M": 64, "ebn0_db": 0.0, "n": 16},
     {"scenario": "siso", "profile": {"m": [8, 7, 5, 4], "l": [0, 1, 3, 4]},
      "K": 8, "ebn0_db": 16.0, "n": 64},
-], ids=["mimo-wide-m", "mimo-desk", "siso-desk"])
+    # 1 x 300 blocks: numpy's ufunc cast buffer outweighs them
+    {"scenario": "mimo", "profile": {"m": [2, 1], "l": [0, 1]},
+     "K": 40, "M": 300, "ebn0_db": 6.0, "n": 1},
+], ids=["mimo-wide-m", "mimo-desk", "siso-desk", "mimo-one-row"])
 def test_memory_plan_covers_the_traced_peak_of_a_trial(data):
     # A budget one byte below what a trial really allocates refuses it. The
     # path search is not in the plan; these profiles keep it small.
@@ -596,6 +604,33 @@ def test_memory_plan_covers_the_traced_peak_of_a_trial(data):
             tracemalloc.stop()
     with pytest.raises(ResourceRefusalError):
         run(replace(cfg, memory_budget=peak - 1), 1)
+
+
+def test_mimo_trial_forms_one_covariance_per_block_and_drops_the_block(monkeypatch):
+    # The decoder sees a block only through its sample covariance, so a trial
+    # forms each block's covariance once and keeps no block past it: at
+    # n = 8, M = 20000 its traced peak stays under three 8 x 20000 blocks.
+    cfg = parse_config({"scenario": "mimo",
+                        "profile": {"m": [4, 2, 2, 2], "l": [0, 2, 2, 2]},
+                        "K": 2, "M": 20000, "ebn0_db": 6.0, "n": 8})
+    real, shapes = mimo.sample_covariance, []
+
+    def counting(Y):
+        shapes.append(Y.shape)
+        return real(Y)
+    monkeypatch.setattr(mimo, "sample_covariance", counting)
+    # the first trial also pays one-off costs of numpy and of the imports
+    run_mimo_trial(cfg, 2, 20000, 0)
+    for trial in (1, 2):
+        shapes.clear()
+        tracemalloc.start()
+        try:
+            run_mimo_trial(cfg, 2, 20000, trial)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert shapes == [(8, 20000)] * cfg.profile.L
+        assert peak < 3 * 8 * 20000 * np.dtype(np.complex128).itemsize
 
 
 def test_run_experiment_siso_csv_shape_and_determinism(tmp_path):

@@ -326,26 +326,26 @@ def make_mimo_instance(K=2, seed=13):
     W = random_bits(rng, (K, prof.B))
     frags = encode_messages(W, cb)
     n, M, N0, P = 8, 1024, 0.1, 1.0
-    mats, blocks = [], []
+    mats, covs = [], []
     for ell in range(prof.L):
         A = build_complex_sensing_matrix(n, prof.v[ell],
                                          radius=np.sqrt(n * P), seed=(30, ell))
         idx = rows_to_ints(frags[ell])
-        blocks.append(mimo_block_transmit(idx, A.columns, M, N0, 1000 + ell,
-                                          2000 + ell, block=ell))
+        covs.append(sample_covariance(mimo_block_transmit(
+            idx, A.columns, M, N0, 1000 + ell, 2000 + ell, block=ell)))
         mats.append(A)
-    return prof, cb, W, mats, blocks, N0
+    return prof, cb, W, mats, covs, N0
 
 
 def test_decode_mimo_roundtrip_both_modes():
-    prof, cb, W, mats, blocks, N0 = make_mimo_instance()
+    prof, cb, W, mats, covs, N0 = make_mimo_instance()
     sent = sorted(int(x) for x in rows_to_ints(W))
     for mode in ("original", "enhanced"):
-        res = decode_mimo(blocks, mats, cb, list_size=2, N0=N0, mode=mode)
+        res = decode_mimo(covs, mats, cb, list_size=2, N0=N0, mode=mode)
         assert sorted(res.messages) == sent
         assert res.failures == 0
-    orig = decode_mimo(blocks, mats, cb, list_size=2, N0=N0, mode="original")
-    enh = decode_mimo(blocks, mats, cb, list_size=2, N0=N0, mode="enhanced")
+    orig = decode_mimo(covs, mats, cb, list_size=2, N0=N0, mode="original")
+    enh = decode_mimo(covs, mats, cb, list_size=2, N0=N0, mode="enhanced")
     assert orig.diagnostics.cols == [8, 16, 16]
     assert enh.diagnostics.cols[0] == 8
     assert all(e <= o for e, o in
@@ -356,10 +356,10 @@ def test_decode_mimo_roundtrip_both_modes():
 
 
 def test_decode_mimo_forced_full_equals_original():
-    prof, cb, W, mats, blocks, N0 = make_mimo_instance(seed=17)
-    a = decode_mimo(blocks, mats, cb, list_size=2, N0=N0, mode="original")
-    b = decode_mimo(blocks, mats, cb, list_size=2, N0=N0, mode="enhanced",
-                    force_full_patterns=True)
+    prof, cb, W, mats, covs, N0 = make_mimo_instance(seed=17)
+    a = decode_mimo(covs, mats, cb, list_size=2, N0=N0, mode="original")
+    b = decode_mimo(covs, mats, cb, list_size=2, N0=N0, mode="enhanced",
+                  force_full_patterns=True)
     assert a.messages == b.messages
     assert a.failures == b.failures
     assert a.diagnostics.cols == b.diagnostics.cols
@@ -368,23 +368,23 @@ def test_decode_mimo_forced_full_equals_original():
 
 
 def test_decode_mimo_work_model():
-    prof, cb, W, mats, blocks, N0 = make_mimo_instance()
-    res = decode_mimo(blocks, mats, cb, list_size=2, N0=N0, mode="enhanced")
+    prof, cb, W, mats, covs, N0 = make_mimo_instance()
+    res = decode_mimo(covs, mats, cb, list_size=2, N0=N0, mode="enhanced")
     d = res.diagnostics
     expect = sum(s * sz * 64 for s, sz in zip(d.iterations, d.cols))
     assert d.work_units == expect
 
 
 def test_decode_mimo_input_validation():
-    prof, cb, W, mats, blocks, N0 = make_mimo_instance()
+    prof, cb, W, mats, covs, N0 = make_mimo_instance()
     with pytest.raises(ValueError):
-        decode_mimo(blocks, mats, cb, list_size=2, N0=N0, mode="turbo")
+        decode_mimo(covs, mats, cb, list_size=2, N0=N0, mode="turbo")
     with pytest.raises(ValueError):
-        decode_mimo(blocks[:2], mats, cb, list_size=2, N0=N0)
+        decode_mimo(covs[:2], mats, cb, list_size=2, N0=N0)
     bad = list(mats)
     bad[1] = build_complex_sensing_matrix(8, 5, radius=1.0, seed=0)
     with pytest.raises(ValueError):
-        decode_mimo(blocks, bad, cb, list_size=2, N0=N0)
+        decode_mimo(covs, bad, cb, list_size=2, N0=N0)
 
 
 def test_decode_mimo_list_rule(monkeypatch):
@@ -401,9 +401,9 @@ def test_decode_mimo_list_rule(monkeypatch):
         return gamma, SimpleNamespace(sweeps_run=1)
 
     monkeypatch.setattr(uracs.mimo, "activity_detect", fake_detect)
-    prof, cb, W, mats, blocks, N0 = make_mimo_instance()
+    prof, cb, W, mats, covs, N0 = make_mimo_instance()
     memo: dict = {}  # (slot, S bytes) -> (indices, ...): the lists decode_mimo chose
-    decode_mimo(blocks, mats, cb, list_size=2, N0=N0, mode="enhanced", memo=memo)
+    decode_mimo(covs, mats, cb, list_size=2, N0=N0, mode="enhanced", memo=memo)
     lists = {ell: (np.frombuffer(key, dtype=np.int64), out[0].tolist())
              for (ell, key), out in memo.items()}
     # ranked 5, then 3 and 7 tied at 0.7: the tie goes to 3, reported as [3, 5]
@@ -414,4 +414,4 @@ def test_decode_mimo_list_rule(monkeypatch):
         assert got == [0, int(S[-1])]
     assert any(0 not in S for S, _ in restricted)
     with pytest.raises(ValueError):
-        decode_mimo(blocks, mats, cb, list_size=0, N0=N0)
+        decode_mimo(covs, mats, cb, list_size=0, N0=N0)
