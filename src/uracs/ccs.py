@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import rows_to_ints
-from .nnls import DEFAULT_NNLS_TOL, nnls_solve
+from .nnls import DEFAULT_NNLS_TOL, nnls_solve, workspace_bytes
 from .tree import DEFAULT_PATH_CAP, DecodeResult, TreeCodebook, interleaved_decode
 
 
@@ -32,6 +32,16 @@ class SensingMatrix:
     @property
     def cols(self) -> int:
         return self.columns.shape[1]
+
+
+def matrix_bytes(n: int, widths, dtype=np.float64) -> int:
+    """Bytes of one n x 2^v ``dtype`` sensing matrix per width in ``widths``."""
+    return n * sum(1 << v for v in widths) * np.dtype(dtype).itemsize
+
+
+def slot_bytes(K: int, n: int, v: int) -> int:
+    """Bytes of a scalar slot at width v: K x n user signals, a pruned n x 2^v matrix, NNLS."""
+    return 8 * n * (K + (1 << v)) + workspace_bytes(n, 1 << v)
 
 
 def _seed_key(seed) -> tuple:

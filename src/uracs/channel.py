@@ -54,6 +54,13 @@ def gmac_transmit(user_signals: np.ndarray, d: float, noise_seed,
     return d * user_signals.sum(axis=0) + rng.standard_normal(n)
 
 
+def mimo_block_bytes(n: int, K: int, M: int) -> int:
+    """Bytes of an n x M block of K users in flight: it and two more n x M
+    blocks (its noise and product, or its covariance's conjugate copy), the
+    fading draw's three K x M arrays, and the users' n x K columns."""
+    return 16 * (3 * n * M + 3 * K * M + n * K)
+
+
 def mimo_block_transmit(column_indices: np.ndarray, A: np.ndarray, M: int,
                         N0: float, fading_seed, noise_seed,
                         block: int = 0) -> np.ndarray:
@@ -80,7 +87,4 @@ def mimo_block_transmit(column_indices: np.ndarray, A: np.ndarray, M: int,
     H *= np.sqrt(0.5)
     Z = (nrng.standard_normal((n, M)) + 1j * nrng.standard_normal((n, M)))
     Z *= np.sqrt(N0 / 2.0)
-    Y = Z
-    if K:
-        Y = A[:, column_indices].astype(np.complex128) @ H + Z
-    return Y
+    return A[:, column_indices].astype(np.complex128) @ H + Z if K else Z

@@ -23,7 +23,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from . import mimo
+from . import ccs, channel, mimo, tree
 from .bits import random_bits, rows_to_ints
 from .ccs import build_complex_sensing_matrix, build_sensing_matrix, decode_siso, user_signals
 from .channel import (EBN0_DB_LIMIT, ebn0_to_amplitude, ebn0_to_power,
@@ -292,45 +292,18 @@ def _decode_modes(decode, modes, cfg: ExperimentConfig, sent: list[int],
 
 
 def _check_trial_memory(cfg: ExperimentConfig, K: int, M: int = 0) -> None:
-    """Refuse a trial, before it allocates anything, whose arrays exceed the
-    budget. ``M`` is a MIMO trial's antenna count, 0 for a scalar trial.
-
-    Counted: the messages and fragments (uint8, and the float64 parity
-    product behind them); the sensing matrices (real, one per distinct
-    width, or complex, one per MIMO block); one slot's K x n user signals;
-    for MIMO, the L n x n sample covariances and the one n x M block in
-    flight with what it holds beside it: three K x M arrays while its fading
-    draw is made from real draws, then two more n x M blocks (its noise and
-    the product of its columns with the draw, or the conjugate copy its
-    covariance is taken with); one slot solve at the widest section: a
-    pruned n x 2^v copy of the matrix and NNLS's passive set for
-    p = min(n, 2^v) columns (the columns and Q of their factor, n x p each,
-    R^-1, p x p, three vectors of length p, and the three n x p blocks a
-    leave holds at once while it re-orthogonalises Q), or CovarianceState's
-    one n x 2^v row copy and three n x n matrices beside the block's
-    covariance (the identity, the tracked inverse and the buffer its
-    rank-one updates are written into) plus what its drift check adds:
-    three copies of the supported rows, up to n x 2^v each, and three n x n
-    matrices (the covariance, a product beside it, and the drift or the
-    recomputed inverse); and one complex ufunc buffer of np.getbufsize()
-    elements, for the casts numpy makes inside a mixed-type call, which no
-    array above holds."""
-    prof, n = cfg.profile, cfg.n
-    cols = 1 << max(prof.v)
+    """Refuse a trial, before it allocates anything, whose working set exceeds
+    the budget. ``M`` is a MIMO trial's antenna count, 0 for a scalar trial.
+    The plan sums each layer's own figure (tree's messages, ccs's matrices and
+    scalar slot, channel's MIMO block, mimo's decoder) and one complex ufunc
+    buffer of np.getbufsize() elements, for numpy's casts in mixed-type calls."""
+    prof, n, v = cfg.profile, cfg.n, max(cfg.profile.v)
     if M:
-        itemsize = np.dtype(np.complex128).itemsize
-        matrices = sum(n << v for v in prof.v)
-        blocks = 3 * n * M + 3 * K * M + prof.L * n * n
-        solve = 4 * n * cols + 6 * n * n
+        layers = (ccs.matrix_bytes(n, prof.v, np.complex128) + channel.mimo_block_bytes(n, K, M)
+                  + mimo.decoder_bytes(n, v, prof.L))
     else:
-        itemsize = np.dtype(np.float64).itemsize
-        matrices = sum(n << v for v in set(prof.v))
-        blocks = 0
-        p = min(n, cols)
-        solve = n * cols + p * (5 * n + p + 3)
-    need = (K * (prof.B + sum(prof.v) + 8 * sum(prof.l))
-            + (matrices + blocks + solve + K * n) * itemsize
-            + np.getbufsize() * np.dtype(np.complex128).itemsize)
+        layers = ccs.matrix_bytes(n, set(prof.v)) + ccs.slot_bytes(K, n, v)
+    need = tree.message_bytes(prof, K) + layers + np.getbufsize() * np.dtype(np.complex128).itemsize
     if need > cfg.memory_budget:
         raise ResourceRefusalError(f"sensing matrices and trial arrays need {need} "
                                    f"bytes, budget is {cfg.memory_budget}")

@@ -28,6 +28,12 @@ DEFAULT_SWEEPS = 10
 DEFAULT_CD_TOL = 1e-6
 
 
+def decoder_bytes(n: int, v: int, L: int) -> int:
+    """Bytes of L n x n sample covariances and one ``activity_detect`` over 2^v
+    columns: the state's row copy and 3 n x n matrices, and a drift check's 3 of each."""
+    return 16 * (L * n * n + 4 * n * (1 << v) + 6 * n * n)
+
+
 def sample_covariance(Y: np.ndarray) -> np.ndarray:
     """(1/M) Y Y^H for an n x M block observation."""
     Y = np.asarray(Y)

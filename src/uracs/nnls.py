@@ -38,6 +38,13 @@ import numpy as np
 DEFAULT_NNLS_TOL = 1e-8
 
 
+def workspace_bytes(n: int, c: int) -> int:
+    """Bytes of ``nnls_solve``'s buffers for p = min(n, c) passive columns: five
+    n x p blocks (A_P, Q and the three of a leave), R^-1 and three p-vectors."""
+    p = min(n, c)
+    return 8 * p * (5 * n + p + 3)
+
+
 @dataclass
 class NnlsResult:
     x: np.ndarray

@@ -163,6 +163,11 @@ def _mod2(product: np.ndarray) -> np.ndarray:
     return (product.astype(np.int64) & 1).astype(np.uint8)
 
 
+def message_bytes(profile: ParityProfile, K: int) -> int:
+    """Bytes of K messages, their fragments and the parity product behind them."""
+    return K * (profile.B + sum(profile.v) + 8 * sum(profile.l))
+
+
 def encode_messages(W: np.ndarray, codebook: TreeCodebook) -> list[np.ndarray]:
     """Encode a batch of messages (rows of W); returns L arrays of shape (K, v_l)."""
     W = np.atleast_2d(np.asarray(W, dtype=np.uint8))
@@ -343,12 +348,13 @@ def interleaved_decode(observations: list, matrices: list, codebook: TreeCodeboo
     Once every path has died the set is empty and the remaining slots are not
     solved.
 
-    ``memo`` maps (slot, S bytes) to a solved slot: (indices, iterations, work
-    units, solve ms). Decodes of the same observations with the same solver
-    may share one, so each distinct slot problem is solved once. A reused
-    solve is charged in full: its iterations and work units, and its recorded
-    solve time on top of ``wall_ms``, so every decode still reports what it
-    would cost alone. Forced-full decodes neither read nor write the memo.
+    ``memo`` maps a slot whose set is full to its solve: (indices, iterations,
+    work units, solve ms). Decodes of the same observations with the same
+    solver may share one, so each full slot is solved once; a pruned set is
+    solved once per decode anyway. A reused solve is charged in full: its
+    iterations and work units, and its recorded solve time on top of
+    ``wall_ms``, so every decode still reports what it would cost alone.
+    Forced-full decodes neither read nor write the memo.
     """
     prof = codebook.profile
     if mode not in ("original", "enhanced"):
@@ -372,18 +378,16 @@ def interleaved_decode(observations: list, matrices: list, codebook: TreeCodeboo
             S = admissible_columns(np.arange(1 << l) if force_full_patterns
                                    else tracker.admissible(), m, l)
         found, iterations, work = np.zeros(0, np.int64), 0, 0
-        if S.size:
-            key = (ell, S.tobytes())
-            if memo is not None and key in memo:
-                found, iterations, work, solve_ms = memo[key]
-                reused_ms += solve_ms
-            else:
-                t_solve = time.perf_counter()
-                found, iterations, work = solve_slot(observations[ell - 1],
-                                                     matrices[ell - 1], S)
-                if memo is not None:
-                    memo[key] = (found, iterations, work,
-                                 (time.perf_counter() - t_solve) * 1e3)
+        shared = memo is not None and S.size == 1 << (m + l)
+        if shared and ell in memo:
+            found, iterations, work, solve_ms = memo[ell]
+            reused_ms += solve_ms
+        elif S.size:
+            t_solve = time.perf_counter()
+            found, iterations, work = solve_slot(observations[ell - 1],
+                                                 matrices[ell - 1], S)
+            if shared:
+                memo[ell] = (found, iterations, work, (time.perf_counter() - t_solve) * 1e3)
         if ell == 1:
             tracker.start(found)
         else:

@@ -392,7 +392,10 @@ def test_decode_mimo_list_rule(monkeypatch):
     # columns by (-gamma, index), so ties go to the lower index, and it is
     # reported in index order. Once S runs out of positive gamma the list
     # fills up with the lowest zero-gamma columns, which may lie outside S.
+    index_sets, lists = [], []  # of every slot solve, in order
+
     def fake_detect(sample_cov, A, S, N0, sweeps=DEFAULT_SWEEPS, tol=DEFAULT_CD_TOL):
+        index_sets.append(S)
         gamma = np.zeros(A.cols)
         if S.size == A.cols:
             gamma[[1, 3, 5, 7]] = [0.5, 0.7, 0.9, 0.7]
@@ -400,15 +403,21 @@ def test_decode_mimo_list_rule(monkeypatch):
             gamma[S[-1]] = 1.0
         return gamma, SimpleNamespace(sweeps_run=1)
 
+    def top_k(x, list_size, S):
+        # each solve ranks once; the list it reports is in index order
+        out = real_top_k(x, list_size, S)
+        lists.append(sorted(out.tolist()))
+        return out
+
+    real_top_k = uracs.mimo.top_k_support
     monkeypatch.setattr(uracs.mimo, "activity_detect", fake_detect)
+    monkeypatch.setattr(uracs.mimo, "top_k_support", top_k)
     prof, cb, W, mats, covs, N0 = make_mimo_instance()
-    memo: dict = {}  # (slot, S bytes) -> (indices, ...): the lists decode_mimo chose
-    decode_mimo(covs, mats, cb, list_size=2, N0=N0, mode="enhanced", memo=memo)
-    lists = {ell: (np.frombuffer(key, dtype=np.int64), out[0].tolist())
-             for (ell, key), out in memo.items()}
+    decode_mimo(covs, mats, cb, list_size=2, N0=N0, mode="enhanced")
+    assert len(index_sets) == len(lists) == prof.L
     # ranked 5, then 3 and 7 tied at 0.7: the tie goes to 3, reported as [3, 5]
-    assert lists[1][1] == [3, 5]
-    restricted = [lists[ell] for ell in lists if ell > 1 and lists[ell][0].size < 16]
+    assert lists[0] == [3, 5]
+    restricted = [(S, got) for S, got in zip(index_sets[1:], lists[1:]) if S.size < 16]
     assert restricted
     for S, got in restricted:
         assert got == [0, int(S[-1])]
