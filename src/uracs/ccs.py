@@ -35,13 +35,20 @@ class SensingMatrix:
 
 
 def matrix_bytes(n: int, widths, dtype=np.float64) -> int:
-    """Bytes of one n x 2^v ``dtype`` sensing matrix per width in ``widths``."""
-    return n * sum(1 << v for v in widths) * np.dtype(dtype).itemsize
+    """Bytes of one n x 2^v ``dtype`` sensing matrix per width in ``widths``, and
+    what building the widest holds beside it: the n x 2^v products its column
+    norms come from (x * x, or conj(x) * x and conj(x) for a complex x), and
+    three 2^v-vectors of norms and scales."""
+    dtype, cols = np.dtype(dtype), 1 << max(widths)
+    products = 2 if dtype.kind == "c" else 1
+    return dtype.itemsize * n * (sum(1 << v for v in widths) + products * cols) + 24 * cols
 
 
 def slot_bytes(K: int, n: int, v: int) -> int:
-    """Bytes of a scalar slot at width v: K x n user signals, a pruned n x 2^v matrix, NNLS."""
-    return 8 * n * (K + (1 << v)) + workspace_bytes(n, 1 << v)
+    """Bytes of a scalar slot at width v: K x n user signals, and a solve over
+    2^v indices: the int64 index set, a pruned n x 2^v matrix, NNLS's figure,
+    and the two 2^v-vectors of the top-K sort."""
+    return 8 * n * (K + (1 << v)) + workspace_bytes(n, 1 << v) + 24 * (1 << v)
 
 
 def _seed_key(seed) -> tuple:

@@ -55,9 +55,10 @@ def gmac_transmit(user_signals: np.ndarray, d: float, noise_seed,
 
 
 def mimo_block_bytes(n: int, K: int, M: int) -> int:
-    """Bytes of an n x M block of K users in flight: it and two more n x M
-    blocks (its noise and product, or its covariance's conjugate copy), the
-    fading draw's three K x M arrays, and the users' n x K columns."""
+    """Bytes of an n x M block of K users in flight: it and two more n x M blocks
+    (its noise and the product of its columns with the fading draw), the
+    draw's three K x M arrays and the users' n x K columns. Its sample
+    covariance, which holds the block and a conjugate copy, fits in these."""
     return 16 * (3 * n * M + 3 * K * M + n * K)
 
 

@@ -29,9 +29,11 @@ DEFAULT_CD_TOL = 1e-6
 
 
 def decoder_bytes(n: int, v: int, L: int) -> int:
-    """Bytes of L n x n sample covariances and one ``activity_detect`` over 2^v
-    columns: the state's row copy and 3 n x n matrices, and a drift check's 3 of each."""
-    return 16 * (L * n * n + 4 * n * (1 << v) + 6 * n * n)
+    """Bytes of L n x n sample covariances and one slot solve over 2^v columns:
+    the state's row copy and 3 n x n matrices, and a drift check's 3 of each;
+    per column, the int64 index set, gamma, the sweep's Python int and list
+    slot (40 bytes) and the three int64 vectors of the top-K sort."""
+    return 16 * (L * n * n + 4 * n * (1 << v) + 6 * n * n) + 80 * (1 << v)
 
 
 def sample_covariance(Y: np.ndarray) -> np.ndarray:

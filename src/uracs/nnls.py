@@ -40,9 +40,10 @@ DEFAULT_NNLS_TOL = 1e-8
 
 def workspace_bytes(n: int, c: int) -> int:
     """Bytes of ``nnls_solve``'s buffers for p = min(n, c) passive columns: five
-    n x p blocks (A_P, Q and the three of a leave), R^-1 and three p-vectors."""
+    n x p blocks (A_P, Q and the three of a leave), R^-1 and three p-vectors;
+    and of its c-vectors: the gradient, x and the closed mask."""
     p = min(n, c)
-    return 8 * p * (5 * n + p + 3)
+    return 8 * p * (5 * n + p + 3) + 17 * c
 
 
 @dataclass

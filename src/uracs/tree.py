@@ -160,12 +160,18 @@ class TreeCodebook:
 def _mod2(product: np.ndarray) -> np.ndarray:
     """Bits mod 2 of an exact float64 product of 0/1 arrays. Its entries are
     integers, and the integer cast is several times faster than float ``%``."""
-    return (product.astype(np.int64) & 1).astype(np.uint8)
+    bits = product.astype(np.int64)
+    bits &= 1
+    return bits.astype(np.uint8)
 
 
 def message_bytes(profile: ParityProfile, K: int) -> int:
-    """Bytes of K messages, their fragments and the parity product behind them."""
-    return K * (profile.B + sum(profile.v) + 8 * sum(profile.l))
+    """Bytes of a codebook's float64 G and of K messages: their bits, fragments
+    and parity (uint8), their Python ints (up to 192 bytes each while they are
+    made), and beside them while they are encoded their bits as float64, the
+    parity product and its int64 copy."""
+    B, parity = profile.B, sum(profile.l)
+    return 8 * B * parity + K * (9 * B + sum(profile.v) + 17 * parity + 192)
 
 
 def encode_messages(W: np.ndarray, codebook: TreeCodebook) -> list[np.ndarray]:

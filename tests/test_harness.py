@@ -511,10 +511,17 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     # block's activity detection, one 8 x 16 row copy, three more in its
     # drift check, and 3 + 3 8 x 8 matrices, 896 complex numbers or 14336
     # bytes; and one complex ufunc buffer of np.getbufsize() = 8192 (numpy's
-    # default) elements, 131072 bytes. 165780 bytes in all, and one byte
-    # less refuses the trial before any matrix is built.
+    # default) elements, 131072 bytes: 165780 bytes. Beside them the plan
+    # counts the codebook's 10 x 6 float64 G, 480 bytes; per message its
+    # Python int (192), its bits as float64 (80) and the parity product's
+    # int64 copy and uint8 bits (6 x 9), 652 more bytes for two; building
+    # a matrix, its norms' two 8 x 16 complex temporaries and three
+    # 16-vectors, 4480 bytes; and per column of a solve, its index set,
+    # gamma, the sweep's Python int (40) and the top-K sort's three int64
+    # vectors, 16 x 80 = 1280 bytes. 172672 bytes in all, and one byte less
+    # refuses the trial before any matrix is built.
     data = {"scenario": "mimo", "profile": {"m": [4, 2, 2, 2], "l": [0, 2, 2, 2]},
-            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 165779}
+            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 172671}
     cfg = parse_config(data)
 
     def no_build(*args, **kwargs):
@@ -523,9 +530,9 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(harness, "build_complex_sensing_matrix", no_build)
         with pytest.raises(ResourceRefusalError,
-                           match="need 165780 bytes, budget is 165779"):
+                           match="need 172672 bytes, budget is 172671"):
             run_mimo_trial(cfg, 2, 16, 0)
-    run_mimo_trial(replace(cfg, memory_budget=165780), 2, 16, 0)
+    run_mimo_trial(replace(cfg, memory_budget=172672), 2, 16, 0)
     # The scalar trial builds one matrix per distinct width (3 and 4 bits
     # here): 12 x (8 + 16) doubles, 2304 bytes. With K = 1, B = 7, 11 coded
     # and 4 parity bits, messages and fragments take 7 + 11 + 8 x 4 = 50
@@ -534,11 +541,17 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     # passive set for min(12, 16) = 12 columns, 12 x (5 x 12 + 12 + 3): the
     # columns, Q and the three blocks of a leave, 12 x 12 each, R^-1 and
     # three vectors. 1092 doubles, 8736 bytes. With the 131072-byte ufunc
-    # buffer, 142258 in all.
-    siso = parse_config(siso_config(memory_budget=142257))
-    with pytest.raises(ResourceRefusalError, match="need 142258 bytes, budget is 142257"):
+    # buffer, 142258. Beside them: the codebook's 7 x 4 G, 224 bytes; the
+    # message's Python int (192), its bits as float64 (56) and the parity
+    # product's int64 copy and uint8 bits (4 x 9), 284 bytes; building the
+    # 4-bit matrix, its norms' 12 x 16 product and three 16-vectors, 1920
+    # bytes; and per column of the solve, NNLS's gradient, x and closed mask
+    # (17) and the index set and the top-K sort's two vectors (24), 16 x 41
+    # = 656 bytes. 145342 in all.
+    siso = parse_config(siso_config(memory_budget=145341))
+    with pytest.raises(ResourceRefusalError, match="need 145342 bytes, budget is 145341"):
         run_siso_trial(siso, 1, 10.0, 0)
-    run_siso_trial(replace(siso, memory_budget=142258), 1, 10.0, 0)
+    run_siso_trial(replace(siso, memory_budget=145342), 1, 10.0, 0)
 
 
 def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
@@ -546,14 +559,16 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
     # in flight with two more beside it and three 2 x 1e8 arrays of its
     # fading draw take 8.64e10 bytes; with 100 bytes of messages and
     # fragments, three matrices (640 complex numbers), three 16 x 16 sample
-    # covariances (768),
-    # one block's activity detection (2560), the 2 x 16 user signals (32)
-    # and the 131072-byte ufunc buffer, 86400195172 bytes. 1e8
-    # scalar-channel users' messages and fragments (50 bytes each) and
-    # signals (12 doubles each) take 14600000000 bytes, and 11040 more for
-    # the matrices and one slot solve, with the ufunc buffer 14600142112.
-    # Both trials are refused under the default 256 MiB budget before a
-    # message is drawn.
+    # covariances (768), one block's activity detection (2560), the 2 x 16
+    # user signals (32) and the 131072-byte ufunc buffer, 86400195172 bytes.
+    # The plan's other terms add 10648: the codebook's G (224), two
+    # messages' ints and encoding copies (2 x 284), a matrix build's norms
+    # (8576) and a 16-column solve's vectors (1280), 86400205820 in all.
+    # 1e8 scalar-channel users' messages and fragments (50 bytes each), the
+    # same 284 more each, and signals (12 doubles each) take 43000000000
+    # bytes, and 13840 more for the codebook, the matrices, one build and
+    # one slot solve, with the ufunc buffer 43000144912. Both trials are
+    # refused under the default 256 MiB budget before a message is drawn.
     def no_alloc(*args, **kwargs):
         raise AssertionError("the trial allocated before the refusal")
 
@@ -561,10 +576,10 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
                  "build_complex_sensing_matrix", "mimo_block_transmit"):
         monkeypatch.setattr(harness, name, no_alloc)
     mimo_cfg = parse_config({**MIMO_SMALL, "M": 1e8, "n": 16})
-    with pytest.raises(ResourceRefusalError, match="need 86400195172 bytes"):
+    with pytest.raises(ResourceRefusalError, match="need 86400205820 bytes"):
         run_mimo_trial(mimo_cfg, 2, 10 ** 8, 0)
     siso = parse_config(siso_config(K=10 ** 8))
-    with pytest.raises(ResourceRefusalError, match="need 14600142112 bytes"):
+    with pytest.raises(ResourceRefusalError, match="need 43000144912 bytes"):
         run_siso_trial(siso, 10 ** 8, 10.0, 0)
 
 
@@ -580,7 +595,12 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
     # 1 x 300 blocks: numpy's ufunc cast buffer outweighs them
     {"scenario": "mimo", "profile": {"m": [2, 1], "l": [0, 1]},
      "K": 40, "M": 300, "ebn0_db": 6.0, "n": 1},
-], ids=["mimo-wide-m", "mimo-desk", "siso-desk", "mimo-one-row"])
+    # 15-bit fragments: at small n the slot solve's 2^15-vectors and the
+    # matrix build's norms outweigh the matrix
+    *({"scenario": "siso", "profile": {"m": [15, 13], "l": [0, 2]},
+       "K": 2, "ebn0_db": 14.0, "n": n} for n in (1, 4, 16)),
+], ids=["mimo-wide-m", "mimo-desk", "siso-desk", "mimo-one-row",
+        "siso-v15-n1", "siso-v15-n4", "siso-v15-n16"])
 def test_memory_plan_covers_the_traced_peak_of_a_trial(data):
     # A budget one byte below what a trial really allocates refuses it. The
     # path search is not in the plan; these profiles keep it small.
