@@ -35,13 +35,17 @@ class SensingMatrix:
 
 
 def matrix_bytes(n: int, widths, dtype=np.float64) -> int:
-    """Bytes of one n x 2^v ``dtype`` sensing matrix per width in ``widths``, and
-    what building the widest holds beside it: the n x 2^v products its column
-    norms come from (x * x, or conj(x) * x and conj(x) for a complex x), and
-    three 2^v-vectors of norms and scales."""
-    dtype, cols = np.dtype(dtype), 1 << max(widths)
+    """Bytes of one n x 2^v ``dtype`` sensing matrix per width in ``widths``."""
+    return np.dtype(dtype).itemsize * n * sum(1 << v for v in widths)
+
+
+def build_bytes(n: int, v: int, dtype=np.float64) -> int:
+    """Bytes that building an n x 2^v ``dtype`` sensing matrix holds beside it:
+    the n x 2^v products its column norms come from (x * x, or conj(x) * x
+    and conj(x) for a complex x), and three 2^v-vectors of norms and scales."""
+    dtype, cols = np.dtype(dtype), 1 << v
     products = 2 if dtype.kind == "c" else 1
-    return dtype.itemsize * n * (sum(1 << v for v in widths) + products * cols) + 24 * cols
+    return dtype.itemsize * n * products * cols + 24 * cols
 
 
 def slot_bytes(K: int, n: int, v: int) -> int:

@@ -55,10 +55,10 @@ def gmac_transmit(user_signals: np.ndarray, d: float, noise_seed,
 
 
 def mimo_block_bytes(n: int, K: int, M: int) -> int:
-    """Bytes of an n x M block of K users in flight: it and two more n x M blocks
-    (its noise and the product of its columns with the fading draw), the
-    draw's three K x M arrays and the users' n x K columns. Its sample
-    covariance, which holds the block and a conjugate copy, fits in these."""
+    """Bytes of ``mimo_block_transmit`` making an n x M block of K users: the
+    block and two more n x M blocks (its noise and the product of its columns
+    with the fading draw), the draw's three K x M arrays and the users' n x K
+    columns."""
     return 16 * (3 * n * M + 3 * K * M + n * K)
 
 
@@ -88,4 +88,7 @@ def mimo_block_transmit(column_indices: np.ndarray, A: np.ndarray, M: int,
     H *= np.sqrt(0.5)
     Z = (nrng.standard_normal((n, M)) + 1j * nrng.standard_normal((n, M)))
     Z *= np.sqrt(N0 / 2.0)
-    return A[:, column_indices].astype(np.complex128) @ H + Z if K else Z
+    Y = Z
+    if K:
+        Y = A[:, column_indices].astype(np.complex128) @ H + Z
+    return Y

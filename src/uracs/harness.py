@@ -266,6 +266,11 @@ def _trial_source(profile: ParityProfile, master_seed: int, trial: int):
             np.random.default_rng((master_seed, trial, MESSAGES)))
 
 
+# a sent message as a Python int, with its list slot and the object-array
+# copies rows_to_ints makes of a row wider than 63 bits
+_SENT_INT_BYTES = 192
+
+
 def _draw_messages(cfg: ExperimentConfig, K: int, trial: int):
     """The trial's codebook, sent messages (as integers) and coded fragments."""
     codebook, rng = _trial_source(cfg.profile, cfg.master_seed, trial)
@@ -294,16 +299,22 @@ def _decode_modes(decode, modes, cfg: ExperimentConfig, sent: list[int],
 def _check_trial_memory(cfg: ExperimentConfig, K: int, M: int = 0) -> None:
     """Refuse a trial, before it allocates anything, whose working set exceeds
     the budget. ``M`` is a MIMO trial's antenna count, 0 for a scalar trial.
-    The plan sums each layer's own figure (tree's messages, ccs's matrices and
-    scalar slot, channel's MIMO block, mimo's decoder) and one complex ufunc
-    buffer of np.getbufsize() elements, for numpy's casts in mixed-type calls."""
+    The plan adds up the figures the layers state, the sent messages' ints
+    and one complex ufunc buffer of np.getbufsize() elements, for numpy's
+    casts in mixed-type calls. Of two working sets never held at once it
+    counts the larger: every matrix is built before any slot's signals
+    exist, and a MIMO block is transmitted before its covariance is taken."""
     prof, n, v = cfg.profile, cfg.n, max(cfg.profile.v)
     if M:
-        layers = (ccs.matrix_bytes(n, prof.v, np.complex128) + channel.mimo_block_bytes(n, K, M)
-                  + mimo.decoder_bytes(n, v, prof.L))
+        dtype, widths = np.complex128, prof.v
+        slot = (max(channel.mimo_block_bytes(n, K, M), mimo.covariance_bytes(n, M))
+                + mimo.decoder_bytes(n, v, prof.L))
     else:
-        layers = ccs.matrix_bytes(n, set(prof.v)) + ccs.slot_bytes(K, n, v)
-    need = tree.message_bytes(prof, K) + layers + np.getbufsize() * np.dtype(np.complex128).itemsize
+        dtype, widths = np.float64, set(prof.v)
+        slot = ccs.slot_bytes(K, n, v)
+    layers = ccs.matrix_bytes(n, widths, dtype) + max(ccs.build_bytes(n, v, dtype), slot)
+    need = (tree.message_bytes(prof, K) + _SENT_INT_BYTES * K + layers
+            + np.getbufsize() * np.dtype(np.complex128).itemsize)
     if need > cfg.memory_budget:
         raise ResourceRefusalError(f"sensing matrices and trial arrays need {need} "
                                    f"bytes, budget is {cfg.memory_budget}")

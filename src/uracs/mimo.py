@@ -36,6 +36,12 @@ def decoder_bytes(n: int, v: int, L: int) -> int:
     return 16 * (L * n * n + 4 * n * (1 << v) + 6 * n * n) + 80 * (1 << v)
 
 
+def covariance_bytes(n: int, M: int) -> int:
+    """Bytes of ``sample_covariance`` of an n x M block: the block, its
+    conjugate copy, their n x n product and the scaled result."""
+    return 16 * (2 * n * M + 2 * n * n)
+
+
 def sample_covariance(Y: np.ndarray) -> np.ndarray:
     """(1/M) Y Y^H for an n x M block observation."""
     Y = np.asarray(Y)

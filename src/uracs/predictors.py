@@ -21,6 +21,11 @@ from .tree import ParityProfile
 VARIANTS = ("full", "one_step")
 
 
+def _check_slot(profile: ParityProfile, ell: int) -> None:
+    if not 1 <= ell <= profile.L:
+        raise ValueError(f"slot {ell} out of range [1, {profile.L}]")
+
+
 def _check_variant(variant: str) -> None:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
@@ -29,8 +34,7 @@ def _check_variant(variant: str) -> None:
 def expected_erroneous_paths(K: int, profile: ParityProfile, ell: int,
                              variant: str = "full") -> float:
     """Mean number of wrong parity-consistent paths per root surviving slot ``ell``."""
-    if not 1 <= ell <= profile.L:
-        raise ValueError(f"slot {ell} out of range [1, {profile.L}]")
+    _check_slot(profile, ell)
     _check_variant(variant)
     if ell == 1:
         return 0.0

@@ -167,11 +167,10 @@ def _mod2(product: np.ndarray) -> np.ndarray:
 
 def message_bytes(profile: ParityProfile, K: int) -> int:
     """Bytes of a codebook's float64 G and of K messages: their bits, fragments
-    and parity (uint8), their Python ints (up to 192 bytes each while they are
-    made), and beside them while they are encoded their bits as float64, the
-    parity product and its int64 copy."""
+    and parity (uint8), and beside them while they are encoded their bits as
+    float64, the parity product and its int64 copy."""
     B, parity = profile.B, sum(profile.l)
-    return 8 * B * parity + K * (9 * B + sum(profile.v) + 17 * parity + 192)
+    return 8 * B * parity + K * (9 * B + sum(profile.v) + 17 * parity)
 
 
 def encode_messages(W: np.ndarray, codebook: TreeCodebook) -> list[np.ndarray]:

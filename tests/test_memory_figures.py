@@ -1,7 +1,9 @@
 """Each layer's memory figure bounds the traced peak of the call it describes.
 
-The trial's memory plan (``harness._check_trial_memory``) sums these
-figures, so a figure that misses an allocation shows up here, at its own
+The trial's memory plan (``harness._check_trial_memory``) adds these
+figures up, taking the larger of two working sets never held at once (a
+matrix build and a slot; a block's transmission and its covariance), so a
+figure that misses an allocation shows up here, at its own
 layer. Every call runs once untraced first, so one-off import costs are not
 traced. A figure counts arrays; the Python objects and array headers a call
 makes are allowed ``SLACK`` bytes, which the plan's one ufunc-buffer
@@ -17,8 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from uracs import ccs, channel, mimo, nnls, tree
-from uracs.bits import random_bits, rows_to_ints
+from uracs import ccs, channel, harness, mimo, nnls, tree
 from uracs.tree import DEFAULT_MIMO_PROFILE, DEFAULT_SISO_PROFILE, ParityProfile
 
 SLACK = 8 << 10
@@ -60,7 +61,8 @@ def mimo_slot(n: int, v: int):
 
 @SCALAR
 def test_real_matrix_build(n, v):
-    assert_bounded(lambda: ccs.build_sensing_matrix(n, v, 0), ccs.matrix_bytes(n, [v]))
+    assert_bounded(lambda: ccs.build_sensing_matrix(n, v, 0),
+                   ccs.matrix_bytes(n, [v]) + ccs.build_bytes(n, v))
 
 
 @SCALAR
@@ -80,7 +82,7 @@ def test_scalar_slot_solve(n, v):
 @MIMO
 def test_complex_matrix_build(n, v):
     assert_bounded(lambda: ccs.build_complex_sensing_matrix(n, v, 2.0, 0),
-                   ccs.matrix_bytes(n, [v], np.complex128))
+                   ccs.matrix_bytes(n, [v], np.complex128) + ccs.build_bytes(n, v, np.complex128))
 
 
 @MIMO
@@ -101,22 +103,22 @@ def test_mimo_slot_solve(n, v):
 @pytest.mark.parametrize("n, K, M", [(1, 2, 20000), (8, 2, 20000), (16, 4, 64)])
 def test_mimo_block_in_flight(n, K, M):
     A = ccs.build_complex_sensing_matrix(n, 5, 2.0, 0)
-    fragments = np.arange(K)
 
-    def block_covariance():
-        return mimo.sample_covariance(
-            channel.mimo_block_transmit(fragments, A.columns, M, 1.0, 1, 2, block=1))
-    # the block leaves an n x n complex covariance, which mimo's figure counts
-    assert_bounded(block_covariance, channel.mimo_block_bytes(n, K, M) + 16 * n * n)
+    def transmit():
+        return channel.mimo_block_transmit(np.arange(K), A.columns, M, 1.0, 1, 2, block=1)
+    assert_bounded(transmit, channel.mimo_block_bytes(n, K, M))
+    # the figure counts the block the covariance is taken of, so a copy is traced
+    Y = transmit()
+    assert_bounded(lambda: mimo.sample_covariance(Y.copy()), mimo.covariance_bytes(n, M))
 
 
 @pytest.mark.parametrize("profile, K", [(DEFAULT_SISO_PROFILE, 2), (DEFAULT_SISO_PROFILE, 100),
                                         (DEFAULT_MIMO_PROFILE, 2)],
                          ids=["siso-default-K2", "siso-default-K100", "mimo-96-K2"])
 def test_messages(profile, K):
-    def draw_and_encode():
-        # what a trial draws: the codebook, the messages and their ints, the fragments
-        codebook = tree.TreeCodebook(profile, 3)
-        W = random_bits(np.random.default_rng(4), (K, profile.B))
-        return [int(x) for x in rows_to_ints(W)], tree.encode_messages(W, codebook)
-    assert_bounded(draw_and_encode, tree.message_bytes(profile, K))
+    # the codebook, the messages and the fragments are tree's; the messages'
+    # Python ints are the harness's
+    cfg = harness.parse_config({"scenario": "siso", "K": K, "ebn0_db": 10.0, "n": 1,
+                                "profile": {"m": list(profile.m), "l": list(profile.l)}})
+    assert_bounded(lambda: harness._draw_messages(cfg, K, 3),
+                   tree.message_bytes(profile, K) + harness._SENT_INT_BYTES * K)

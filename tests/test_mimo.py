@@ -20,7 +20,8 @@ from uracs.mimo import (
     decode_mimo,
     sample_covariance,
 )
-from uracs.tree import ParityProfile, TreeCodebook, admissible_columns, encode_messages
+from uracs.tree import (ParityProfile, PathTracker, TreeCodebook, admissible_columns,
+                         encode_messages)
 
 
 def test_admissible_index_set_construction():
@@ -403,15 +404,20 @@ def test_decode_mimo_list_rule(monkeypatch):
             gamma[S[-1]] = 1.0
         return gamma, SimpleNamespace(sweeps_run=1)
 
-    def top_k(x, list_size, S):
-        # each solve ranks once; the list it reports is in index order
-        out = real_top_k(x, list_size, S)
-        lists.append(sorted(out.tolist()))
-        return out
+    # the lists as decode_mimo hands them to the path tracker, unsorted
+    real_start, real_advance = PathTracker.start, PathTracker.advance
 
-    real_top_k = uracs.mimo.top_k_support
+    def start(self, fragments):
+        lists.append(np.asarray(fragments).tolist())
+        real_start(self, fragments)
+
+    def advance(self, fragments):
+        lists.append(np.asarray(fragments).tolist())
+        real_advance(self, fragments)
+
     monkeypatch.setattr(uracs.mimo, "activity_detect", fake_detect)
-    monkeypatch.setattr(uracs.mimo, "top_k_support", top_k)
+    monkeypatch.setattr(PathTracker, "start", start)
+    monkeypatch.setattr(PathTracker, "advance", advance)
     prof, cb, W, mats, covs, N0 = make_mimo_instance()
     decode_mimo(covs, mats, cb, list_size=2, N0=N0, mode="enhanced")
     assert len(index_sets) == len(lists) == prof.L
