@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import rows_to_ints
-from .nnls import DEFAULT_NNLS_TOL, nnls_solve, workspace_bytes
+from .nnls import nnls_solve, workspace_bytes
 from .tree import DEFAULT_PATH_CAP, DecodeResult, TreeCodebook, interleaved_decode
 
 
@@ -37,15 +37,6 @@ class SensingMatrix:
 def matrix_bytes(n: int, widths, dtype=np.float64) -> int:
     """Bytes of one n x 2^v ``dtype`` sensing matrix per width in ``widths``."""
     return np.dtype(dtype).itemsize * n * sum(1 << v for v in widths)
-
-
-def build_bytes(n: int, v: int, dtype=np.float64) -> int:
-    """Bytes that building an n x 2^v ``dtype`` sensing matrix holds beside it:
-    the n x 2^v products its column norms come from (x * x, or conj(x) * x
-    and conj(x) for a complex x), and three 2^v-vectors of norms and scales."""
-    dtype, cols = np.dtype(dtype), 1 << v
-    products = 2 if dtype.kind == "c" else 1
-    return dtype.itemsize * n * products * cols + 24 * cols
 
 
 def slot_bytes(K: int, n: int, v: int) -> int:
@@ -112,17 +103,12 @@ def decode_siso(y_slots: list[np.ndarray], matrices: list[SensingMatrix],
     """Recover messages from L slot observations (modes and memo: see
     interleaved_decode).
 
-    Each slot runs NNLS on the matrix columns of its index set and keeps the
-    top ``list_size`` fragments. The NNLS tolerance is DEFAULT_NNLS_TOL, or
-    the slot's rounding level when that is larger: the gradient A^T r of a
-    slot with a large ||y|| carries rounding noise of about eps sqrt(n) ||y||,
-    which a fixed tolerance would chase until the iteration cap.
+    Each slot runs NNLS, at its default tolerance, on the matrix columns of
+    its index set and keeps the top ``list_size`` fragments.
     """
     def solve_slot(y, A, S):
         A_S = prune_columns(A, S)
-        tol = max(DEFAULT_NNLS_TOL,
-                  64 * np.finfo(float).eps * np.sqrt(A.rows) * np.linalg.norm(y))
-        res = nnls_solve(A_S.columns, y, tol)
+        res = nnls_solve(A_S.columns, y)
         # work model: nnls iterations * rows * cols
         return (top_k_support(res.x, list_size, S), res.iterations,
                 res.iterations * A_S.rows * A_S.cols)

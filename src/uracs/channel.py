@@ -36,8 +36,8 @@ def ebn0_to_power(ebn0_db: float, B: int, L: int, n: int, N0: float) -> float:
 
 def gmac_transmit(user_signals: np.ndarray, d: float, noise_seed,
                   stream: int = 0) -> np.ndarray:
-    """y = d * sum_j x_j + z, z ~ N(0, I): superimpose K per-user signals
-    (rows) at amplitude d >= 0 and add real Gaussian noise.
+    """y = d * sum_j x_j + z, z ~ N(0, I): superimpose the K x n per-user
+    signals (one row per user) at amplitude d >= 0 and add real Gaussian noise.
 
     ``stream`` picks an independent substream of ``noise_seed`` so
     successive slots of one trial do not share noise.
@@ -45,8 +45,6 @@ def gmac_transmit(user_signals: np.ndarray, d: float, noise_seed,
     if not d >= 0:
         raise ValueError("amplitude d must be nonnegative")
     user_signals = np.asarray(user_signals, dtype=np.float64)
-    if user_signals.ndim == 1:
-        user_signals = user_signals[None, :]
     if user_signals.ndim != 2:
         raise ValueError("user_signals must be (K, n)")
     n = user_signals.shape[1]

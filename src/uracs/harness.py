@@ -301,9 +301,10 @@ def _check_trial_memory(cfg: ExperimentConfig, K: int, M: int = 0) -> None:
     the budget. ``M`` is a MIMO trial's antenna count, 0 for a scalar trial.
     The plan adds up the figures the layers state, the sent messages' ints
     and one complex ufunc buffer of np.getbufsize() elements, for numpy's
-    casts in mixed-type calls. Of two working sets never held at once it
-    counts the larger: every matrix is built before any slot's signals
-    exist, and a MIMO block is transmitted before its covariance is taken."""
+    casts in mixed-type calls. Every matrix is built before any slot, and a
+    build holds less beside its matrix than a slot does, so one slot covers
+    it. A MIMO block is transmitted before its covariance is taken, so of
+    these two the plan counts the larger."""
     prof, n, v = cfg.profile, cfg.n, max(cfg.profile.v)
     if M:
         dtype, widths = np.complex128, prof.v
@@ -312,8 +313,8 @@ def _check_trial_memory(cfg: ExperimentConfig, K: int, M: int = 0) -> None:
     else:
         dtype, widths = np.float64, set(prof.v)
         slot = ccs.slot_bytes(K, n, v)
-    layers = ccs.matrix_bytes(n, widths, dtype) + max(ccs.build_bytes(n, v, dtype), slot)
-    need = (tree.message_bytes(prof, K) + _SENT_INT_BYTES * K + layers
+    need = (tree.message_bytes(prof, K) + _SENT_INT_BYTES * K
+            + ccs.matrix_bytes(n, widths, dtype) + slot
             + np.getbufsize() * np.dtype(np.complex128).itemsize)
     if need > cfg.memory_budget:
         raise ResourceRefusalError(f"sensing matrices and trial arrays need {need} "

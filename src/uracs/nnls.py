@@ -57,12 +57,15 @@ class NnlsResult:
     objective_history: list[float] = field(default_factory=list)
 
 
-def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float = DEFAULT_NNLS_TOL,
+def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
                max_iter: int | None = None) -> NnlsResult:
     """Active-set NNLS. ``max_iter`` caps least-squares subproblem solves
     (default 10 * number of columns); ties in the entering variable go to the
     lowest column index. ``tol`` must be finite and positive: a column enters
-    only when its gradient exceeds it.
+    only when its gradient exceeds it. By default it is DEFAULT_NNLS_TOL or
+    64 eps sqrt(n) ||y||, whichever is larger: with a large ||y|| the
+    gradient A^T r carries rounding noise of about eps sqrt(n) ||y||, which a
+    fixed tolerance would chase until the iteration cap.
 
     A ``tol`` far below rounding lets numerically dependent columns try to
     enter. One at distance exactly 0 from the passive span is shut out for
@@ -72,9 +75,12 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float = DEFAULT_NNLS_TOL,
     y = np.asarray(y, dtype=np.float64)
     if A.ndim != 2 or y.ndim != 1 or A.shape[0] != y.shape[0]:
         raise ValueError("A must be (n, c) and y length n")
+    n, c = A.shape
+    if tol is None:
+        tol = max(DEFAULT_NNLS_TOL,
+                  64 * np.finfo(float).eps * np.sqrt(n) * np.linalg.norm(y))
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
-    n, c = A.shape
     if max_iter is None:
         max_iter = 10 * max(c, 1)
 

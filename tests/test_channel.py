@@ -14,6 +14,10 @@ from uracs.channel import (
 def test_transmit_validation():
     with pytest.raises(ValueError):
         gmac_transmit(np.zeros((1, 4)), -1.0, 0)
+    # the user signals are K x n, one row per user
+    for shape in ((4,), (1, 1, 4)):
+        with pytest.raises(ValueError, match=r"must be \(K, n\)"):
+            gmac_transmit(np.zeros(shape), 1.0, 0)
     A = np.zeros((8, 4), dtype=np.complex128)
     with pytest.raises(ValueError):
         mimo_block_transmit(np.array([0]), A, 4, 0.0, 0, 0)

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import signal
 import tracemalloc
 from concurrent.futures import Future
 from dataclasses import fields, replace
@@ -296,6 +297,34 @@ def test_ebn0_search_rows(extra, search, required):
     got = tuple(float(r[3]) for r in rows)
     np.testing.assert_array_equal(got, required)
     assert all(r[4] == str(cfg.trials) for r in rows)
+
+
+def test_ebn0_search_stops_at_adjacent_floats():
+    # A resolution_db below the gap between adjacent doubles is never met:
+    # the bisection stops once the midpoint equals an end, so lo and hi are
+    # adjacent floats, hi meets the target and lo does not. A SIGALRM turns
+    # a bisection that never stops into a failure.
+    cfg = parse_config({
+        "scenario": "siso", "profile": SMALL_PROFILE, "K": 1, "n": 12, "trials": 1,
+        "master_seed": 0, "mode": "original",
+        "ebn0_search": {"target_pupe": 0.5, "lo_db": 0.0, "hi_db": 24.0,
+                        "resolution_db": 1e-300}})
+
+    def stuck(*_):
+        raise TimeoutError("the bisection did not stop")
+    old = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(60)
+    try:
+        row = run_experiment(cfg).splitlines()[1].split(",")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    required = float(row[3])
+    assert 0.0 < required <= 24.0
+
+    def pupe_at(ebn0_db):
+        return run_siso_trial(cfg, 1, ebn0_db, 0).outcomes["original"].pupe
+    assert pupe_at(required) <= 0.5 < pupe_at(np.nextafter(required, -np.inf))
 
 
 def test_parse_config_mimo_constraints():

@@ -1,13 +1,14 @@
 """Each layer's memory figure bounds the traced peak of the call it describes.
 
 The trial's memory plan (``harness._check_trial_memory``) adds these
-figures up, taking the larger of two working sets never held at once (a
-matrix build and a slot; a block's transmission and its covariance), so a
-figure that misses an allocation shows up here, at its own
-layer. Every call runs once untraced first, so one-off import costs are not
-traced. A figure counts arrays; the Python objects and array headers a call
-makes are allowed ``SLACK`` bytes, which the plan's one ufunc-buffer
-allowance covers in a trial.
+figures up, taking the larger of a MIMO block's transmission and its
+covariance, which are never held at once, so a figure that misses an
+allocation shows up here, at its own layer. A matrix build has no figure of
+its own: it comes before any slot and holds less beside its matrix than one
+slot, which the build tests check. Every call runs once untraced first, so
+one-off import costs are not traced. A figure counts arrays; the Python
+objects and array headers a call makes are allowed ``SLACK`` bytes, which
+the plan's one ufunc-buffer allowance covers in a trial.
 
 Sizes: n = 1 at the widest fragments a default profile uses, and the
 benchmark's siso-desk (n = 64, v = 8), siso-wide (n = 128, v = 10) and
@@ -61,8 +62,11 @@ def mimo_slot(n: int, v: int):
 
 @SCALAR
 def test_real_matrix_build(n, v):
-    assert_bounded(lambda: ccs.build_sensing_matrix(n, v, 0),
-                   ccs.matrix_bytes(n, [v]) + ccs.build_bytes(n, v))
+    # beside the matrix: the n x 2^v product x * x its column norms come
+    # from, and three 2^v-vectors of norms and scales
+    build = 8 * n * (1 << v) + 24 * (1 << v)
+    assert build < ccs.slot_bytes(1, n, v)
+    assert_bounded(lambda: ccs.build_sensing_matrix(n, v, 0), ccs.matrix_bytes(n, [v]) + build)
 
 
 @SCALAR
@@ -81,8 +85,12 @@ def test_scalar_slot_solve(n, v):
 
 @MIMO
 def test_complex_matrix_build(n, v):
+    # beside the matrix: the two n x 2^v products its column norms come
+    # from, conj(x) * x and conj(x), and three 2^v-vectors of norms and scales
+    build = 16 * n * 2 * (1 << v) + 24 * (1 << v)
+    assert build < mimo.decoder_bytes(n, v, 1)
     assert_bounded(lambda: ccs.build_complex_sensing_matrix(n, v, 2.0, 0),
-                   ccs.matrix_bytes(n, [v], np.complex128) + ccs.build_bytes(n, v, np.complex128))
+                   ccs.matrix_bytes(n, [v], np.complex128) + build)
 
 
 @MIMO

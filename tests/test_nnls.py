@@ -315,24 +315,68 @@ def test_numerically_dependent_entries_stop_at_a_full_passive_set():
         assert res.residual_norm == float(np.linalg.norm(A @ res.x - y))
 
 
-def test_tiny_tolerance_never_divides_by_a_zero_schur_complement():
-    # With tol = 1e-300 dependent columns keep trying to enter the 2-row
-    # passive set; their distance from the passive span can round to exactly
-    # 0, which would divide by zero. Such a column is shut out, and none
-    # enters a full passive set, so nothing raises and x stays finite.
-    shut_out = 0
-    for seed in range(300):
-        rng = np.random.default_rng(seed)
-        A = rng.standard_normal((2, 6))
-        y = rng.standard_normal(2) * 10.0 ** rng.uniform(6, 13)
+def test_tiny_tolerance_shuts_out_columns_at_distance_zero():
+    # With tol = 1e-300 dependent columns keep trying to enter. On 2-row
+    # Gaussian instances they stop at a full passive set. Where A has two
+    # identical columns of 0.5 entries, Q's column for the one that entered
+    # equals the other exactly, so its second Gram-Schmidt pass leaves a
+    # distance of exactly 0: that column is shut out rather than divided
+    # by it, and stays at 0. An unconverged solve under the iteration cap
+    # is such a shut-out, as no passive set of this rank-3 family is full.
+    # Either way nothing raises and x stays finite.
+    def instances():
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            A = rng.standard_normal((2, 6))
+            yield A, rng.standard_normal(2) * 10.0 ** rng.uniform(6, 13), False
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            A = np.hstack([np.full((4, 2), 0.5), rng.standard_normal((4, 2))])
+            yield A, rng.standard_normal(4), True
+
+    stopped = {False: 0, True: 0}
+    for A, y, duplicate in instances():
         with np.errstate(all="ignore"):
             res = nnls_solve(A, y, tol=1e-300)
         assert np.isfinite(res.x).all()
         assert (res.x >= 0).all()
         assert res.residual_norm == float(np.linalg.norm(A @ res.x - y))
-        shut_out += not res.converged and res.iterations < 60
-    # the family does stop solves at these rules
-    assert shut_out > 0
+        if not res.converged and res.iterations < 10 * A.shape[1]:
+            stopped[duplicate] += 1
+            assert not duplicate or res.x[1] == 0.0
+    # the families do stop solves at these rules
+    assert stopped[False] > 0 and stopped[True] > 0
+
+
+def test_default_tolerance_stops_at_the_rounding_level_of_a_large_y():
+    # y is the sum of four columns at ||y|| of about 1e11, so the gradient at
+    # the solution is rounding of about eps sqrt(n) ||y||, 1e-4 here, far
+    # above DEFAULT_NNLS_TOL. The default tolerance is floored at that level,
+    # so each solve converges on those four columns; at 1e-8 these solves
+    # chased the rounding to the 160-solve cap.
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((64, 16))
+        A /= np.linalg.norm(A, axis=0)
+        y = 5e10 * A[:, :4].sum(axis=1)
+        res = nnls_solve(A, y)
+        assert res.converged and res.iterations <= 8
+        np.testing.assert_array_equal(np.flatnonzero(res.x), np.arange(4))
+
+
+def test_entering_column_that_leaves_at_once_keeps_the_factor():
+    # Column 1 alone fits y with x_1 = 2, leaving a residual orthogonal to
+    # column 0 in exact arithmetic. Rounding leaves column 0 a gradient of
+    # about 1e-15, above tol = 1e-300, so it enters, its passive value comes
+    # out <= 0 and it leaves again as the last passive column: the factor of
+    # the columns before it is kept and no block is re-orthogonalised. The
+    # solve enters and drops it until the cap, x staying at the solution.
+    A = np.array([[1.0, 1.0], [2.0, -1.0], [2.0, -1.0]])
+    y = np.array([2.0, -1.0, -3.0])
+    res = nnls_solve(A, y, tol=1e-300)
+    assert res.iterations > 1
+    assert res.x[0] == 0.0 and abs(res.x[1] - 2.0) <= 1e-15
+    assert res.residual_norm == float(np.linalg.norm(A @ res.x - y))
 
 
 def test_entries_right_after_a_leave_match_restarting_solve():
