@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -79,6 +79,207 @@ DEFAULT_MIMO_PROFILE = ParityProfile(
 )
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of 4 uint32
+# words, its hash and mix constants and its 16-bit xorshift. Array products
+# wrap mod 2^32 (and mod 2^64 below) without a warning; constants are 0-d
+# arrays so that numpy converts no Python int per call.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _XSHIFT = (np.array(c, np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+# PCG64's 128-bit LCG multiplier; uint64 shifts and masks
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_U1, _U32, _U58, _U63, _U64, _LOW32 = (np.array(c, np.uint64)
+                                       for c in (1, 32, 58, 63, 64, _MASK32))
+
+
+def _hash_constants(init: int, mult: int, first: int, calls: int) -> tuple:
+    """SeedSequence's hash calls first .. first + calls - 1 as columns (xor,
+    mul): call t xors with init * mult^t mod 2^32 and multiplies by the next
+    power. The sequence does not depend on the data hashed."""
+    c = np.array([init * pow(mult, t, 1 << 32) & _MASK32
+                  for t in range(first, first + calls + 1)], np.uint32)[:, None]
+    return c[:-1], c[1:]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of ``value`` by the calls of one row each."""
+    value = (value ^ xor) * mul
+    value ^= value >> _XSHIFT
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L - y * _MIX_R
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _cross_constants(src: int) -> tuple:
+    """Calls 4 + 3 src .. 6 + 3 src, which mix_entropy makes on pool word
+    src, one per other word in order, as rows by destination word. Row src
+    is a dummy: the caller keeps that word."""
+    xor, mul = (np.insert(c, src, 0, axis=0)
+                for c in _hash_constants(_INIT_A, _MULT_A, _POOL + (_POOL - 1) * src, _POOL - 1))
+    return src, xor, mul
+
+
+# mix_entropy hashes each pool word (calls 0-3), then each word in turn into
+# each other word (calls 4-15); generate_state makes 8 calls of its own
+_HASH_POOL = _hash_constants(_INIT_A, _MULT_A, 0, _POOL)
+_CROSS = [_cross_constants(src) for src in range(_POOL)]
+_HASH_STATE = _hash_constants(_INIT_B, _MULT_B, 0, 2 * _POOL)
+
+
+def _seed_sequence_states(seed: int, block_words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` for every
+    column of ``block_words``, as a 4 x columns uint64 array. The entropy is
+    the seed's 32-bit chunks, low first, then the column's words."""
+    chunks = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words = len(chunks) + block_words.shape[0]
+    # entropy shorter than the pool is padded with zeros
+    entropy = np.zeros((max(words, _POOL), block_words.shape[1]), np.uint32)
+    entropy[:len(chunks)] = np.array(chunks, np.uint32)[:, None]
+    entropy[len(chunks):words] = block_words
+    pool = _hashmix(entropy[:_POOL], *_HASH_POOL)
+    for src, xor, mul in _CROSS:
+        mixed = _mix(pool, _hashmix(pool[src], xor, mul))
+        mixed[src] = pool[src]
+        pool = mixed
+    # entropy beyond the pool: each word's hash mixed into all four
+    for i in range(_POOL, words):
+        pool = _mix(pool, _hashmix(entropy[i], *_hash_constants(_INIT_A, _MULT_A, _POOL * i, _POOL)))
+    # generate_state: the pool cycled to 8 uint32 words, paired little-endian
+    state = _hashmix(np.concatenate((pool, pool)), *_HASH_STATE).astype(np.uint64)
+    return state[0::2] | state[1::2] << _U32
+
+
+def _pcg64_seeding(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64's seeding of generate_state's uint64 words, rows [initstate
+    high, low, initseq high, low]: the low and the high words of rows
+    [x, inc] with inc = 2 * initseq + 1 and x = inc + initstate mod 2^128."""
+    init_hi, init_lo, seq_hi, seq_lo = words
+    inc_lo = seq_lo << _U1 | _U1
+    inc_hi = seq_hi << _U1 | seq_lo >> _U63
+    x_lo = inc_lo + init_lo
+    return np.array([x_lo, inc_lo]), np.array([inc_hi + init_hi + (x_lo < inc_lo), inc_hi])
+
+
+def _mulhi(a_halves: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b of uint64 arrays, from
+    32-bit halves; ``a_halves`` is (a & 0xFFFFFFFF, a >> 32). Besides b it
+    holds at most 5 arrays of b's size."""
+    a0, a1 = a_halves
+    b0, b1 = b & _LOW32, b >> _U32
+    # the carries of the low partial product and of the two middle ones
+    mid = a0 * b0 >> _U32
+    mid += a1 * b0
+    cross = a0 * b1
+    cross += mid & _LOW32
+    mid >>= _U32
+    mid += cross >> _U32
+    mid += a1 * b1
+    return mid
+
+
+def _blocks(profile: ParityProfile) -> list[tuple[int, int, int]]:
+    """(j, ell, bits) of each generator block G[j][ell] with bits, ell first."""
+    return [(j, ell, profile.m[j - 1] * profile.l[ell - 1])
+            for ell in range(2, profile.L + 1) for j in range(1, ell)
+            if profile.m[j - 1] * profile.l[ell - 1]]
+
+
+class _Layout:
+    """What a profile's codebook build needs and its seed does not change.
+
+    Block b draws ceil(bits / 8) PCG64 outputs. PCG64 seeds inc = 2 *
+    initseq + 1 and state = (inc + initstate) * MULT + inc, and steps the
+    state before each output, so output k of a block comes from the state
+    P_k * x + Q_k * inc (mod 2^128), with x = inc + initstate, P_k =
+    MULT^(k+2) and Q_k the sum of MULT^i over i <= k + 1.
+    """
+
+    def __init__(self, profile: ParityProfile):
+        # row offsets of each section's info bits, column offsets of its parity
+        self.rows = np.cumsum((0,) + profile.m)
+        self.cols = np.cumsum((0,) + profile.l)
+        self.shape = (profile.B, int(self.cols[-1]))
+        j, ell, bits = np.array(_blocks(profile), dtype=np.int64).reshape(-1, 3).T
+        # the blocks' own entropy words, after the seed's
+        self.words = np.stack([j, ell]).astype(np.uint32)
+        outputs = -(-bits // 8)
+        first = np.cumsum(outputs) - outputs
+        # each output's block, and its jump constants [P_k, Q_k] as low and
+        # high uint64 words, the low words also as 32-bit halves
+        self.block = np.repeat(np.arange(j.size), outputs)
+        k = np.arange(self.block.size) - first[self.block]
+        P, Q = [_PCG_MULT ** 2 & _MASK128], [1 + _PCG_MULT]
+        for _ in range(1, int(outputs.max(initial=0))):
+            P.append(P[-1] * _PCG_MULT & _MASK128)
+            Q.append(Q[-1] * _PCG_MULT + 1 & _MASK128)
+        table = np.array([[[c >> s & _MASK64 for c in PQ] for PQ in (P, Q)] for s in (0, 64)],
+                         np.uint64)
+        self.jump_lo, self.jump_hi = table[:, :, k]
+        self.jump_halves = np.stack([self.jump_lo & _LOW32, self.jump_lo >> _U32])
+        # bit t of a block is bit 7 of byte t of its outputs read
+        # little-endian, and sits in row t // l_ell, column t % l_ell of it
+        t = np.arange(bits.sum()) - np.repeat(np.cumsum(bits) - bits, bits)
+        self.keep = np.zeros(8 * self.block.size, dtype=bool)
+        self.keep[8 * np.repeat(first, bits) + t] = True
+        width = np.repeat(np.array(profile.l)[ell - 1], bits)
+        self.dest = ((np.repeat(self.rows[j - 1], bits) + t // width) * self.shape[1]
+                     + np.repeat(self.cols[ell - 1], bits) + t % width)
+        for array in vars(self).values():
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+
+    def outputs(self, seed: int) -> np.ndarray:
+        """Every block's PCG64 outputs under ``seed``, block after block.
+        Besides the result it holds at most 16 uint64 words per output, and
+        before them the seed sequence's words of every block."""
+        lo, hi = _pcg64_seeding(np.take(_seed_sequence_states(seed, self.words),
+                                        self.block, axis=1))
+        # rows [P_k * x, Q_k * inc] mod 2^128, then their sum
+        prod_hi = _mulhi(self.jump_halves, lo)
+        prod_hi += self.jump_hi * lo
+        hi *= self.jump_lo
+        prod_hi += hi
+        lo *= self.jump_lo
+        state_lo = lo[0] + lo[1]
+        state_hi = prod_hi[0] + prod_hi[1]
+        state_hi += state_lo < lo[0]
+        # XSL-RR: hi ^ lo rotated right by the state's top 6 bits (numpy
+        # shifts a uint64 by 64 to 0, so a rotation by 0 keeps the word)
+        rot = state_hi >> _U58
+        out = state_hi ^ state_lo
+        return out >> rot | out << (_U64 - rot)
+
+    @cached_property
+    def fragment_weights(self) -> np.ndarray:
+        """(B + sum(l)) x L powers of two that map a message's info bits,
+        then its parity bits, to the radix-2 value of each section's fragment."""
+        m, l = np.diff(self.rows), np.diff(self.cols)
+        if (m + l).max() > 53:
+            raise ValueError("fragment values need fragments of at most 53 bits")
+        L = m.size
+        section = np.concatenate([np.repeat(np.arange(L), m), np.repeat(np.arange(L), l)])
+        # bit b weighs 2 ** (the bits after it in its fragment) = 2 ** (ends[b]
+        # - 1 - b); an info bit's fragment goes on with its l parity bits
+        ends = np.concatenate([np.repeat(self.rows[1:] + l, m),
+                               np.repeat(self.shape[0] + self.cols[1:], l)])
+        bit = np.arange(section.size)
+        weights = np.zeros((section.size, L))
+        weights[bit, section] = 2.0 ** (ends - 1 - bit)
+        weights.flags.writeable = False
+        return weights
+
+
+@lru_cache(maxsize=16)
+def _layout(profile: ParityProfile) -> _Layout:
+    return _Layout(profile)
+
+
 class TreeCodebook:
     """Seeded GF(2) generator matrices G[j][l] (m_j x l_l) for j < l.
 
@@ -89,7 +290,8 @@ class TreeCodebook:
     bits, row by row, are bit 7 of the first m_j * l_l bytes of the stream's
     64-bit outputs read little-endian. That is the top bit of each byte,
     which is what ``default_rng((seed, j, l)).integers(0, 2, (m_j, l_l),
-    np.uint8)`` returns, without building a Generator per block.
+    np.uint8)`` returns. The build computes numpy's SeedSequence and PCG64
+    arithmetic for all blocks at once in uint32 and uint64 arrays.
 
     All of them live in one read-only B x sum(l) float64 0/1 matrix ``G``
     that maps a message's info bits to the parity bits of every section: the
@@ -105,23 +307,11 @@ class TreeCodebook:
         # SeedSequence's rule; the chunks below would not be its words
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        # row offsets of each section's info bits, column offsets of its parity
-        self._rows = np.cumsum((0,) + profile.m)
-        self._cols = np.cumsum((0,) + profile.l)
-        self.G = np.zeros((profile.B, self._cols[-1]))
-        # entropy words of (seed, j, ell); only the last two change per block
-        words = np.array([self.seed >> s & 0xFFFFFFFF
-                          for s in range(0, max(self.seed.bit_length(), 1), 32)] + [0, 0],
-                         dtype=np.uint32)
-        for ell in range(2, profile.L + 1):
-            for j in range(1, ell):
-                bits = profile.m[j - 1] * profile.l[ell - 1]
-                if not bits:
-                    continue
-                words[-2:] = j, ell
-                raw = np.random.PCG64(np.random.SeedSequence(words)).random_raw(-(-bits // 8))
-                stream = raw.astype("<u8", copy=False).view(np.uint8)[:bits] >> 7
-                self.generator(j, ell)[...] = stream.reshape(profile.m[j - 1], profile.l[ell - 1])
+        lay = self._layout = _layout(profile)
+        self._rows, self._cols = lay.rows, lay.cols
+        stream = lay.outputs(self.seed).astype("<u8", copy=False).view(np.uint8)
+        self.G = np.zeros(lay.shape)
+        self.G.reshape(-1)[lay.dest] = stream[lay.keep] >> 7
         self.G.flags.writeable = False
 
     def generator(self, j: int, ell: int) -> np.ndarray:
@@ -138,24 +328,6 @@ class TreeCodebook:
             raise ValueError(f"prefix has {prefixes.shape[1]} bits, stage {ell} needs {want}")
         return _mod2(prefixes @ self.G[:want, self._cols[ell - 1]:self._cols[ell]])
 
-    @cached_property
-    def _fragment_weights(self) -> np.ndarray:
-        """(B + sum(l)) x L powers of two that map a message's info bits,
-        then its parity bits, to the radix-2 value of each section's fragment."""
-        prof = self.profile
-        if max(prof.v) > 53:
-            raise ValueError("fragment values need fragments of at most 53 bits")
-        m, l = np.array(prof.m), np.array(prof.l)
-        section = np.concatenate([np.repeat(np.arange(prof.L), m), np.repeat(np.arange(prof.L), l)])
-        # bit b weighs 2 ** (the bits after it in its fragment) = 2 ** (ends[b]
-        # - 1 - b); an info bit's fragment goes on with its l parity bits
-        ends = np.concatenate([np.repeat(self._rows[1:] + l, m),
-                               np.repeat(prof.B + self._cols[1:], l)])
-        bit = np.arange(section.size)
-        weights = np.zeros((section.size, prof.L))
-        weights[bit, section] = 2.0 ** (ends - 1 - bit)
-        return weights
-
 
 def _mod2(product: np.ndarray) -> np.ndarray:
     """Bits mod 2 of an exact float64 product of 0/1 arrays. Its entries are
@@ -166,11 +338,21 @@ def _mod2(product: np.ndarray) -> np.ndarray:
 
 
 def message_bytes(profile: ParityProfile, K: int) -> int:
-    """Bytes of a codebook's float64 G and of K messages: their bits, fragments
-    and parity (uint8), and beside them while they are encoded their bits as
-    float64, the parity product and its int64 copy."""
+    """Bytes of a codebook and of K messages. The codebook: its float64 G;
+    its profile's cached layout, per output a block index, four jump words
+    and the halves of two and 8 byte flags, per bit a destination index, per
+    block its two words; and while G is built, 256 bytes per block for the
+    seed sequence, 16 uint64 words per output (``_Layout.outputs``) and the
+    bits picked out of the output bytes and shifted, 2 bytes each. The
+    messages: their bits, fragments and parity (uint8), and beside them
+    while they are encoded their bits as float64, the parity product and
+    its int64 copy."""
     B, parity = profile.B, sum(profile.l)
-    return 8 * B * parity + K * (9 * B + sum(profile.v) + 17 * parity)
+    bits = [b for _, _, b in _blocks(profile)]
+    outputs = sum(-(-b // 8) for b in bits)
+    layout = 80 * outputs + 8 * sum(bits) + 8 * len(bits) + 16 * (profile.L + 1)
+    build = 256 * len(bits) + 128 * outputs + 2 * sum(bits)
+    return 8 * B * parity + layout + build + K * (9 * B + sum(profile.v) + 17 * parity)
 
 
 def encode_messages(W: np.ndarray, codebook: TreeCodebook) -> list[np.ndarray]:
@@ -191,7 +373,7 @@ def fragment_values(W: np.ndarray, codebook: TreeCodebook) -> np.ndarray:
     product entry is a sum of distinct powers of two below 2^53, so the
     values are exact; fragments wider than 53 bits raise ValueError."""
     W = np.atleast_2d(np.asarray(W, dtype=np.uint8))
-    return np.hstack([W, _mod2(W @ codebook.G)]) @ codebook._fragment_weights
+    return np.hstack([W, _mod2(W @ codebook.G)]) @ codebook._layout.fragment_weights
 
 
 @dataclass

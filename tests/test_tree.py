@@ -3,6 +3,7 @@
 import itertools
 import time
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -204,18 +205,33 @@ def test_float_parity_equals_integer_parity(profile):
                 assert np.array_equal(got, ref[ell - 2])
 
 
-def test_generator_blocks_are_read_only_views_of_the_seeded_streams():
-    # Seeds of one and of two or more 32-bit entropy words (trials seed the
-    # codebook with 64-bit derive_seed values), and profiles with m = 0 or
-    # l = 0 sections, whose blocks are empty (mimo-96 has both).
+def codebook_cases():
+    """(profile, seed) pairs of every shape the batched codebook build meets.
+    Seeds of one to seven 32-bit entropy words: trials seed the codebook
+    with 64-bit derive_seed values, and seeds from 2^64 up make entropy
+    longer than SeedSequence's 4-word pool. Profiles with m = 0 or l = 0
+    sections, whose blocks are empty (mimo-96 has both), one 992-bit block
+    of 124 outputs, and profiles with no block at all. Two profiles are
+    built alternately, and the second of two equal but distinct profile
+    objects must find the first one's layout, so a wrong cache hit shows."""
     rng = np.random.default_rng(29)
-    edge_seeds = [0, (1 << 32) - 1, 1 << 32, 1 << 63, (1 << 64) - 1] + [
+    edge_seeds = [0, (1 << 32) - 1, 1 << 32, 1 << 63, (1 << 64) - 1, 1 << 64,
+                  (1 << 100) + 5, (1 << 200) - 1] + [
         derive_seed(master, trial, CODEBOOK) for master, trial in [(1, 0), (7, 3), (2026, 199)]]
-    cases = [(prof, seed) for prof in (DEFAULT_SISO_PROFILE, DEFAULT_MIMO_PROFILE,
-                                       ParityProfile(m=(3, 0, 5, 2), l=(0, 4, 0, 9)))
-             for seed in edge_seeds]
+    profiles = [DEFAULT_SISO_PROFILE, DEFAULT_MIMO_PROFILE,
+                ParityProfile(m=(3, 0, 5, 2), l=(0, 4, 0, 9)),
+                ParityProfile(m=(31, 20), l=(0, 32)),
+                ParityProfile(m=(6,), l=(0,)), ParityProfile(m=(2, 3), l=(0, 0))]
+    cases = [(prof, seed) for prof in profiles for seed in edge_seeds]
     cases += [(random_profile(rng), int(rng.integers(1 << 32))) for _ in range(20)]
-    for prof, seed in cases:
+    alternate = [ParityProfile(m=(4, 3, 2), l=(0, 2, 5)), ParityProfile(m=(4, 3, 2), l=(0, 5, 2))]
+    cases += [(alternate[i % 2], seed) for i, seed in enumerate(edge_seeds)]
+    cases += [(ParityProfile(m=(2, 5, 1), l=(0, 3, 6)), seed) for seed in edge_seeds]
+    return cases
+
+
+def test_generator_blocks_are_read_only_views_of_the_seeded_streams():
+    for prof, seed in codebook_cases():
         cb = TreeCodebook(prof, seed)
         for ell in range(2, prof.L + 1):
             for j in range(1, ell):
@@ -226,6 +242,17 @@ def test_generator_blocks_are_read_only_views_of_the_seeded_streams():
                 assert not G.flags.writeable
                 with pytest.raises(ValueError):
                     G[...] = 0
+
+
+def test_codebook_build_wraps_its_integer_arithmetic_silently():
+    # numpy warns when a scalar integer operation overflows; SeedSequence's
+    # hash and PCG64's 128-bit products must wrap mod 2^32 and 2^64 instead;
+    # each profile's layout is built afresh under the filter too
+    tree_module._layout.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for prof, seed in codebook_cases():
+            TreeCodebook(prof, seed)
 
 
 def test_codebook_refuses_negative_seeds():
