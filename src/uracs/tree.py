@@ -183,21 +183,21 @@ def _mulhi(a_halves: np.ndarray, b: np.ndarray) -> np.ndarray:
     return mid
 
 
-def _blocks(profile: ParityProfile) -> list[tuple[int, int, int]]:
-    """(j, ell, bits) of each generator block G[j][ell] with bits, ell first."""
-    return [(j, ell, profile.m[j - 1] * profile.l[ell - 1])
+def _blocks(profile: ParityProfile) -> list[tuple[int, int, int, int]]:
+    """(j, ell, bits, outputs) of each generator block G[j][ell] with bits,
+    ell first: its bits come from ceil(bits / 8) PCG64 outputs."""
+    return [(j, ell, bits, -(-bits // 8))
             for ell in range(2, profile.L + 1) for j in range(1, ell)
-            if profile.m[j - 1] * profile.l[ell - 1]]
+            if (bits := profile.m[j - 1] * profile.l[ell - 1])]
 
 
 class _Layout:
     """What a profile's codebook build needs and its seed does not change.
 
-    Block b draws ceil(bits / 8) PCG64 outputs. PCG64 seeds inc = 2 *
-    initseq + 1 and state = (inc + initstate) * MULT + inc, and steps the
-    state before each output, so output k of a block comes from the state
-    P_k * x + Q_k * inc (mod 2^128), with x = inc + initstate, P_k =
-    MULT^(k+2) and Q_k the sum of MULT^i over i <= k + 1.
+    PCG64 seeds inc = 2 * initseq + 1 and state = (inc + initstate) * MULT
+    + inc, and steps the state before each output, so output k of a block
+    comes from the state P_k * x + Q_k * inc (mod 2^128), with x = inc +
+    initstate, P_k = MULT^(k+2) and Q_k the sum of MULT^i over i <= k + 1.
     """
 
     def __init__(self, profile: ParityProfile):
@@ -205,10 +205,9 @@ class _Layout:
         self.rows = np.cumsum((0,) + profile.m)
         self.cols = np.cumsum((0,) + profile.l)
         self.shape = (profile.B, int(self.cols[-1]))
-        j, ell, bits = np.array(_blocks(profile), dtype=np.int64).reshape(-1, 3).T
+        j, ell, bits, outputs = np.array(_blocks(profile), dtype=np.int64).reshape(-1, 4).T
         # the blocks' own entropy words, after the seed's
         self.words = np.stack([j, ell]).astype(np.uint32)
-        outputs = -(-bits // 8)
         first = np.cumsum(outputs) - outputs
         # each output's block, and its jump constants [P_k, Q_k] as low and
         # high uint64 words, the low words also as 32-bit halves
@@ -318,16 +317,6 @@ class TreeCodebook:
         """G[j][ell], as a read-only view of ``G``."""
         return self.G[self._rows[j - 1]:self._rows[j], self._cols[ell - 1]:self._cols[ell]]
 
-    def parity_rows(self, prefixes: np.ndarray, ell: int) -> np.ndarray:
-        """Parity bits of section ``ell`` for a batch of info prefixes (rows)."""
-        if not 2 <= ell <= self.profile.L:
-            raise ValueError(f"stage {ell} out of range [2, {self.profile.L}]")
-        prefixes = np.atleast_2d(prefixes)
-        want = self._rows[ell - 1]
-        if prefixes.shape[1] != want:
-            raise ValueError(f"prefix has {prefixes.shape[1]} bits, stage {ell} needs {want}")
-        return _mod2(prefixes @ self.G[:want, self._cols[ell - 1]:self._cols[ell]])
-
 
 def _mod2(product: np.ndarray) -> np.ndarray:
     """Bits mod 2 of an exact float64 product of 0/1 arrays. Its entries are
@@ -348,10 +337,10 @@ def message_bytes(profile: ParityProfile, K: int) -> int:
     while they are encoded their bits as float64, the parity product and
     its int64 copy."""
     B, parity = profile.B, sum(profile.l)
-    bits = [b for _, _, b in _blocks(profile)]
-    outputs = sum(-(-b // 8) for b in bits)
-    layout = 80 * outputs + 8 * sum(bits) + 8 * len(bits) + 16 * (profile.L + 1)
-    build = 256 * len(bits) + 128 * outputs + 2 * sum(bits)
+    blocks = _blocks(profile)
+    bits, outputs = sum(b[2] for b in blocks), sum(b[3] for b in blocks)
+    layout = 80 * outputs + 8 * bits + 8 * len(blocks) + 16 * (profile.L + 1)
+    build = 256 * len(blocks) + 128 * outputs + 2 * bits
     return 8 * B * parity + layout + build + K * (9 * B + sum(profile.v) + 17 * parity)
 
 
@@ -424,8 +413,11 @@ class PathTracker:
         self._info = info
         self._roots = roots
         self.diagnostics.live_paths.append(int(roots.shape[0]))
-        if stage < self.codebook.profile.L:
-            self._next = rows_to_ints(self.codebook.parity_rows(info, stage + 1))
+        cb = self.codebook
+        if stage < cb.profile.L:
+            # the next section's parity depends on the info bits so far only
+            G = cb.G[:info.shape[1], cb._cols[stage]:cb._cols[stage + 1]]
+            self._next = rows_to_ints(_mod2(info @ G))
 
     def start(self, roots: np.ndarray) -> None:
         """Open one root per section-1 fragment index."""
@@ -477,15 +469,19 @@ class PathTracker:
         """Settle per-root books: one surviving message per root, else a failure."""
         if self.stage != self.codebook.profile.L:
             raise ValueError("finalize called before the final stage")
-        # live paths stay in root order, so the dict keeps roots in order
-        by_root: dict[int, set[int]] = {}
-        for root, msg in zip(self._roots.tolist(), rows_to_ints(self._info).tolist()):
-            by_root.setdefault(root, set()).add(msg)
-        # identical-message survivors are unambiguous, count them once
-        decoded = [next(iter(msgs)) for msgs in by_root.values() if len(msgs) == 1]
+        # live paths stay in root order, so each root's paths are one run; a
+        # root decodes iff every row of its run equals the row before it
+        # (identical-message survivors are unambiguous)
+        roots, info = self._roots, self._info
+        first = np.ones(roots.shape[0], dtype=bool)
+        np.not_equal(roots[1:], roots[:-1], out=first[1:])
+        same = first.copy()
+        same[1:] |= (info[1:] == info[:-1]).all(axis=1)
+        starts = np.flatnonzero(first)
+        decoded = starts[np.logical_and.reduceat(same, starts)]
         return DecodeResult(
-            messages=list(dict.fromkeys(decoded)),
-            failures=self.root_count - len(decoded),
+            messages=list(dict.fromkeys(rows_to_ints(info[decoded]).tolist())),
+            failures=self.root_count - decoded.size,
             diagnostics=self.diagnostics,
         )
 

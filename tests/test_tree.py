@@ -31,6 +31,16 @@ def radix2(bits) -> int:
     return int("".join(str(int(b)) for b in bits), 2)
 
 
+def prefix_parity(codebook, prefixes, ell):
+    """Parity bits of section ``ell`` for info prefixes (rows): the prefixes
+    zero-padded to B bits, encoded, and section ell's parity columns. A
+    section's parity depends only on the info bits before it."""
+    prefixes = np.atleast_2d(prefixes)
+    W = np.zeros((prefixes.shape[0], codebook.profile.B), dtype=np.uint8)
+    W[:, :prefixes.shape[1]] = prefixes
+    return encode_messages(W, codebook)[ell - 1][:, codebook.profile.m[ell - 1]:]
+
+
 def brute_force_decode(lists, codebook, path_cap=1 << 16):
     """Reference decoder: enumerate every row combination across the lists,
     keep the parity-consistent ones, and settle roots by the same rule as
@@ -47,7 +57,7 @@ def brute_force_decode(lists, codebook, path_cap=1 << 16):
             frag = lists[ell - 1][row]
             m = prof.m[ell - 1]
             if ell > 1:
-                expect = codebook.parity_rows(np.concatenate(info), ell)[0]
+                expect = prefix_parity(codebook, np.concatenate(info), ell)[0]
                 if not np.array_equal(frag[m:], expect):
                     ok = False
                     break
@@ -103,7 +113,7 @@ def test_parity_matches_generator_algebra():
     G = cb.generator(1, 2)  # section-1 info feeding section-2 parity
     assert G.shape == (2, 2)
     expect = (w @ G) % 2
-    got = cb.parity_rows(w, 2)[0]
+    got = prefix_parity(cb, w, 2)[0]
     assert np.array_equal(got, expect.astype(np.uint8))
 
 
@@ -117,9 +127,9 @@ def test_parity_linearity_over_gf2():
         w2 = random_bits(rng, 7)
         for ell in (2, 3):
             n = sum(prof.m[:ell - 1])
-            p1 = cb.parity_rows(w1[:n], ell)[0]
-            p2 = cb.parity_rows(w2[:n], ell)[0]
-            p12 = cb.parity_rows((w1 ^ w2)[:n], ell)[0]
+            p1 = prefix_parity(cb, w1[:n], ell)[0]
+            p2 = prefix_parity(cb, w2[:n], ell)[0]
+            p12 = prefix_parity(cb, (w1 ^ w2)[:n], ell)[0]
             assert np.array_equal(p12, p1 ^ p2)
 
 
@@ -130,7 +140,7 @@ def test_outer_encode_bit_layout():
     w = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
     frags = encode_messages(w, cb)
     assert np.array_equal(frags[0][0], w[:3])
-    parity = cb.parity_rows(w[:3], 2)[0]
+    parity = prefix_parity(cb, w[:3], 2)[0]
     assert np.array_equal(frags[1][0], np.concatenate([w[3:], parity]))
 
 
@@ -175,7 +185,7 @@ def random_profile(rng):
 @pytest.mark.parametrize("profile", ["siso-default", "mimo-96", "random"])
 def test_float_parity_equals_integer_parity(profile):
     # The generator matrix is float64 so its products run on BLAS; they are
-    # exact, so parity_rows and encode_messages must equal integer GF(2),
+    # exact, so encode_messages must equal integer GF(2), also on prefixes,
     # and fragment_values the radix-2 values of the encoded fragments.
     rng = np.random.default_rng(23)
     if profile == "random":
@@ -200,7 +210,7 @@ def test_float_parity_equals_integer_parity(profile):
             assert np.array_equal(frags[ell - 1][:, :m], W[:, lo:lo + m])
             if ell > 1:
                 assert np.array_equal(frags[ell - 1][:, m:], ref[ell - 2])
-                got = cb.parity_rows(W[:, :lo], ell)
+                got = prefix_parity(cb, W[:, :lo], ell)
                 assert got.dtype == np.uint8
                 assert np.array_equal(got, ref[ell - 2])
 
@@ -331,7 +341,7 @@ def test_tracker_advance_matches_brute_force():
     got = set(zip(tracker._roots.tolist(), rows_to_ints(tracker._info).tolist()))
     expect = set()
     for i in range(4):
-        parity = cb.parity_rows(roots[i], 2)[0]
+        parity = prefix_parity(cb, roots[i], 2)[0]
         for row in range(16):
             if np.array_equal(frags[row, 2:], parity):
                 expect.add((i, radix2(np.concatenate([roots[i], frags[row, :2]]))))
@@ -348,7 +358,7 @@ def test_admissible_parities_small():
     tracker = PathTracker(cb)
     tracker.start(np.array([0, 3]))
     pats = tracker.admissible()
-    expect = sorted({radix2(cb.parity_rows(row, 2)[0]) for row in info})
+    expect = sorted({radix2(prefix_parity(cb, row, 2)[0]) for row in info})
     assert pats.tolist() == expect
     assert pats.dtype == np.int64
     # Once every path has died no pattern is admissible.
@@ -487,7 +497,7 @@ def test_capped_roots_keep_the_other_paths_in_order():
         tracker.start(roots)
         expect = []
         for root, w in enumerate(roots):
-            parity = rows_to_ints(cb.parity_rows(ints_to_rows(np.array([w]), 3), 2))[0]
+            parity = rows_to_ints(prefix_parity(cb, ints_to_rows(np.array([w]), 3), 2))[0]
             expect += [(root, (int(w) << 2) | int(f) >> 1) for f in frags if f & 1 == parity]
         per_root = np.bincount([r for r, _ in expect], minlength=roots.size)
         over = set(np.flatnonzero(per_root > cap).tolist())
@@ -513,6 +523,86 @@ def test_capped_roots_never_build_their_paths():
     assert tracker.diagnostics.capped_roots == 64
     assert tracker.live_path_count() == 0
     assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("m", [(6, 6, 6), (40, 30, 6)])
+def test_finalize_settles_roots_on_their_bit_rows(m):
+    # 64 roots of 4,096 paths each, 2^18 in all and every root ambiguous:
+    # finalize compares the paths' bit rows where they are and converts no
+    # path of an undecoded root to an int
+    prof = ParityProfile(m=m, l=(0,) * len(m))
+    rng = np.random.default_rng(79)
+    lists = [np.arange(64) << (b - 6) | rng.integers(0, 1 << (b - 6), 64) for b in m]
+    tracker = PathTracker(TreeCodebook(prof, seed=5), path_cap=1 << 20)
+    tracker.start(lists[0])
+    for fragments in lists[1:]:
+        tracker.advance(fragments)
+    assert tracker.live_path_count() == 1 << 18
+    tracemalloc.start()
+    try:
+        res = tracker.finalize()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.messages, res.failures, res.diagnostics.capped_roots) == ([], 64, 0)
+    assert peak <= 3 * tracker._info.nbytes
+
+
+def dict_of_sets_finalize(tracker):
+    """The reference rule: every path's message int grouped by root; a root
+    decodes iff its set holds one message, and each decoded message is
+    listed once, in root order."""
+    by_root = {}
+    for root, msg in zip(tracker._roots.tolist(), rows_to_ints(tracker._info).tolist()):
+        by_root.setdefault(root, set()).add(msg)
+    decoded = [next(iter(msgs)) for msgs in by_root.values() if len(msgs) == 1]
+    return list(dict.fromkeys(decoded)), tracker.root_count - len(decoded)
+
+
+def test_finalize_matches_the_dict_of_sets_rule(monkeypatch):
+    # 1,200 seeded decodes of genie lists with decoys: some users send one
+    # message, some lists repeat an entry (a root with identical survivors),
+    # some path caps bind, some lists kill every path, one profile has B > 63
+    reference = []
+    real = PathTracker.finalize
+
+    def checked(tracker):
+        paths = list(zip(tracker._roots.tolist(), rows_to_ints(tracker._info).tolist()))
+        diag = tracker.diagnostics
+        reference.append((*dict_of_sets_finalize(tracker), list(diag.live_paths), diag.capped_roots,
+                          len(paths) > len(set(paths)), len(set(paths)) > len(set(tracker._roots.tolist()))))
+        return real(tracker)
+    monkeypatch.setattr(PathTracker, "finalize", checked)
+    profiles = [ParityProfile(m=(4, 3, 3, 2), l=(0, 2, 3, 4)), ParityProfile(m=(3, 2, 2), l=(0, 1, 3)),
+                ParityProfile(m=(2, 2, 2), l=(0, 0, 1)), ParityProfile(m=(30, 20, 14, 4), l=(0, 2, 3, 6))]
+    rng = np.random.default_rng(89)
+    seen = dict.fromkeys(["decoded", "B > 63 decoded", "ambiguous", "duplicate survivors",
+                          "capped", "all died"], 0)
+    for case in range(1200):
+        prof = profiles[case % len(profiles)]
+        cb = TreeCodebook(prof, seed=int(rng.integers(1 << 32)))
+        W = random_bits(rng, (int(rng.integers(1, 6)), prof.B))
+        if rng.random() < 0.3:
+            W[-1] = W[0]
+        lists = []
+        for ell, (genie, v) in enumerate(zip(encode_messages(W, cb), prof.v)):
+            rows = [genie, random_bits(rng, (int(rng.integers(0, 4)), v))]
+            if rng.random() < 0.2:
+                rows.append(genie[:1])
+            rows = np.vstack(rows)
+            rows = rows[rng.permutation(rows.shape[0])]
+            lists.append(rows[:0] if ell and rng.random() < 0.03 else rows)
+        res = tree_decode(lists, cb, path_cap=int(rng.choice([0, 2, 4] + [DEFAULT_PATH_CAP] * 3)))
+        messages, failures, live, capped, repeats, ambiguous = reference.pop()
+        assert (res.messages, res.failures, res.diagnostics.live_paths,
+                res.diagnostics.capped_roots) == (messages, failures, live, capped)
+        seen["decoded"] += len(messages) > 0
+        seen["B > 63 decoded"] += prof.B > 63 and len(messages) > 0
+        seen["ambiguous"] += ambiguous
+        seen["duplicate survivors"] += repeats
+        seen["capped"] += capped > 0
+        seen["all died"] += live[-1] == 0 < live[0] and not capped
+    assert min(seen.values()) >= 20, seen
 
 
 def test_empty_slot_kills_all_roots():
