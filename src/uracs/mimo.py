@@ -69,7 +69,6 @@ class CovarianceState:
         self.sweeps_run = 0
         self.updates = 0
         self.skipped = 0
-        self._since_check = 0
 
     def covariance(self) -> np.ndarray:
         """The covariance N0*I + A diag(gamma) A^H implied by the current gamma."""
@@ -117,11 +116,8 @@ class CovarianceState:
             outer *= d_eff / denom
             self.sigma_inv -= outer
             self.updates += 1
-            self._since_check += 1
-            if self._since_check == REFRESH_EVERY:
-                self._since_check = 0
-                if self.drift() > TAU_INV:
-                    self.refresh_inverse()
+            if self.updates % REFRESH_EVERY == 0 and self.drift() > TAU_INV:
+                self.refresh_inverse()
         return d_eff
 
 

@@ -2,8 +2,8 @@
 
 Solves min ||A x - y||_2 subject to x >= 0. At exit either the KKT
 conditions hold within ``tol`` (converged), or the iteration cap was hit or a
-column that may not enter (see ``nnls_solve``) still has a gradient above
-``tol``, and the best iterate so far is returned with ``converged`` False.
+column with a gradient above ``tol`` could not enter (see ``nnls_solve``),
+and the best iterate so far is returned with ``converged`` False.
 
 Each passive-set solve reuses the last one, after Lawson & Hanson (Solving
 Least Squares Problems, 1974): the loop keeps a thin QR factor A_P = Q R of
@@ -41,9 +41,9 @@ DEFAULT_NNLS_TOL = 1e-8
 def workspace_bytes(n: int, c: int) -> int:
     """Bytes of ``nnls_solve``'s buffers for p = min(n, c) passive columns: five
     n x p blocks (A_P, Q and the three of a leave), R^-1 and three p-vectors;
-    and of its c-vectors: the gradient, x and the closed mask."""
+    and of its c-vectors: the gradient and x."""
     p = min(n, c)
-    return 8 * p * (5 * n + p + 3) + 17 * c
+    return 8 * p * (5 * n + p + 3) + 16 * c
 
 
 @dataclass
@@ -67,10 +67,15 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
     gradient A^T r carries rounding noise of about eps sqrt(n) ||y||, which a
     fixed tolerance would chase until the iteration cap.
 
-    A ``tol`` far below rounding lets numerically dependent columns try to
-    enter. One at distance exactly 0 from the passive span is shut out for
-    the rest of the solve, and none enters once min(n, c) columns are
-    passive, so x stays finite and the solve reports unconverged."""
+    The column with the largest gradient enters only if it passes Lawson &
+    Hanson's entry test: its distance from the passive span is nonzero and
+    its own value in the passive least-squares solution is positive. One
+    that fails is skipped for this outer step, and the next largest gradient
+    is tried. A solve reports unconverged when its last step skipped a
+    column, or when it stopped at the cap or at min(n, c) passive columns
+    with a gradient above ``tol``. So with a ``tol`` far below rounding no
+    distance of 0 is divided by, a column whose value would come out <= 0
+    does not enter only to leave again, and x stays finite."""
     A = np.asarray(A, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if A.ndim != 2 or y.ndim != 1 or A.shape[0] != y.shape[0]:
@@ -85,16 +90,12 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
         max_iter = 10 * max(c, 1)
 
     iterations = 0
-    converged = False
     history: list[float] = []
     # passive-set state in entry order: column indices P, values x_P, the
     # columns A_P and their factor (Q, R^-1, Q^T y), each in the leading p
     # entries, columns or p x p block of its buffer; R^-1 is upper triangular.
     # Independent columns fit in min(n, c) slots, and no column enters once
-    # they are full. closed: the passive and the shut-out columns, which may
-    # not enter
-    closed = np.zeros(c, dtype=bool)
-    shut: list[int] = []
+    # they are full
     cap = min(n, c)
     P = np.empty(cap, dtype=np.intp)
     x_buf = np.empty(cap)
@@ -120,7 +121,6 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
         nonlocal p
         keep = np.ones(p, dtype=bool)
         keep[out] = False
-        closed[P[out]] = False
         k, p = int(out[0]), p - out.size
         P[k:p] = P[k:p + out.size][keep[k:]]
         x_buf[k:p] = x_buf[k:p + out.size][keep[k:]]
@@ -137,33 +137,32 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
     while True:
         history.append(math.sqrt(r.dot(r)))
         w = A.T.dot(r)
-        w[closed] = -np.inf
-        # argmax returns the first maximizer, which is the tie rule we want
+        w[P[:p]] = -np.inf
+        # argmax returns the first maximizer, which is the tie rule we want;
+        # a free gradient above tol leaves the solve unconverged
         j = int(w.argmax())
-        while (wj := w[j]) > tol and iterations < max_iter and p < cap:
+        converged = not w[j] > tol
+        while w[j] > tol and iterations < max_iter and p < cap:
             a = A[:, j]
             h, q = orthogonalise(a, p)
-            # rho is the distance of a from the passive columns' span
+            # the entry test: rho is the distance of a from the passive
+            # columns' span, and a's passive value is qty[p] / rho
             rho = math.sqrt(q.dot(q))
             if rho:
-                break
-            closed[j] = True
-            shut.append(j)
+                np.divide(q, rho, out=Q[:, p])
+                qty[p] = Q[:, p].dot(y)
+                if qty[p] > 0:
+                    break
             w[j] = -np.inf
             j = int(w.argmax())
         else:
-            if not wj > tol:
-                converged = not shut or not (A[:, shut].T.dot(r) > tol).any()
             break
 
         # column j enters as passive column p
         np.divide(R_inv[:p, :p] @ h, -rho, out=R_inv[:p, p])
         R_inv[p, p] = 1.0 / rho
-        np.divide(q, rho, out=Q[:, p])
-        qty[p] = Q[:, p].dot(y)
         A_P[:, p] = a
         P[p] = j
-        closed[j] = True
         x_buf[p] = 0.0
         p += 1
         x_P = x_buf[:p]

@@ -307,7 +307,6 @@ class TreeCodebook:
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         lay = self._layout = _layout(profile)
-        self._rows, self._cols = lay.rows, lay.cols
         stream = lay.outputs(self.seed).astype("<u8", copy=False).view(np.uint8)
         self.G = np.zeros(lay.shape)
         self.G.reshape(-1)[lay.dest] = stream[lay.keep] >> 7
@@ -315,7 +314,8 @@ class TreeCodebook:
 
     def generator(self, j: int, ell: int) -> np.ndarray:
         """G[j][ell], as a read-only view of ``G``."""
-        return self.G[self._rows[j - 1]:self._rows[j], self._cols[ell - 1]:self._cols[ell]]
+        rows, cols = self._layout.rows, self._layout.cols
+        return self.G[rows[j - 1]:rows[j], cols[ell - 1]:cols[ell]]
 
 
 def _mod2(product: np.ndarray) -> np.ndarray:
@@ -351,7 +351,7 @@ def encode_messages(W: np.ndarray, codebook: TreeCodebook) -> list[np.ndarray]:
     if W.shape[1] != prof.B:
         raise ValueError(f"messages have {W.shape[1]} bits, profile needs B={prof.B}")
     parity = _mod2(W @ codebook.G)
-    rows, cols = codebook._rows, codebook._cols
+    rows, cols = codebook._layout.rows, codebook._layout.cols
     return [np.concatenate((W[:, rows[i]:rows[i + 1]], parity[:, cols[i]:cols[i + 1]]), axis=1)
             for i in range(prof.L)]
 
@@ -416,7 +416,8 @@ class PathTracker:
         cb = self.codebook
         if stage < cb.profile.L:
             # the next section's parity depends on the info bits so far only
-            G = cb.G[:info.shape[1], cb._cols[stage]:cb._cols[stage + 1]]
+            cols = cb._layout.cols
+            G = cb.G[:info.shape[1], cols[stage]:cols[stage + 1]]
             self._next = rows_to_ints(_mod2(info @ G))
 
     def start(self, roots: np.ndarray) -> None:
@@ -461,9 +462,10 @@ class PathTracker:
             counts[over[self._roots]] = 0
         rep = np.repeat(np.arange(self._next.shape[0]), counts)
         run_start = np.cumsum(counts) - counts
-        taken = fragments[order[np.repeat(lo - run_start, counts) + np.arange(rep.shape[0])]]
-        self._enter(ell, np.hstack([self._info[rep], ints_to_rows(taken >> l, m)]),
-                    self._roots[rep])
+        # info bits of each sorted list entry, converted once and gathered per path
+        entries = ints_to_rows(fragments[order] >> l, m)
+        taken = entries[np.repeat(lo - run_start, counts) + np.arange(rep.shape[0])]
+        self._enter(ell, np.hstack([self._info[rep], taken]), self._roots[rep])
 
     def finalize(self) -> DecodeResult:
         """Settle per-root books: one surviving message per root, else a failure."""

@@ -582,15 +582,15 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     # per block and 16 x 4 for the offsets, 1640 bytes; the message's
     # Python int (192), its bits as float64 (56) and the parity product's
     # int64 copy and uint8 bits (4 x 9), 284 bytes; and per column of the
-    # solve, NNLS's gradient, x and closed mask (17) and the index set and
-    # the top-K sort's two vectors (24), 16 x 41 = 656 bytes. 145062 in
-    # all. Building the 4-bit matrix (its norms' 12 x 16 product
-    # and three 16-vectors, 1920 bytes) holds less than the slot, and comes
-    # before it, so it adds nothing.
-    siso = parse_config(siso_config(memory_budget=145061))
-    with pytest.raises(ResourceRefusalError, match="need 145062 bytes, budget is 145061"):
+    # solve, NNLS's gradient and x (16) and the index set and the top-K
+    # sort's two vectors (24), 16 x 40 = 640 bytes. 145046 in all. Building
+    # the 4-bit matrix (its norms' 12 x 16 product and three 16-vectors,
+    # 1920 bytes) holds less than the slot, and comes before it, so it adds
+    # nothing.
+    siso = parse_config(siso_config(memory_budget=145045))
+    with pytest.raises(ResourceRefusalError, match="need 145046 bytes, budget is 145045"):
         run_siso_trial(siso, 1, 10.0, 0)
-    run_siso_trial(replace(siso, memory_budget=145062), 1, 10.0, 0)
+    run_siso_trial(replace(siso, memory_budget=145046), 1, 10.0, 0)
 
 
 def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
@@ -606,9 +606,9 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
     # a matrix build's norms (8576) are held before any block and are
     # fewer, so they add nothing. 1e8 scalar-channel users' messages and
     # fragments (50 bytes each), the same 284 more each, and signals (12
-    # doubles each) take 43000000000 bytes, and 13560 more for the
-    # codebook, its build, the matrices and one slot solve, with the ufunc
-    # buffer 43000144632. Both trials are refused under the default 256 MiB
+    # doubles each) take 43000000000 bytes, and 13544 more for the
+    # codebook, its build, the matrices and one 16-column slot solve, with
+    # the ufunc buffer 43000144616. Both trials are refused under the default 256 MiB
     # budget before a message is drawn.
     def no_alloc(*args, **kwargs):
         raise AssertionError("the trial allocated before the refusal")
@@ -620,7 +620,7 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
     with pytest.raises(ResourceRefusalError, match="need 86400198884 bytes"):
         run_mimo_trial(mimo_cfg, 2, 10 ** 8, 0)
     siso = parse_config(siso_config(K=10 ** 8))
-    with pytest.raises(ResourceRefusalError, match="need 43000144632 bytes"):
+    with pytest.raises(ResourceRefusalError, match="need 43000144616 bytes"):
         run_siso_trial(siso, 10 ** 8, 10.0, 0)
 
 

@@ -119,11 +119,8 @@ def reference_coordinate_step(st, A, k):
     if d_eff != 0.0:
         st.sigma_inv -= (d_eff / denom) * np.outer(s, s.conj())
         st.updates += 1
-        st._since_check += 1
-        if st._since_check == REFRESH_EVERY:
-            st._since_check = 0
-            if st.drift() > TAU_INV:
-                st.refresh_inverse()
+        if st.updates % REFRESH_EVERY == 0 and st.drift() > TAU_INV:
+            st.refresh_inverse()
     return d_eff
 
 

@@ -315,15 +315,15 @@ def test_numerically_dependent_entries_stop_at_a_full_passive_set():
         assert res.residual_norm == float(np.linalg.norm(A @ res.x - y))
 
 
-def test_tiny_tolerance_shuts_out_columns_at_distance_zero():
+def test_tiny_tolerance_never_makes_identical_columns_both_passive():
     # With tol = 1e-300 dependent columns keep trying to enter. On 2-row
-    # Gaussian instances they stop at a full passive set. Where A has two
-    # identical columns of 0.5 entries, Q's column for the one that entered
-    # equals the other exactly, so its second Gram-Schmidt pass leaves a
-    # distance of exactly 0: that column is shut out rather than divided
-    # by it, and stays at 0. An unconverged solve under the iteration cap
-    # is such a shut-out, as no passive set of this rank-3 family is full.
-    # Either way nothing raises and x stays finite.
+    # Gaussian instances they stop at a full passive set or at the entry
+    # test. Where A has two identical columns of 0.5 entries, the one that
+    # did not enter has a rounding-level gradient; its distance from the
+    # passive span is exactly 0 or its passive value is <= 0, so it is
+    # skipped, or it enters with a distance of rounding size and the other
+    # leaves. Either way the two are never passive together, nothing
+    # raises and x stays finite.
     def instances():
         for seed in range(300):
             rng = np.random.default_rng(seed)
@@ -341,10 +341,9 @@ def test_tiny_tolerance_shuts_out_columns_at_distance_zero():
         assert np.isfinite(res.x).all()
         assert (res.x >= 0).all()
         assert res.residual_norm == float(np.linalg.norm(A @ res.x - y))
-        if not res.converged and res.iterations < 10 * A.shape[1]:
-            stopped[duplicate] += 1
-            assert not duplicate or res.x[1] == 0.0
-    # the families do stop solves at these rules
+        assert not duplicate or res.x[0] == 0.0 or res.x[1] == 0.0
+        stopped[duplicate] += not res.converged and res.iterations < 10 * A.shape[1]
+    # the families do stop solves under the iteration cap at these rules
     assert stopped[False] > 0 and stopped[True] > 0
 
 
@@ -364,18 +363,49 @@ def test_default_tolerance_stops_at_the_rounding_level_of_a_large_y():
         np.testing.assert_array_equal(np.flatnonzero(res.x), np.arange(4))
 
 
-def test_entering_column_that_leaves_at_once_keeps_the_factor():
+def test_column_failing_the_entry_test_stops_the_solve_unconverged():
     # Column 1 alone fits y with x_1 = 2, leaving a residual orthogonal to
     # column 0 in exact arithmetic. Rounding leaves column 0 a gradient of
-    # about 1e-15, above tol = 1e-300, so it enters, its passive value comes
-    # out <= 0 and it leaves again as the last passive column: the factor of
-    # the columns before it is kept and no block is re-orthogonalised. The
-    # solve enters and drops it until the cap, x staying at the solution.
+    # about 1e-15, above tol = 1e-300, but its passive value would be <= 0,
+    # so it fails the entry test instead of entering and leaving again until
+    # the cap. No other column may enter, so the solve stops after its one
+    # solve, unconverged, with x at the solution.
     A = np.array([[1.0, 1.0], [2.0, -1.0], [2.0, -1.0]])
     y = np.array([2.0, -1.0, -3.0])
     res = nnls_solve(A, y, tol=1e-300)
-    assert res.iterations > 1
+    assert res.iterations == 1 and not res.converged
     assert res.x[0] == 0.0 and abs(res.x[1] - 2.0) <= 1e-15
+    assert res.residual_norm == float(np.linalg.norm(A @ res.x - y))
+
+
+def test_entering_column_that_leaves_at_once_keeps_the_factor(monkeypatch):
+    # y = a_2 + 4e-15 a_1 - 1e-16 a_0. Column 2 enters first and stays at
+    # x_2 = 1. Column 0 has the next larger gradient and enters; column 1
+    # then passes the entry test, and the step toward the passive solution
+    # zeroes x_0 and leaves x_1 under the leave threshold of 1e-14, so the
+    # last two passive columns leave together: the factor of column 2
+    # before them is kept and no block is re-orthogonalised, so
+    # np.linalg.qr is never called. The solve repeats this until the cap,
+    # exactly as the restarting reference does.
+    qr_calls = []
+    qr = np.linalg.qr
+
+    def counted_qr(*args, **kwargs):
+        qr_calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    A = np.array([[3.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    y = A[:, 2] + 4e-15 * A[:, 1] - 1e-16 * A[:, 0]
+    res = nnls_solve(A, y, tol=1e-300)
+    x_ref, iterations, converged, _ = restarting_nnls(A, y, tol=1e-300)
+    # one history entry per entering column; the other solves follow a leave
+    assert res.iterations - (len(res.objective_history) - 1) >= 1
+    assert not qr_calls
+    assert res.iterations == iterations and res.converged == converged
+    np.testing.assert_array_equal(np.flatnonzero(res.x), np.flatnonzero(x_ref))
+    assert np.abs(res.x - x_ref).max() <= 1e-20
+    assert res.x[2] == 1.0
     assert res.residual_norm == float(np.linalg.norm(A @ res.x - y))
 
 

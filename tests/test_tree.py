@@ -548,6 +548,30 @@ def test_finalize_settles_roots_on_their_bit_rows(m):
     assert peak <= 3 * tracker._info.nbytes
 
 
+@pytest.mark.parametrize("m", [(6, 6, 6), (6, 6, 12)])
+def test_advance_converts_each_list_entry_once(m):
+    # the last advance builds 2^18 paths from lists of 64 entries: the
+    # entries' info bits become bit rows once per entry, not once per path
+    # as an int64 (paths x m) array, so the step holds little more than the
+    # new paths' rows and their index arrays
+    prof = ParityProfile(m=m, l=(0,) * len(m))
+    rng = np.random.default_rng(79)
+    lists = [np.arange(64) << (b - 6) | rng.integers(0, 1 << (b - 6), 64) for b in m]
+    tracker = PathTracker(TreeCodebook(prof, seed=5), path_cap=1 << 20)
+    tracker.start(lists[0])
+    tracker.advance(lists[1])
+    tracemalloc.start()
+    try:
+        tracker.advance(lists[2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tracker.live_path_count() == 1 << 18
+    np.testing.assert_array_equal(rows_to_ints(tracker._info[:, -m[2]:]),
+                                  np.tile(lists[2], 1 << 12))
+    assert peak <= 3 * tracker._info.nbytes
+
+
 def dict_of_sets_finalize(tracker):
     """The reference rule: every path's message int grouped by root; a root
     decodes iff its set holds one message, and each decoded message is
