@@ -407,12 +407,14 @@ def genie_tree_trial(profile: ParityProfile, K: int, master_seed: int, trial: in
             break
     else:
         raise RuntimeError("could not draw distinct fragments; sections too small")
+    # the tracker takes int64 fragment indices: cast every section at once
+    sections = frags.T.astype(np.int64, order="C")
     tracker = PathTracker(codebook)
-    tracker.start(frags[:, 0])
+    tracker.start(sections[0])
     patterns = []
     for ell in range(2, profile.L + 1):
         patterns.append(int(tracker.admissible().size))
-        tracker.advance(frags[:, ell - 1])
+        tracker.advance(sections[ell - 1])
     return tracker.diagnostics.live_paths, patterns
 
 

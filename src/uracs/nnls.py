@@ -72,10 +72,11 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
     its own value in the passive least-squares solution is positive. One
     that fails is skipped for this outer step, and the next largest gradient
     is tried. A solve reports unconverged when its last step skipped a
-    column, or when it stopped at the cap or at min(n, c) passive columns
-    with a gradient above ``tol``. So with a ``tol`` far below rounding no
-    distance of 0 is divided by, a column whose value would come out <= 0
-    does not enter only to leave again, and x stays finite."""
+    column, when the cap cut a leave loop short, or when it stopped at the
+    cap or at min(n, c) passive columns with a gradient above ``tol``. So
+    with a ``tol`` far below rounding no distance of 0 is divided by, a
+    column whose value would come out <= 0 does not enter only to leave
+    again, and x stays finite."""
     A = np.asarray(A, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if A.ndim != 2 or y.ndim != 1 or A.shape[0] != y.shape[0]:
@@ -90,6 +91,8 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
         max_iter = 10 * max(c, 1)
 
     iterations = 0
+    # the cap stopped a leave loop while a passive value was <= 0
+    cut = False
     history: list[float] = []
     # passive-set state in entry order: column indices P, values x_P, the
     # columns A_P and their factor (Q, R^-1, Q^T y), each in the leading p
@@ -141,7 +144,7 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
         # argmax returns the first maximizer, which is the tie rule we want;
         # a free gradient above tol leaves the solve unconverged
         j = int(w.argmax())
-        converged = not w[j] > tol
+        converged = not (w[j] > tol or cut)
         while w[j] > tol and iterations < max_iter and p < cap:
             a = A[:, j]
             h, q = orthogonalise(a, p)
@@ -170,6 +173,7 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
         iterations += 1
         while p and np.minimum.reduce(z_P) <= 0:
             if iterations >= max_iter:
+                cut = True
                 break
             # step toward z until the first passive coordinate hits zero
             neg = z_P <= 0

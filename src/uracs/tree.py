@@ -25,6 +25,16 @@ from .bits import ints_to_rows, rows_to_ints
 DEFAULT_PATH_CAP = 1 << 16
 # widest fragment (m + l coded bits) whose column index fits an int64
 MAX_FRAGMENT_BITS = 63
+# radix-2 weights of up to 63 bits, MSB first: l bits weigh the last l
+_POW2 = 1 << np.arange(MAX_FRAGMENT_BITS - 1, -1, -1, dtype=np.int64)
+# the path search counts a stage's parity values in a table of all 2^l of
+# them when that table has at most this many slots per path or list entry
+# it serves; a wider stage sorts and searches instead
+_TABLE_SLOTS_PER_ITEM = 4
+
+
+def _table_fits(l: int, items: int) -> bool:
+    return 1 << l <= _TABLE_SLOTS_PER_ITEM * items
 
 
 @dataclass(frozen=True)
@@ -362,7 +372,8 @@ def fragment_values(W: np.ndarray, codebook: TreeCodebook) -> np.ndarray:
     product entry is a sum of distinct powers of two below 2^53, so the
     values are exact; fragments wider than 53 bits raise ValueError."""
     W = np.atleast_2d(np.asarray(W, dtype=np.uint8))
-    return np.hstack([W, _mod2(W @ codebook.G)]) @ codebook._layout.fragment_weights
+    B, weights = codebook.profile.B, codebook._layout.fragment_weights
+    return W @ weights[:B] + _mod2(W @ codebook.G) @ weights[B:]
 
 
 @dataclass
@@ -415,10 +426,13 @@ class PathTracker:
         self.diagnostics.live_paths.append(int(roots.shape[0]))
         cb = self.codebook
         if stage < cb.profile.L:
-            # the next section's parity depends on the info bits so far only
+            # the next section's parity depends on the info bits so far only;
+            # its bits, MSB first, weigh the last l powers of two
             cols = cb._layout.cols
             G = cb.G[:info.shape[1], cols[stage]:cols[stage + 1]]
-            self._next = rows_to_ints(_mod2(info @ G))
+            bits = (info @ G).astype(np.int64)
+            bits &= 1
+            self._next = bits @ _POW2[_POW2.size - G.shape[1]:]
 
     def start(self, roots: np.ndarray) -> None:
         """Open one root per section-1 fragment index."""
@@ -434,6 +448,9 @@ class PathTracker:
         """Admissible parity patterns for the next stage, as sorted integers."""
         if self.stage >= self.codebook.profile.L:
             raise ValueError("already at the final stage")
+        l = self.codebook.profile.l[self.stage]
+        if _table_fits(l, self._next.size):
+            return np.flatnonzero(np.bincount(self._next, minlength=1 << l))
         patterns = np.sort(self._next)
         first = np.ones(patterns.size, dtype=bool)
         np.not_equal(patterns[1:], patterns[:-1], out=first[1:])
@@ -448,16 +465,23 @@ class PathTracker:
         m, l = prof.m[ell - 1], prof.l[ell - 1]
         fragments = np.asarray(fragments, dtype=np.int64)
         # each path continues into the list entries that carry its parity, in
-        # list order: one contiguous run of the stably sorted list parities
+        # list order: one contiguous run of the stably sorted list parities,
+        # found from a count table of the parity values where it is small
         parities = fragments & ((1 << l) - 1)
         order = np.argsort(parities, kind="stable")
-        parities = parities[order]
-        lo = np.searchsorted(parities, self._next, side="left")
-        counts = np.searchsorted(parities, self._next, side="right") - lo
+        if _table_fits(l, self._next.size + fragments.size):
+            table = np.bincount(parities, minlength=1 << l)
+            counts = table[self._next]
+            lo = (np.cumsum(table) - table)[self._next]
+        else:
+            parities = parities[order]
+            lo = np.searchsorted(parities, self._next, side="left")
+            counts = np.searchsorted(parities, self._next, side="right") - lo
         # worst-case branching is exponential; drop the paths of roots that
-        # blow up before building them, so a capped root has none from here on
-        over = np.bincount(self._roots, weights=counts, minlength=self.root_count) > self.path_cap
-        if over.any():
+        # blow up before building them, so a capped root has none from here
+        # on. No root can pass the cap unless all of them together do
+        if counts.sum() > self.path_cap:
+            over = np.bincount(self._roots, weights=counts, minlength=self.root_count) > self.path_cap
             self.diagnostics.capped_roots += int(np.count_nonzero(over))
             counts[over[self._roots]] = 0
         rep = np.repeat(np.arange(self._next.shape[0]), counts)
@@ -465,7 +489,7 @@ class PathTracker:
         # info bits of each sorted list entry, converted once and gathered per path
         entries = ints_to_rows(fragments[order] >> l, m)
         taken = entries[np.repeat(lo - run_start, counts) + np.arange(rep.shape[0])]
-        self._enter(ell, np.hstack([self._info[rep], taken]), self._roots[rep])
+        self._enter(ell, np.concatenate((self._info[rep], taken), axis=1), self._roots[rep])
 
     def finalize(self) -> DecodeResult:
         """Settle per-root books: one surviving message per root, else a failure."""

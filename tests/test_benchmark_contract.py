@@ -74,3 +74,5 @@ def test_traced_trials_record_their_spans(tracing):
     profile = ParityProfile(m=(6, 4, 2), l=(0, 3, 4))
     (live, _), spans = traced(tracing, lambda: genie_tree_trial(profile, 4, 0, 0))
     assert [s["live"] for s in spans["tree.start"] + spans["tree.advance"]] == live
+    # one admissible set per stage 2..L
+    assert len(spans["tree.admissible"]) == profile.L - 1

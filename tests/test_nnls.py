@@ -49,7 +49,8 @@ def restarting_nnls(A, y, tol=1e-8, max_iter=None):
         iterations += 1
         while passive.any() and z[passive].min() <= 0:
             if iterations >= max_iter:
-                break
+                # cut short with a passive value <= 0: not a KKT point
+                return x, iterations, False, outer
             neg = passive & (z <= 0)
             denom = x[neg] - z[neg]
             ratio = np.where(denom > 0, x[neg] / np.where(denom > 0, denom, 1.0), 0.0)
@@ -386,7 +387,9 @@ def test_entering_column_that_leaves_at_once_keeps_the_factor(monkeypatch):
     # last two passive columns leave together: the factor of column 2
     # before them is kept and no block is re-orthogonalised, so
     # np.linalg.qr is never called. The solve repeats this until the cap,
-    # exactly as the restarting reference does.
+    # exactly as the restarting reference does. The cap cuts the last leave
+    # loop short with a passive value <= 0 (x = [1.2e-15, 0, 1], a gradient
+    # of 4e-15 on column 1), so the solve reports unconverged.
     qr_calls = []
     qr = np.linalg.qr
 
@@ -403,6 +406,7 @@ def test_entering_column_that_leaves_at_once_keeps_the_factor(monkeypatch):
     assert res.iterations - (len(res.objective_history) - 1) >= 1
     assert not qr_calls
     assert res.iterations == iterations and res.converged == converged
+    assert not res.converged
     np.testing.assert_array_equal(np.flatnonzero(res.x), np.flatnonzero(x_ref))
     assert np.abs(res.x - x_ref).max() <= 1e-20
     assert res.x[2] == 1.0

@@ -1,5 +1,6 @@
 """Tests for the outer tree code: encoding, parity algebra, and list decoding."""
 
+import collections
 import itertools
 import time
 import tracemalloc
@@ -27,8 +28,8 @@ from uracs.tree import (
 
 
 def radix2(bits) -> int:
-    """Value of a bit vector, MSB first: the oracle for rows_to_ints."""
-    return int("".join(str(int(b)) for b in bits), 2)
+    """Value of a bit vector, MSB first (0 when empty): the oracle for rows_to_ints."""
+    return int("0" + "".join(str(int(b)) for b in bits), 2)
 
 
 def prefix_parity(codebook, prefixes, ell):
@@ -41,47 +42,53 @@ def prefix_parity(codebook, prefixes, ell):
     return encode_messages(W, codebook)[ell - 1][:, codebook.profile.m[ell - 1]:]
 
 
-def brute_force_decode(lists, codebook, path_cap=1 << 16):
-    """Reference decoder: enumerate every row combination across the lists,
-    keep the parity-consistent ones, and settle roots by the same rule as
-    the fast decoder (exactly one distinct surviving message, not capped)."""
+def brute_force_search(lists, codebook, path_cap=1 << 16):
+    """Reference path search by enumeration: at stage s, every combination
+    of one row from each of lists 1..s whose fragments all carry the parity
+    of the info bits before them, less the combinations of capped roots. A
+    root is capped at the first stage from 2 on where it has more than
+    ``path_cap`` combinations. Roots settle as in the fast decoder: exactly
+    one distinct surviving message, not capped. Returns the live counts per
+    stage, the number of capped roots, the sorted parity values the live
+    combinations admit at each stage 2..L, the decoded messages in root
+    order and the failures."""
     prof = codebook.profile
+    parities = {}
+
+    def info(combo):
+        return np.concatenate([lists[i][row][:prof.m[i]] for i, row in enumerate(combo)])
+
+    def parity(combo):
+        # the parity section len(combo) + 1 expects after the rows in combo
+        if combo not in parities:
+            parities[combo] = prefix_parity(codebook, info(combo), len(combo) + 1)[0]
+        return parities[combo]
+
+    live, patterns, capped = [], [], set()
+    for s in range(1, prof.L + 1):
+        combos = [c for c in itertools.product(*(range(a.shape[0]) for a in lists[:s]))
+                  if c[0] not in capped and all(
+                      np.array_equal(lists[i][c[i]][prof.m[i]:], parity(c[:i])) for i in range(1, s))]
+        if s > 1:
+            per_root = collections.Counter(c[0] for c in combos)
+            capped |= {root for root, n in per_root.items() if n > path_cap}
+            combos = [c for c in combos if c[0] not in capped]
+        live.append(len(combos))
+        if s < prof.L:
+            patterns.append(sorted({radix2(parity(c)) for c in combos}))
     survivors: dict[int, set] = {}
-    counts: dict[int, int] = {}
-    capped = set()
-    row_choices = [range(arr.shape[0]) for arr in lists]
-    for combo in itertools.product(*row_choices):
-        info = []
-        ok = True
-        for ell, row in enumerate(combo, start=1):
-            frag = lists[ell - 1][row]
-            m = prof.m[ell - 1]
-            if ell > 1:
-                expect = prefix_parity(codebook, np.concatenate(info), ell)[0]
-                if not np.array_equal(frag[m:], expect):
-                    ok = False
-                    break
-            info.append(frag[:m])
-        if not ok:
-            continue
-        root = combo[0]
-        msg = radix2(np.concatenate(info))
-        survivors.setdefault(root, set()).add(msg)
-        counts[root] = counts.get(root, 0) + 1
-        if counts[root] > path_cap:
-            capped.add(root)
-    messages = []
-    seen = set()
-    successes = 0
-    for root in range(lists[0].shape[0]):
-        got = survivors.get(root)
-        if got is not None and len(got) == 1 and root not in capped:
-            successes += 1
-            msg = next(iter(got))
-            if msg not in seen:
-                seen.add(msg)
-                messages.append(msg)
-    return messages, lists[0].shape[0] - successes
+    for c in combos:
+        survivors.setdefault(c[0], set()).add(radix2(info(c)))
+    decoded = [next(iter(msgs)) for _, msgs in sorted(survivors.items()) if len(msgs) == 1]
+    return SimpleNamespace(live=live, capped=len(capped), patterns=patterns,
+                           messages=list(dict.fromkeys(decoded)),
+                           failures=lists[0].shape[0] - len(decoded))
+
+
+def brute_force_decode(lists, codebook, path_cap=1 << 16):
+    """The messages and failures of ``brute_force_search``."""
+    ref = brute_force_search(lists, codebook, path_cap)
+    return ref.messages, ref.failures
 
 
 def test_profile_validation():
@@ -364,6 +371,52 @@ def test_admissible_parities_small():
     # Once every path has died no pattern is admissible.
     tracker.advance(np.zeros(0, dtype=np.int64))
     assert tracker.admissible().size == 0
+
+
+@pytest.mark.parametrize("m, l, sides", [
+    ((3, 2, 2, 2), (0, 1, 2, 2), {True}),         # every stage counts in a table
+    ((3, 2, 2), (0, 7, 9), {False}),              # l above the table bound: sorted
+    ((2, 2, 2), (0, 0, 2), {True}),               # l = 0: every entry matches
+    ((3, 2, 1, 1), (0, 0, 3, 8), {True, False}),  # both sides in one search
+], ids=["narrow", "wide", "l=0", "mixed"])
+def test_path_search_matches_brute_force_on_both_sides_of_the_join_rule(m, l, sides):
+    # advance joins paths to list entries through a count table of the 2^l
+    # parity values on a narrow stage and by sorted search on a wide one;
+    # seeded lists of genie fragments and decoys, some of them empty, with
+    # caps that bind, must give the oracle's search on both sides
+    prof = ParityProfile(m=m, l=l)
+    rng = np.random.default_rng(97 + sum(l))
+    seen = collections.Counter()
+    for _ in range(60):
+        cb = TreeCodebook(prof, seed=int(rng.integers(1 << 32)))
+        lists = []
+        for genie, v in zip(encode_messages(random_bits(rng, (int(rng.integers(1, 5)), prof.B)), cb),
+                            prof.v):
+            rows = np.vstack([genie, random_bits(rng, (int(rng.integers(0, 4)), v))])
+            lists.append(rows[:0] if lists and rng.random() < 0.15 else rows[rng.permutation(len(rows))])
+        cap = int(rng.choice([0, 1, 2] + [DEFAULT_PATH_CAP] * 3))
+        ref = brute_force_search(lists, cb, cap)
+        tracker = PathTracker(cb, path_cap=cap)
+        tracker.start(rows_to_ints(lists[0]))
+        for ell in range(2, prof.L + 1):
+            patterns = tracker.admissible()
+            assert patterns.dtype == np.int64
+            assert (np.diff(patterns) > 0).all()
+            assert patterns.tolist() == ref.patterns[ell - 2]
+            fragments = rows_to_ints(lists[ell - 1])
+            items = tracker.live_path_count() + fragments.size
+            if items:
+                seen[tree_module._table_fits(l[ell - 1], items)] += 1
+            seen["empty list"] += fragments.size == 0
+            seen["no live paths"] += tracker.live_path_count() == 0
+            tracker.advance(fragments)
+        res = tracker.finalize()
+        assert (res.diagnostics.live_paths, res.diagnostics.capped_roots) == (ref.live, ref.capped)
+        assert (res.messages, res.failures) == (ref.messages, ref.failures)
+        seen["capped"] += ref.capped > 0
+        seen["decoded"] += len(ref.messages) > 0
+    assert {side for side in (True, False) if seen[side]} == sides, seen
+    assert min(seen[k] for k in ("empty list", "no live paths", "capped", "decoded")) >= 3, seen
 
 
 def test_tracker_admissible_never_misses_true_path():
