@@ -5,6 +5,11 @@ conditions hold within ``tol`` (converged), or the iteration cap was hit or a
 column with a gradient above ``tol`` could not enter (see ``nnls_solve``),
 and the best iterate so far is returned with ``converged`` False.
 
+When the passive solution has a value <= 0, x steps toward it until the
+first passive values reach 0. By Lawson & Hanson's leave rule those values
+are set to exactly 0, and the columns whose values are then <= 0 leave; no
+threshold on a value's size decides, so a tiny positive value stays passive.
+
 Each passive-set solve reuses the last one, after Lawson & Hanson (Solving
 Least Squares Problems, 1974): the loop keeps a thin QR factor A_P = Q R of
 the passive columns, updated as columns enter and leave, in buffers allocated
@@ -76,7 +81,9 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
     cap or at min(n, c) passive columns with a gradient above ``tol``. So
     with a ``tol`` far below rounding no distance of 0 is divided by, a
     column whose value would come out <= 0 does not enter only to leave
-    again, and x stays finite."""
+    again, and x stays finite. By Lawson & Hanson's leave rule a column
+    leaves only when a step toward the passive solution stops at it (its
+    value is set to exactly 0) or leaves its value <= 0."""
     A = np.asarray(A, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if A.ndim != 2 or y.ndim != 1 or A.shape[0] != y.shape[0]:
@@ -181,9 +188,9 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
             ratio = np.where(denom > 0, x_P[neg] / np.where(denom > 0, denom, 1.0), 0.0)
             alpha = float(np.minimum.reduce(ratio))
             x_P += alpha * (z_P - x_P)
-            out = np.flatnonzero(np.abs(x_P) <= 1e-14)
-            if out.size:
-                leave(out)
+            # the values the step stops at become exactly 0, so one leaves
+            x_P[np.flatnonzero(neg)[ratio == alpha]] = 0.0
+            leave(np.flatnonzero(x_P <= 0))
             x_P = x_buf[:p]
             z_P = R_inv[:p, :p] @ qty[:p]
             iterations += 1

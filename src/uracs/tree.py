@@ -25,8 +25,6 @@ from .bits import ints_to_rows, rows_to_ints
 DEFAULT_PATH_CAP = 1 << 16
 # widest fragment (m + l coded bits) whose column index fits an int64
 MAX_FRAGMENT_BITS = 63
-# radix-2 weights of up to 63 bits, MSB first: l bits weigh the last l
-_POW2 = 1 << np.arange(MAX_FRAGMENT_BITS - 1, -1, -1, dtype=np.int64)
 # the path search counts a stage's parity values in a table of all 2^l of
 # them when that table has at most this many slots per path or list entry
 # it serves; a wider stage sorts and searches instead
@@ -426,13 +424,10 @@ class PathTracker:
         self.diagnostics.live_paths.append(int(roots.shape[0]))
         cb = self.codebook
         if stage < cb.profile.L:
-            # the next section's parity depends on the info bits so far only;
-            # its bits, MSB first, weigh the last l powers of two
+            # the next section's parity depends on the info bits so far only
             cols = cb._layout.cols
             G = cb.G[:info.shape[1], cols[stage]:cols[stage + 1]]
-            bits = (info @ G).astype(np.int64)
-            bits &= 1
-            self._next = bits @ _POW2[_POW2.size - G.shape[1]:]
+            self._next = rows_to_ints(_mod2(info @ G))
 
     def start(self, roots: np.ndarray) -> None:
         """Open one root per section-1 fragment index."""
@@ -448,9 +443,6 @@ class PathTracker:
         """Admissible parity patterns for the next stage, as sorted integers."""
         if self.stage >= self.codebook.profile.L:
             raise ValueError("already at the final stage")
-        l = self.codebook.profile.l[self.stage]
-        if _table_fits(l, self._next.size):
-            return np.flatnonzero(np.bincount(self._next, minlength=1 << l))
         patterns = np.sort(self._next)
         first = np.ones(patterns.size, dtype=bool)
         np.not_equal(patterns[1:], patterns[:-1], out=first[1:])

@@ -1,9 +1,13 @@
 """Tests for the active-set nonnegative least squares solver."""
 
+import linecache
+import sys
+
 import numpy as np
 import pytest
 
 import uracs.ccs as ccs
+import uracs.nnls as nnls_module
 from uracs.channel import ebn0_to_amplitude
 from uracs.harness import parse_config, run_siso_trial
 from uracs.nnls import NnlsResult, nnls_solve
@@ -21,7 +25,9 @@ def projected_gradient_nnls(A, y, steps=200000, seed=None):
 def restarting_nnls(A, y, tol=1e-8, max_iter=None):
     """Reference Lawson-Hanson that re-solves the passive block by lstsq at
     every set change; the same outer loop as ``nnls_solve``. Returns
-    (x, iterations, converged, outer steps)."""
+    (x, iterations, converged, outer steps). Its leave rule is a threshold,
+    |x_j| <= 1e-14, which picks the same columns as ``nnls_solve``'s on the
+    default-tolerance instances here; far below rounding the two differ."""
     c = A.shape[1]
     if max_iter is None:
         max_iter = 10 * max(c, 1)
@@ -379,38 +385,73 @@ def test_column_failing_the_entry_test_stops_the_solve_unconverged():
     assert res.residual_norm == float(np.linalg.norm(A @ res.x - y))
 
 
-def test_entering_column_that_leaves_at_once_keeps_the_factor(monkeypatch):
-    # y = a_2 + 4e-15 a_1 - 1e-16 a_0. Column 2 enters first and stays at
-    # x_2 = 1. Column 0 has the next larger gradient and enters; column 1
-    # then passes the entry test, and the step toward the passive solution
-    # zeroes x_0 and leaves x_1 under the leave threshold of 1e-14, so the
-    # last two passive columns leave together: the factor of column 2
-    # before them is kept and no block is re-orthogonalised, so
-    # np.linalg.qr is never called. The solve repeats this until the cap,
-    # exactly as the restarting reference does. The cap cuts the last leave
-    # loop short with a passive value <= 0 (x = [1.2e-15, 0, 1], a gradient
-    # of 4e-15 on column 1), so the solve reports unconverged.
-    qr_calls = []
-    qr = np.linalg.qr
+def traced_nnls(A, y, **kwargs):
+    """nnls_solve's result and the (function, stripped source line) pairs
+    that ran in its module, from a line trace."""
+    path = nnls_module.__file__
+    lines = set()
 
-    def counted_qr(*args, **kwargs):
-        qr_calls.append(1)
-        return qr(*args, **kwargs)
+    def tracer(frame, event, arg):
+        if frame.f_code.co_filename != path:
+            return None
+        if event == "line":
+            lines.add((frame.f_code.co_name, linecache.getline(path, frame.f_lineno).strip()))
+        return tracer
 
-    monkeypatch.setattr(np.linalg, "qr", counted_qr)
-    A = np.array([[3.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    y = A[:, 2] + 4e-15 * A[:, 1] - 1e-16 * A[:, 0]
-    res = nnls_solve(A, y, tol=1e-300)
-    x_ref, iterations, converged, _ = restarting_nnls(A, y, tol=1e-300)
-    # one history entry per entering column; the other solves follow a leave
-    assert res.iterations - (len(res.objective_history) - 1) >= 1
-    assert not qr_calls
-    assert res.iterations == iterations and res.converged == converged
-    assert not res.converged
-    np.testing.assert_array_equal(np.flatnonzero(res.x), np.flatnonzero(x_ref))
-    assert np.abs(res.x - x_ref).max() <= 1e-20
-    assert res.x[2] == 1.0
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        res = nnls_solve(A, y, **kwargs)
+    finally:
+        sys.settrace(previous)
+    return res, lines
+
+
+def test_entering_column_that_leaves_at_once_keeps_the_factor():
+    # At tol = 1e-300 gradients of rounding size (3e-23 at ||y|| of 2.5e-7)
+    # let columns 3 and 0 enter after column 1, with passive values of 4e-24
+    # and 2e-23. The step toward the passive solution stops at column 3,
+    # which leaves, and the next solve puts column 0 at a value <= 0, so it
+    # leaves in the leave loop of its own entry. It entered last, so that
+    # leave returns at k == p: it keeps the factor of column 1 and
+    # re-orthogonalises nothing. The solve repeats this cycle of four solves until
+    # the 40-solve cap cuts a leave loop short, with column 0 passive at
+    # 1.1e-23, and reports unconverged. The line trace shows both paths.
+    A = np.array([[1.513562333298318, 2.336602717496222, 1.1753798066800678, 1.9629988628279036],
+                  [-0.20303620255395707, 1.2318939881655495, -0.3885871458603537,
+                   -1.7445357772016066],
+                  [0.006799460918892046, -0.2621480021904016, 0.10384476520347777,
+                   0.37892446933817986],
+                  [-0.1840799429484111, 0.06380671761051558, -1.6142932001796226,
+                   -0.38816399837506826]])
+    y = np.array([2.1904495532914637e-07, 1.1548397234473518e-07, -2.4575079451654503e-08,
+                  5.981564390060863e-09])
+    res, lines = traced_nnls(A, y, tol=1e-300)
+    assert ("leave", "return") in lines
+    assert ("nnls_solve", "cut = True") in lines
+    assert res.iterations == 40 and not res.converged
+    np.testing.assert_array_equal(np.flatnonzero(res.x), [0, 1])
+    assert 0.0 < res.x[0] < 1e-22
+    # column 1 alone fits y, through the factor every k == p return kept
+    a = A[:, 1]
+    assert abs(res.x[1] - a.dot(y) / a.dot(a)) <= 1e-12 * res.x[1]
     assert res.residual_norm == float(np.linalg.norm(A @ res.x - y))
+
+
+def test_tiny_positive_passive_value_stays_passive():
+    # y is nearly A [9.8e-15, 7.4e-6, 0]. An absolute leave threshold of
+    # 1e-14 evicted column 0 after each step toward the passive solution,
+    # and the column entered again until the 30-solve cap. Under Lawson &
+    # Hanson's rule a positive value keeps its column passive, and the solve
+    # converges in 4 solves.
+    A = np.array([[-0.6375611457394129, 1.6702662475625463, -1.6025044332926788],
+                  [-1.003796672270391, -0.24274333638326615, -1.6551546032076008],
+                  [-1.218884324994872, -1.3043283212797843, 0.12110072584894474]])
+    y = np.array([1.2337600327205499e-05, -1.7930496343177283e-06, -9.634560702580936e-06])
+    res = nnls_solve(A, y, tol=1e-20)
+    assert res.converged and res.iterations == 4
+    assert 9.8e-15 < res.x[0] < 9.9e-15 and res.x[1] > 0.0 and res.x[2] == 0.0
+    assert np.abs(A.T @ (y - A @ res.x)).max() <= 1e-20
 
 
 def test_entries_right_after_a_leave_match_restarting_solve():
