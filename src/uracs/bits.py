@@ -21,7 +21,7 @@ def rows_to_ints(rows: np.ndarray) -> np.ndarray:
         head = rows_to_ints(rows[..., :width - 63]).astype(object)
         return (head << 63) | rows_to_ints(rows[..., width - 63:]).astype(object)
     weights = 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
-    return rows.astype(np.int64) @ weights
+    return rows.astype(np.int64, copy=False) @ weights
 
 
 def ints_to_rows(values: np.ndarray, width: int) -> np.ndarray:

@@ -94,8 +94,11 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
                   64 * np.finfo(float).eps * np.sqrt(n) * np.linalg.norm(y))
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
+    if c == 0:
+        norm = float(np.linalg.norm(y))
+        return NnlsResult(np.zeros(0), norm, 0, True, [norm])
     if max_iter is None:
-        max_iter = 10 * max(c, 1)
+        max_iter = 10 * c
 
     iterations = 0
     # the cap stopped a leave loop while a passive value was <= 0

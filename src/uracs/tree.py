@@ -266,18 +266,13 @@ class _Layout:
     def fragment_weights(self) -> np.ndarray:
         """(B + sum(l)) x L powers of two that map a message's info bits,
         then its parity bits, to the radix-2 value of each section's fragment."""
-        m, l = np.diff(self.rows), np.diff(self.cols)
-        if (m + l).max() > 53:
-            raise ValueError("fragment values need fragments of at most 53 bits")
-        L = m.size
-        section = np.concatenate([np.repeat(np.arange(L), m), np.repeat(np.arange(L), l)])
-        # bit b weighs 2 ** (the bits after it in its fragment) = 2 ** (ends[b]
-        # - 1 - b); an info bit's fragment goes on with its l parity bits
-        ends = np.concatenate([np.repeat(self.rows[1:] + l, m),
-                               np.repeat(self.shape[0] + self.cols[1:], l)])
-        bit = np.arange(section.size)
-        weights = np.zeros((section.size, L))
-        weights[bit, section] = 2.0 ** (ends - 1 - bit)
+        B, rows, cols = self.shape[0], self.rows, self.cols
+        weights = np.zeros((B + self.shape[1], rows.size - 1))
+        for s in range(rows.size - 1):
+            bits = np.r_[rows[s]:rows[s + 1], B + cols[s]:B + cols[s + 1]]
+            if bits.size > 53:
+                raise ValueError("fragment values need fragments of at most 53 bits")
+            weights[bits, s] = 2.0 ** np.arange(bits.size - 1, -1, -1)
         weights.flags.writeable = False
         return weights
 
@@ -327,11 +322,11 @@ class TreeCodebook:
 
 
 def _mod2(product: np.ndarray) -> np.ndarray:
-    """Bits mod 2 of an exact float64 product of 0/1 arrays. Its entries are
-    integers, and the integer cast is several times faster than float ``%``."""
+    """Int64 bits mod 2 of an exact float64 product of 0/1 arrays. Its entries
+    are integers, and the integer cast is several times faster than float ``%``."""
     bits = product.astype(np.int64)
     bits &= 1
-    return bits.astype(np.uint8)
+    return bits
 
 
 def message_bytes(profile: ParityProfile, K: int) -> int:
@@ -358,7 +353,7 @@ def encode_messages(W: np.ndarray, codebook: TreeCodebook) -> list[np.ndarray]:
     prof = codebook.profile
     if W.shape[1] != prof.B:
         raise ValueError(f"messages have {W.shape[1]} bits, profile needs B={prof.B}")
-    parity = _mod2(W @ codebook.G)
+    parity = _mod2(W @ codebook.G).astype(np.uint8)
     rows, cols = codebook._layout.rows, codebook._layout.cols
     return [np.concatenate((W[:, rows[i]:rows[i + 1]], parity[:, cols[i]:cols[i + 1]]), axis=1)
             for i in range(prof.L)]

@@ -41,6 +41,9 @@ def test_build_sensing_matrix_properties():
     E = build_sensing_matrix(16, 6, seed=(0, 3))
     np.testing.assert_array_equal(D.columns, E.columns)
     assert not np.array_equal(A.columns, D.columns)
+    for n, v in ((0, 6), (16, 0)):
+        with pytest.raises(ValueError, match=r"^need n >= 1 and v >= 1$"):
+            build_sensing_matrix(n, v, seed=0)
 
 
 def test_build_complex_sensing_matrix_radius():
@@ -49,6 +52,9 @@ def test_build_complex_sensing_matrix_radius():
     np.testing.assert_allclose(np.linalg.norm(A.columns, axis=0), 3.0, atol=1e-12)
     with pytest.raises(ValueError):
         build_complex_sensing_matrix(8, 5, radius=0.0, seed=2)
+    for n, v in ((0, 5), (8, 0)):
+        with pytest.raises(ValueError, match=r"^need n >= 1 and v >= 1$"):
+            build_complex_sensing_matrix(n, v, radius=3.0, seed=2)
 
 
 def test_column_cross_correlation_is_small():

@@ -32,6 +32,9 @@ def test_ebn0_amplitude_round_trip():
         assert 10 * np.log10(d ** 2 * 4 / (2 * 24)) == pytest.approx(ebn0)
     # Hand value: Eb/N0 = 0 dB, B=24, L=4 gives d^2 = 2*24/4 = 12.
     assert ebn0_to_amplitude(0.0, 24, 4) == pytest.approx(np.sqrt(12.0))
+    for B, L in ((0, 4), (24, 0)):
+        with pytest.raises(ValueError, match="^B and L must be at least 1$"):
+            ebn0_to_amplitude(0.0, B, L)
 
 
 def test_ebn0_power_round_trip():
@@ -41,6 +44,12 @@ def test_ebn0_power_round_trip():
         assert 10 * np.log10(4 * 16 * P / (12 * 2.0)) == pytest.approx(ebn0)
     # Hand value: 0 dB, B=12, L=4, n=16, N0=1 gives P = 12/64.
     assert ebn0_to_power(0.0, 12, 4, 16, 1.0) == pytest.approx(12.0 / 64.0)
+    for B, L, n in ((0, 4, 16), (12, 0, 16), (12, 4, 0)):
+        with pytest.raises(ValueError, match="^B, L, n must be at least 1$"):
+            ebn0_to_power(0.0, B, L, n, 1.0)
+    for N0 in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^N0 must be positive$"):
+            ebn0_to_power(0.0, 12, 4, 16, N0)
 
 
 def test_gmac_noiseless_is_scaled_sum():

@@ -96,6 +96,9 @@ def test_main_bad_config_returns_2(tmp_path, capsys):
     bad.write_text("{oops")
     assert main(["siso", "--config", str(bad)]) == 2
     assert "config error:" in capsys.readouterr().err
+    bad.write_text(json.dumps([SISO_DATA]))
+    assert main(["siso", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err == "config error: config root must be an object\n"
     assert main(["siso", "--config", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()
     cfg = write_cfg(tmp_path, {**SISO_DATA, "trials": 0})

@@ -139,6 +139,15 @@ def test_parse_config_field_errors_name_the_field():
     ]:
         with pytest.raises(ConfigError, match=f"^{frag}: "):
             parse_config({**base.get(key, siso_config()), key: value})
+    # each of these is refused by its own rule
+    for key, value, message in [
+        ("K", [], "need at least one value"),
+        ("profile", {"m": [3, 2], "parity": [0, 2]}, "expected a name or an object with keys m, l"),
+        ("profile", {"m": [], "l": []}, "profile needs at least one section"),
+        ("profile", {"m": [3, -1, 2], "l": [0, 2, 2]}, "section lengths must be nonnegative"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{key}: {message}$"):
+            parse_config(siso_config(**{key: value}))
     # Integral floats are integers.
     assert parse_config(siso_config(K=2.0, n=12.0)).K == (2,)
 
@@ -357,6 +366,9 @@ def test_load_config_reads_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="JSON"):
+        load_config(str(bad))
+    bad.write_text(json.dumps([siso_config()]))
+    with pytest.raises(ConfigError, match="^config root must be an object$"):
         load_config(str(bad))
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "missing.json"))

@@ -303,6 +303,10 @@ def test_activity_detect_restricted_sweep_stays_in_set():
     outside = np.setdiff1d(np.arange(16), S)
     assert np.all(gamma[outside] == 0.0)
     assert gamma[5] > 0.0
+    with pytest.raises(ValueError, match="^sweeps must be at least 1$"):
+        activity_detect(sample_covariance(Y), A, S, N0, sweeps=0)
+    with pytest.raises(ValueError, match="^sample covariance shape must match matrix rows$"):
+        CovarianceState(sample_covariance(Y[:n - 1]), A, N0)
 
 
 def test_activity_detect_pure_noise_converges_immediately():

@@ -103,6 +103,16 @@ def test_zero_rhs_returns_zero_without_iterating():
     np.testing.assert_array_equal(res.x, np.zeros(9))
 
 
+def test_matrix_without_columns_returns_empty_x_without_iterating():
+    y = np.array([3.0, -4.0, 12.0])
+    res = nnls_solve(np.zeros((3, 0)), y)
+    assert res.converged
+    assert res.iterations == 0
+    assert res.x.shape == (0,)
+    assert res.residual_norm == 13.0
+    assert res.objective_history == [13.0]
+
+
 def test_exact_nonnegative_combination_recovered():
     rng = np.random.default_rng(1)
     A = rng.normal(size=(20, 8))

@@ -161,6 +161,8 @@ def test_encode_messages_matches_scalar_path():
         single = encode_messages(W[k], cb)
         for ell in range(prof.L):
             assert np.array_equal(batch[ell][k], single[ell][0])
+    with pytest.raises(ValueError, match="^messages have 3 bits, profile needs B=4$"):
+        encode_messages(W[:, :3], cb)
 
 
 def integer_parity(W, profile, seed):
@@ -368,9 +370,16 @@ def test_admissible_parities_small():
     expect = sorted({radix2(prefix_parity(cb, row, 2)[0]) for row in info})
     assert pats.tolist() == expect
     assert pats.dtype == np.int64
+    with pytest.raises(ValueError, match="^finalize called before the final stage$"):
+        tracker.finalize()
     # Once every path has died no pattern is admissible.
     tracker.advance(np.zeros(0, dtype=np.int64))
     assert tracker.admissible().size == 0
+    # after the last stage there is nothing to admit or advance into
+    tracker.advance(np.zeros(0, dtype=np.int64))
+    for step in (tracker.admissible, lambda: tracker.advance(np.zeros(0, dtype=np.int64))):
+        with pytest.raises(ValueError, match="^already at the final stage$"):
+            step()
 
 
 @pytest.mark.parametrize("m, l, sides", [
