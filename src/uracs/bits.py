@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# 2^62, ..., 2, 1: a row of w <= 63 bits is weighted by the last w of them
+_WEIGHTS = 1 << np.arange(62, -1, -1, dtype=np.int64)
+
 
 def rows_to_ints(rows: np.ndarray) -> np.ndarray:
     """Radix-2 values (MSB first) of the rows of a 2-D bit array.
@@ -20,8 +23,7 @@ def rows_to_ints(rows: np.ndarray) -> np.ndarray:
     if width > 63:
         head = rows_to_ints(rows[..., :width - 63]).astype(object)
         return (head << 63) | rows_to_ints(rows[..., width - 63:]).astype(object)
-    weights = 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
-    return rows.astype(np.int64, copy=False) @ weights
+    return rows.astype(np.int64, copy=False) @ _WEIGHTS[63 - width:]
 
 
 def ints_to_rows(values: np.ndarray, width: int) -> np.ndarray:

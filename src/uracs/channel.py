@@ -56,7 +56,7 @@ def mimo_block_bytes(n: int, K: int, M: int) -> int:
     """Bytes of ``mimo_block_transmit`` making an n x M block of K users: the
     block and two more n x M blocks (its noise and the product of its columns
     with the fading draw), the draw's three K x M arrays and the users' n x K
-    columns."""
+    columns, gathered from A once as complex128."""
     return 16 * (3 * n * M + 3 * K * M + n * K)
 
 
@@ -88,5 +88,5 @@ def mimo_block_transmit(column_indices: np.ndarray, A: np.ndarray, M: int,
     Z *= np.sqrt(N0 / 2.0)
     Y = Z
     if K:
-        Y = A[:, column_indices].astype(np.complex128) @ H + Z
+        Y = A[:, column_indices].astype(np.complex128, copy=False) @ H + Z
     return Y

@@ -58,6 +58,8 @@ class CovarianceState:
         if sample_cov.shape != (n, n):
             raise ValueError("sample covariance shape must match matrix rows")
         self.sample_cov = np.asarray(sample_cov, dtype=np.complex128)
+        if not np.isfinite(self.sample_cov).all():
+            raise ValueError("sample covariance must be finite")
         self.N0 = float(N0)
         self._eye = np.eye(n, dtype=np.complex128)
         self.sigma_inv = self._eye / self.N0

@@ -83,11 +83,14 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
     column whose value would come out <= 0 does not enter only to leave
     again, and x stays finite. By Lawson & Hanson's leave rule a column
     leaves only when a step toward the passive solution stops at it (its
-    value is set to exactly 0) or leaves its value <= 0."""
+    value is set to exactly 0) or leaves its value <= 0. A NaN or infinity
+    in y or A raises ValueError; one in A shows in the first gradient A^T y."""
     A = np.asarray(A, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if A.ndim != 2 or y.ndim != 1 or A.shape[0] != y.shape[0]:
         raise ValueError("A must be (n, c) and y length n")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite")
     n, c = A.shape
     if tol is None:
         tol = max(DEFAULT_NNLS_TOL,
@@ -147,9 +150,11 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
         qty[k:p] = Q[:, k:p].T.dot(y)
 
     r = y
+    w = A.T.dot(r)
+    if not np.isfinite(w).all():
+        raise ValueError("A must be finite: A^T y is not")
     while True:
         history.append(math.sqrt(r.dot(r)))
-        w = A.T.dot(r)
         w[P[:p]] = -np.inf
         # argmax returns the first maximizer, which is the tie rule we want;
         # a free gradient above tol leaves the solve unconverged
@@ -200,6 +205,7 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
         else:
             x_P[:] = z_P
         r = y - A_P[:, :p].dot(x_P)
+        w = A.T.dot(r)
 
     x = np.zeros(c)
     x[P[:p]] = x_buf[:p]

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .bits import ints_to_rows, rows_to_ints
 
@@ -89,17 +90,13 @@ DEFAULT_MIMO_PROFILE = ParityProfile(
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of 4 uint32
 # words, its hash and mix constants and its 16-bit xorshift. Array products
-# wrap mod 2^32 (and mod 2^64 below) without a warning; constants are 0-d
-# arrays so that numpy converts no Python int per call.
+# wrap mod 2^32 without a warning; constants are 0-d arrays so that numpy
+# converts no Python int per call.
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _XSHIFT = (np.array(c, np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
-# PCG64's 128-bit LCG multiplier; uint64 shifts and masks
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_U1, _U32, _U58, _U63, _U64, _LOW32 = (np.array(c, np.uint64)
-                                       for c in (1, 32, 58, 63, 64, _MASK32))
+_MASK32 = (1 << 32) - 1
 
 
 def _hash_constants(init: int, mult: int, first: int, calls: int) -> tuple:
@@ -142,8 +139,9 @@ _HASH_STATE = _hash_constants(_INIT_B, _MULT_B, 0, 2 * _POOL)
 
 def _seed_sequence_states(seed: int, block_words: np.ndarray) -> np.ndarray:
     """``SeedSequence(entropy).generate_state(4, np.uint64)`` for every
-    column of ``block_words``, as a 4 x columns uint64 array. The entropy is
-    the seed's 32-bit chunks, low first, then the column's words."""
+    column of ``block_words``, as one C-contiguous row of 4 uint64 words per
+    column. The entropy is the seed's 32-bit chunks, low first, then the
+    column's words."""
     chunks = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
     words = len(chunks) + block_words.shape[0]
     # entropy shorter than the pool is padded with zeros
@@ -159,36 +157,8 @@ def _seed_sequence_states(seed: int, block_words: np.ndarray) -> np.ndarray:
     for i in range(_POOL, words):
         pool = _mix(pool, _hashmix(entropy[i], *_hash_constants(_INIT_A, _MULT_A, _POOL * i, _POOL)))
     # generate_state: the pool cycled to 8 uint32 words, paired little-endian
-    state = _hashmix(np.concatenate((pool, pool)), *_HASH_STATE).astype(np.uint64)
-    return state[0::2] | state[1::2] << _U32
-
-
-def _pcg64_seeding(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """PCG64's seeding of generate_state's uint64 words, rows [initstate
-    high, low, initseq high, low]: the low and the high words of rows
-    [x, inc] with inc = 2 * initseq + 1 and x = inc + initstate mod 2^128."""
-    init_hi, init_lo, seq_hi, seq_lo = words
-    inc_lo = seq_lo << _U1 | _U1
-    inc_hi = seq_hi << _U1 | seq_lo >> _U63
-    x_lo = inc_lo + init_lo
-    return np.array([x_lo, inc_lo]), np.array([inc_hi + init_hi + (x_lo < inc_lo), inc_hi])
-
-
-def _mulhi(a_halves: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """High 64 bits of the 128-bit products a * b of uint64 arrays, from
-    32-bit halves; ``a_halves`` is (a & 0xFFFFFFFF, a >> 32). Besides b it
-    holds at most 5 arrays of b's size."""
-    a0, a1 = a_halves
-    b0, b1 = b & _LOW32, b >> _U32
-    # the carries of the low partial product and of the two middle ones
-    mid = a0 * b0 >> _U32
-    mid += a1 * b0
-    cross = a0 * b1
-    cross += mid & _LOW32
-    mid >>= _U32
-    mid += cross >> _U32
-    mid += a1 * b1
-    return mid
+    state = _hashmix(np.concatenate((pool, pool)), *_HASH_STATE)
+    return np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64, copy=False)
 
 
 def _blocks(profile: ParityProfile) -> list[tuple[int, int, int, int]]:
@@ -199,14 +169,18 @@ def _blocks(profile: ParityProfile) -> list[tuple[int, int, int, int]]:
             if (bits := profile.m[j - 1] * profile.l[ell - 1])]
 
 
-class _Layout:
-    """What a profile's codebook build needs and its seed does not change.
+class _Words(ISeedSequence):
+    """A block's SeedSequence words. PCG64 reads their buffer: one contiguous row."""
 
-    PCG64 seeds inc = 2 * initseq + 1 and state = (inc + initstate) * MULT
-    + inc, and steps the state before each output, so output k of a block
-    comes from the state P_k * x + Q_k * inc (mod 2^128), with x = inc +
-    initstate, P_k = MULT^(k+2) and Q_k the sum of MULT^i over i <= k + 1.
-    """
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+class _Layout:
+    """What a profile's codebook build needs and its seed does not change."""
 
     def __init__(self, profile: ParityProfile):
         # row offsets of each section's info bits, column offsets of its parity
@@ -214,25 +188,14 @@ class _Layout:
         self.cols = np.cumsum((0,) + profile.l)
         self.shape = (profile.B, int(self.cols[-1]))
         j, ell, bits, outputs = np.array(_blocks(profile), dtype=np.int64).reshape(-1, 4).T
-        # the blocks' own entropy words, after the seed's
+        # the blocks' own entropy words, after the seed's, and output counts
         self.words = np.stack([j, ell]).astype(np.uint32)
+        self.counts = tuple(outputs.tolist())
         first = np.cumsum(outputs) - outputs
-        # each output's block, and its jump constants [P_k, Q_k] as low and
-        # high uint64 words, the low words also as 32-bit halves
-        self.block = np.repeat(np.arange(j.size), outputs)
-        k = np.arange(self.block.size) - first[self.block]
-        P, Q = [_PCG_MULT ** 2 & _MASK128], [1 + _PCG_MULT]
-        for _ in range(1, int(outputs.max(initial=0))):
-            P.append(P[-1] * _PCG_MULT & _MASK128)
-            Q.append(Q[-1] * _PCG_MULT + 1 & _MASK128)
-        table = np.array([[[c >> s & _MASK64 for c in PQ] for PQ in (P, Q)] for s in (0, 64)],
-                         np.uint64)
-        self.jump_lo, self.jump_hi = table[:, :, k]
-        self.jump_halves = np.stack([self.jump_lo & _LOW32, self.jump_lo >> _U32])
         # bit t of a block is bit 7 of byte t of its outputs read
         # little-endian, and sits in row t // l_ell, column t % l_ell of it
         t = np.arange(bits.sum()) - np.repeat(np.cumsum(bits) - bits, bits)
-        self.keep = np.zeros(8 * self.block.size, dtype=bool)
+        self.keep = np.zeros(8 * int(outputs.sum()), dtype=bool)
         self.keep[8 * np.repeat(first, bits) + t] = True
         width = np.repeat(np.array(profile.l)[ell - 1], bits)
         self.dest = ((np.repeat(self.rows[j - 1], bits) + t // width) * self.shape[1]
@@ -242,25 +205,10 @@ class _Layout:
                 array.flags.writeable = False
 
     def outputs(self, seed: int) -> np.ndarray:
-        """Every block's PCG64 outputs under ``seed``, block after block.
-        Besides the result it holds at most 16 uint64 words per output, and
-        before them the seed sequence's words of every block."""
-        lo, hi = _pcg64_seeding(np.take(_seed_sequence_states(seed, self.words),
-                                        self.block, axis=1))
-        # rows [P_k * x, Q_k * inc] mod 2^128, then their sum
-        prod_hi = _mulhi(self.jump_halves, lo)
-        prod_hi += self.jump_hi * lo
-        hi *= self.jump_lo
-        prod_hi += hi
-        lo *= self.jump_lo
-        state_lo = lo[0] + lo[1]
-        state_hi = prod_hi[0] + prod_hi[1]
-        state_hi += state_lo < lo[0]
-        # XSL-RR: hi ^ lo rotated right by the state's top 6 bits (numpy
-        # shifts a uint64 by 64 to 0, so a rotation by 0 keeps the word)
-        rot = state_hi >> _U58
-        out = state_hi ^ state_lo
-        return out >> rot | out << (_U64 - rot)
+        """Every block's PCG64 outputs under ``seed``, block after block."""
+        return np.concatenate([np.zeros(0, np.uint64)] + [
+            np.random.PCG64(_Words(words)).random_raw(count)
+            for words, count in zip(_seed_sequence_states(seed, self.words), self.counts)])
 
     @cached_property
     def fragment_weights(self) -> np.ndarray:
@@ -292,8 +240,8 @@ class TreeCodebook:
     bits, row by row, are bit 7 of the first m_j * l_l bytes of the stream's
     64-bit outputs read little-endian. That is the top bit of each byte,
     which is what ``default_rng((seed, j, l)).integers(0, 2, (m_j, l_l),
-    np.uint8)`` returns. The build computes numpy's SeedSequence and PCG64
-    arithmetic for all blocks at once in uint32 and uint64 arrays.
+    np.uint8)`` returns. The build computes SeedSequence's four words for
+    all blocks at once in uint32 arrays, and numpy's PCG64 draws each block.
 
     All of them live in one read-only B x sum(l) float64 0/1 matrix ``G``
     that maps a message's info bits to the parity bits of every section: the
@@ -331,19 +279,19 @@ def _mod2(product: np.ndarray) -> np.ndarray:
 
 def message_bytes(profile: ParityProfile, K: int) -> int:
     """Bytes of a codebook and of K messages. The codebook: its float64 G;
-    its profile's cached layout, per output a block index, four jump words
-    and the halves of two and 8 byte flags, per bit a destination index, per
-    block its two words; and while G is built, 256 bytes per block for the
-    seed sequence, 16 uint64 words per output (``_Layout.outputs``) and the
-    bits picked out of the output bytes and shifted, 2 bytes each. The
-    messages: their bits, fragments and parity (uint8), and beside them
-    while they are encoded their bits as float64, the parity product and
-    its int64 copy."""
+    its profile's cached layout, per output 8 byte flags, per bit a
+    destination index, per block its two words and output count; and while
+    G is built, 256 bytes per block (its seed sequence, its row of words
+    and its outputs' array), 2 uint64 words per output (the outputs and
+    their joined copy) and 10 bytes per bit (picked from the output bytes,
+    shifted, cast to float64). The messages: their bits, fragments and
+    parity (uint8), and beside them while they are encoded their bits as
+    float64, the parity product and its int64 copy."""
     B, parity = profile.B, sum(profile.l)
     blocks = _blocks(profile)
     bits, outputs = sum(b[2] for b in blocks), sum(b[3] for b in blocks)
-    layout = 80 * outputs + 8 * bits + 8 * len(blocks) + 16 * (profile.L + 1)
-    build = 256 * len(blocks) + 128 * outputs + 2 * bits
+    layout = 8 * outputs + 8 * bits + 16 * len(blocks) + 16 * (profile.L + 1)
+    build = 256 * len(blocks) + 16 * outputs + 10 * bits
     return 8 * B * parity + layout + build + K * (9 * B + sum(profile.v) + 17 * parity)
 
 

@@ -554,21 +554,21 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     # bytes; and one complex ufunc buffer of np.getbufsize() = 8192 (numpy's
     # default) elements, 131072 bytes: 165780 bytes. Beside them the plan
     # counts the codebook's 10 x 6 float64 G, 480 bytes; its build layout,
-    # six blocks of one output and 36 bits: 80 x 6 per output, 8 x 36 per
-    # bit, 8 x 6 per block and 16 x 5 for the offsets, 896 bytes; the
-    # build's working set, 256 x 6 per block, 128 x 6 per output and 2 x 36
-    # per bit, 2376 bytes; per message its Python int (192), its bits as
+    # six blocks of one output and 36 bits: 8 x 6 per output, 8 x 36 per
+    # bit, 16 x 6 per block and 16 x 5 for the offsets, 512 bytes; the
+    # build's working set, 256 x 6 per block, 16 x 6 per output and 10 x 36
+    # per bit, 1992 bytes; per message its Python int (192), its bits as
     # float64 (80) and the parity product's int64 copy and uint8 bits
     # (6 x 9), 652 more bytes for two; and per column of a solve, its index
     # set, gamma, the sweep's Python int (40) and the top-K sort's three
-    # int64 vectors, 16 x 80 = 1280 bytes. 171464 bytes in all, and one
+    # int64 vectors, 16 x 80 = 1280 bytes. 170696 bytes in all, and one
     # byte less refuses the trial before any matrix is built. A block's sample covariance (the block, its conjugate
     # copy and two 8 x 8 matrices, 6144 bytes) holds less than its
     # transmission, and building a matrix (its norms' two 8 x 16 complex
     # temporaries and three 16-vectors, 4480 bytes) less than a slot, and
     # neither is held beside the other, so neither adds to the plan.
     data = {"scenario": "mimo", "profile": {"m": [4, 2, 2, 2], "l": [0, 2, 2, 2]},
-            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 171463}
+            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 170695}
     cfg = parse_config(data)
 
     def no_build(*args, **kwargs):
@@ -577,9 +577,9 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(harness, "build_complex_sensing_matrix", no_build)
         with pytest.raises(ResourceRefusalError,
-                           match="need 171464 bytes, budget is 171463"):
+                           match="need 170696 bytes, budget is 170695"):
             run_mimo_trial(cfg, 2, 16, 0)
-    run_mimo_trial(replace(cfg, memory_budget=171464), 2, 16, 0)
+    run_mimo_trial(replace(cfg, memory_budget=170696), 2, 16, 0)
     # The scalar trial builds one matrix per distinct width (3 and 4 bits
     # here): 12 x (8 + 16) doubles, 2304 bytes. With K = 1, B = 7, 11 coded
     # and 4 parity bits, messages and fragments take 7 + 11 + 8 x 4 = 50
@@ -590,19 +590,19 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     # three vectors. 1092 doubles, 8736 bytes. With the 131072-byte ufunc
     # buffer, 142258. Beside them: the codebook's 7 x 4 G, 224 bytes; its
     # build layout and working set for three blocks of one output and 16
-    # bits, (80 + 128) x 3 per output, (8 + 2) x 16 per bit, (8 + 256) x 3
-    # per block and 16 x 4 for the offsets, 1640 bytes; the message's
+    # bits, (8 + 16) x 3 per output, (8 + 10) x 16 per bit, (16 + 256) x 3
+    # per block and 16 x 4 for the offsets, 1240 bytes; the message's
     # Python int (192), its bits as float64 (56) and the parity product's
     # int64 copy and uint8 bits (4 x 9), 284 bytes; and per column of the
     # solve, NNLS's gradient and x (16) and the index set and the top-K
-    # sort's two vectors (24), 16 x 40 = 640 bytes. 145046 in all. Building
+    # sort's two vectors (24), 16 x 40 = 640 bytes. 144646 in all. Building
     # the 4-bit matrix (its norms' 12 x 16 product and three 16-vectors,
     # 1920 bytes) holds less than the slot, and comes before it, so it adds
     # nothing.
-    siso = parse_config(siso_config(memory_budget=145045))
-    with pytest.raises(ResourceRefusalError, match="need 145046 bytes, budget is 145045"):
+    siso = parse_config(siso_config(memory_budget=144645))
+    with pytest.raises(ResourceRefusalError, match="need 144646 bytes, budget is 144645"):
         run_siso_trial(siso, 1, 10.0, 0)
-    run_siso_trial(replace(siso, memory_budget=145046), 1, 10.0, 0)
+    run_siso_trial(replace(siso, memory_budget=144646), 1, 10.0, 0)
 
 
 def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
@@ -612,15 +612,15 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
     # fragments, three matrices (640 complex numbers), three 16 x 16 sample
     # covariances (768), one block's activity detection (2560), the 2 x 16
     # user signals (32) and the 131072-byte ufunc buffer, 86400195172 bytes.
-    # The plan's other terms add 3712: the codebook's G (224), its build
-    # layout and working set (1640), two messages' ints and encoding copies
-    # (2 x 284) and a 16-column solve's vectors (1280), 86400198884 in all;
+    # The plan's other terms add 3312: the codebook's G (224), its build
+    # layout and working set (1240), two messages' ints and encoding copies
+    # (2 x 284) and a 16-column solve's vectors (1280), 86400198484 in all;
     # a matrix build's norms (8576) are held before any block and are
     # fewer, so they add nothing. 1e8 scalar-channel users' messages and
     # fragments (50 bytes each), the same 284 more each, and signals (12
-    # doubles each) take 43000000000 bytes, and 13544 more for the
+    # doubles each) take 43000000000 bytes, and 13144 more for the
     # codebook, its build, the matrices and one 16-column slot solve, with
-    # the ufunc buffer 43000144616. Both trials are refused under the default 256 MiB
+    # the ufunc buffer 43000144216. Both trials are refused under the default 256 MiB
     # budget before a message is drawn.
     def no_alloc(*args, **kwargs):
         raise AssertionError("the trial allocated before the refusal")
@@ -629,10 +629,10 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
                  "build_complex_sensing_matrix", "mimo_block_transmit"):
         monkeypatch.setattr(harness, name, no_alloc)
     mimo_cfg = parse_config({**MIMO_SMALL, "M": 1e8, "n": 16})
-    with pytest.raises(ResourceRefusalError, match="need 86400198884 bytes"):
+    with pytest.raises(ResourceRefusalError, match="need 86400198484 bytes"):
         run_mimo_trial(mimo_cfg, 2, 10 ** 8, 0)
     siso = parse_config(siso_config(K=10 ** 8))
-    with pytest.raises(ResourceRefusalError, match="need 43000144616 bytes"):
+    with pytest.raises(ResourceRefusalError, match="need 43000144216 bytes"):
         run_siso_trial(siso, 10 ** 8, 10.0, 0)
 
 

@@ -108,8 +108,10 @@ def test_mimo_slot_solve(n, v):
                    mimo.decoder_bytes(n, v, 1))
 
 
-@pytest.mark.parametrize("n, K, M", [(1, 2, 20000), (8, 2, 20000), (16, 4, 64)])
+@pytest.mark.parametrize("n, K, M", [(1, 2, 20000), (8, 2, 20000), (16, 4, 64), (64, 32, 1)])
 def test_mimo_block_in_flight(n, K, M):
+    # at n = 64, K = 32, M = 1 the users' columns outweigh the block, so a
+    # second copy of them would show
     A = ccs.build_complex_sensing_matrix(n, 5, 2.0, 0)
 
     def transmit():

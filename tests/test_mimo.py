@@ -307,6 +307,12 @@ def test_activity_detect_restricted_sweep_stays_in_set():
         activity_detect(sample_covariance(Y), A, S, N0, sweeps=0)
     with pytest.raises(ValueError, match="^sample covariance shape must match matrix rows$"):
         CovarianceState(sample_covariance(Y[:n - 1]), A, N0)
+    # a NaN used to give NaN gamma after one sweep, with no error
+    for bad in (np.nan, np.inf, complex(0, np.inf)):
+        cov = sample_covariance(Y)
+        cov[1, 2] = bad
+        with pytest.raises(ValueError, match="^sample covariance must be finite$"):
+            activity_detect(cov, A, S, N0)
 
 
 def test_activity_detect_pure_noise_converges_immediately():

@@ -216,6 +216,21 @@ def test_input_validation():
     for tol in (0.0, -1e-8, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol"):
             nnls_solve(np.eye(3), np.ones(3), tol=tol)
+    # a NaN in y or A used to give x = 0 reported converged with a NaN
+    # residual, and an infinite y was blamed on the default tolerance
+    rng = np.random.default_rng(0)
+    A, y = rng.standard_normal((6, 10)), rng.standard_normal(6)
+    for bad in (np.nan, np.inf, -np.inf):
+        y_bad = y.copy()
+        y_bad[0] = bad
+        with pytest.raises(ValueError, match="^y must be finite$"):
+            nnls_solve(A, y_bad)
+        # also in a row where y is 0, which inf * 0 and NaN * 0 still reach
+        for y_row in (y[0], 0.0):
+            A_bad, y_ok = A.copy(), y.copy()
+            A_bad[0, 3], y_ok[0] = bad, y_row
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^A must be finite"):
+                nnls_solve(A_bad, y_ok)
 
 
 def test_wide_random_instances_match_scipy_if_available():

@@ -265,8 +265,8 @@ def test_generator_blocks_are_read_only_views_of_the_seeded_streams():
 
 def test_codebook_build_wraps_its_integer_arithmetic_silently():
     # numpy warns when a scalar integer operation overflows; SeedSequence's
-    # hash and PCG64's 128-bit products must wrap mod 2^32 and 2^64 instead;
-    # each profile's layout is built afresh under the filter too
+    # hash must wrap mod 2^32 instead; each profile's layout is built afresh
+    # under the filter too
     tree_module._layout.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -297,8 +297,11 @@ def test_messages_wider_than_63_bits_keep_every_bit():
     res = tree_decode(encode_messages(W, cb), cb)
     assert res.failures == 0
     assert res.messages == expect
-    # up to 63 bits the values stay int64
+    # up to 63 bits the values stay int64, and every width down to 0 keeps
+    # the value of its bits
     assert rows_to_ints(W[:, :63]).dtype == np.int64
+    for width in (0, 1, 62, 63):
+        assert rows_to_ints(W[:, :width]).tolist() == [radix2(row[:width]) for row in W]
 
 
 def test_roundtrip_decode_noiseless():
