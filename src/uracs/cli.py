@@ -1,12 +1,24 @@
-"""Command-line entry point: ura siso|mimo|predict --config FILE [...]."""
+"""Command-line entry point: ura siso|mimo|predict --config FILE [...].
+
+The BLAS runs on one thread unless the user says otherwise: each of
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS that is unset is set
+to 1 before numpy is first imported (the BLAS reads them then), so that
+NNLS's bits at large n do not depend on the core count. Worker processes
+inherit the setting."""
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .errors import ConfigError, ResourceRefusalError
-from .harness import load_config, run_experiment
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _name in THREAD_VARIABLES:
+    os.environ.setdefault(_name, "1")
+
+# imported after the thread default, since they import numpy
+from .errors import ConfigError, ResourceRefusalError  # noqa: E402
+from .harness import load_config, run_experiment  # noqa: E402
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,24 +11,34 @@ are set to exactly 0, and the columns whose values are then <= 0 leave; no
 threshold on a value's size decides, so a tiny positive value stays passive.
 
 Each passive-set solve reuses the last one, after Lawson & Hanson (Solving
-Least Squares Problems, 1974): the loop keeps a thin QR factor A_P = Q R of
+Least Squares Problems, 1974): the loop keeps a thin factor A_P R^-1 = Q of
 the passive columns, updated as columns enter and leave, in buffers allocated
 once. It holds Q (orthonormal columns), R^-1 and Q^T y, so the passive
 least-squares solution is one product, z_P = R^-1 (Q^T y), and the gradient
 w = A^T r is the loop's one product with the whole n x c matrix. The rounding
 of this solution grows with the condition number of A_P, where that of an
 inverse of the Gram block A_P^T A_P grows with its square (Bjorck, Numerical
-Methods for Least Squares Problems, 1996).
+Methods for Least Squares Problems, 1996). R^-1 need not be triangular: the
+entry update needs only row p of R^-1 to be zero before column p enters.
 
 An entering column is orthogonalised against Q twice (classical Gram-Schmidt
 with one reorthogonalisation), which gives its column h of R and its distance
 rho from the passive span; R^-1 gains the column [-R^-1 h / rho; 1 / rho].
-When columns leave, those before the first leaving position keep their
-factor, and the ones after it are re-orthogonalised by one QR of that block.
+
+Leaving positions go last first, each by an update of the factor. Row k of
+R^-1, g, is in Q's basis the direction in span(A_P) orthogonal to every
+passive column but a_k; the Householder reflection that maps g / ||g|| onto
+e_k (up to sign), applied to Q and R^-1 from the right and to Q^T y, makes
+row k of R^-1 a multiple of e_k, so position k and row and column k of R^-1
+can be deleted, in O(np + p^2). kappa = ||g|| ||a_k|| is 1 / sine of a_k's
+angle to the others' span. The deletion drops rounding of about eps ||g||,
+so eps kappa of a_k stays in A_P R^-1 = Q, and z_P's error grows by about
+eps kappa ||R^-1|| ||A_P|| >= eps kappa^2. KAPPA_MAX = eps^(-1/4) = 8192
+holds that below sqrt(eps); past it the passive block is re-factored by QR.
 
 An iteration costs tens of microseconds, mostly numpy's per-call overhead, so
 products call ndarray.dot (with numpy 2.4, ``r.dot(r)`` takes about 0.8 us
-and ``r @ r`` 1.5 us), except the two with the leading p x p block of R^-1:
+and ``r @ r`` 1.5 us), except those with the leading p x p block of R^-1:
 ndarray.dot copies a matrix that is not one contiguous block before its gemv,
 which made the siso-wide solves about 6% slower there than ``@``.
 """
@@ -41,14 +51,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_NNLS_TOL = 1e-8
+# the largest kappa at which a leave reflects the factor (module docstring)
+KAPPA_MAX = np.finfo(float).eps ** -0.25
 
 
 def workspace_bytes(n: int, c: int) -> int:
-    """Bytes of ``nnls_solve``'s buffers for p = min(n, c) passive columns: five
-    n x p blocks (A_P, Q and the three of a leave), R^-1 and three p-vectors;
-    and of its c-vectors: the gradient and x."""
+    """Bytes of ``nnls_solve``'s buffers for p = min(n, c) passive columns: four
+    n x p blocks (A_P, Q, and a re-factor's copy of A_P and new Q), four p x p
+    (R^-1, and a re-factor's R, inverse and numpy's working copy; a reflection's
+    temporaries fit in these), three p-vectors, and two c-vectors: gradient and x."""
     p = min(n, c)
-    return 8 * p * (5 * n + p + 3) + 16 * c
+    return 8 * p * (4 * n + 4 * p + 3) + 16 * c
 
 
 @dataclass
@@ -83,8 +96,9 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
     column whose value would come out <= 0 does not enter only to leave
     again, and x stays finite. By Lawson & Hanson's leave rule a column
     leaves only when a step toward the passive solution stops at it (its
-    value is set to exactly 0) or leaves its value <= 0. A NaN or infinity
-    in y or A raises ValueError; one in A shows in the first gradient A^T y."""
+    value is set to exactly 0) or leaves its value <= 0, by a reflection of
+    the factor or, past KAPPA_MAX, a re-factor (module docstring). A NaN or
+    infinity in y or A raises ValueError; one in A shows in A^T y."""
     A = np.asarray(A, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if A.ndim != 2 or y.ndim != 1 or A.shape[0] != y.shape[0]:
@@ -109,7 +123,7 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
     history: list[float] = []
     # passive-set state in entry order: column indices P, values x_P, the
     # columns A_P and their factor (Q, R^-1, Q^T y), each in the leading p
-    # entries, columns or p x p block of its buffer; R^-1 is upper triangular.
+    # entries, columns or p x p block of its buffer; row p of R^-1 is zero.
     # Independent columns fit in min(n, c) slots, and no column enters once
     # they are full
     cap = min(n, c)
@@ -121,33 +135,34 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
     qty = np.empty(cap)
     p = 0
 
-    def orthogonalise(B: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        # B less its projection on the first k columns of Q, taken twice,
-        # and the coefficients of that projection
-        Q1 = Q[:, :k]
-        h = Q1.T.dot(B)
-        B = B - Q1.dot(h)
-        h2 = Q1.T.dot(B)
-        B -= Q1.dot(h2)
-        return h + h2, B
-
-    def leave(out: np.ndarray) -> None:
-        # positions out (ascending) leave; the columns after out[0] are
-        # re-orthogonalised against the ones before it
+    def leave(k: int) -> None:
+        # passive position k leaves (module docstring); a last position whose
+        # row of R^-1 is already e_k / rho touches no other column
         nonlocal p
-        keep = np.ones(p, dtype=bool)
-        keep[out] = False
-        k, p = int(out[0]), p - out.size
-        P[k:p] = P[k:p + out.size][keep[k:]]
-        x_buf[k:p] = x_buf[k:p + out.size][keep[k:]]
-        A_P[:, k:p] = A_P[:, k:p + out.size][:, keep[k:]]
-        if k == p:
+        g = R_inv[k, :p]
+        if k == p - 1 and not g[:k].any():
+            p -= 1
             return
-        R12, C = orthogonalise(A_P[:, k:p], k)
-        Q[:, k:p], R22 = np.linalg.qr(C)
-        R_inv[k:p, k:p] = R22_inv = np.linalg.inv(R22)
-        R_inv[:k, k:p] = (-R_inv[:k, :k]).dot(R12).dot(R22_inv)
-        qty[k:p] = Q[:, k:p].T.dot(y)
+        norm = math.sqrt(g.dot(g))
+        reflect = norm * math.sqrt(A_P[:, k].dot(A_P[:, k])) <= KAPPA_MAX
+        if reflect:
+            # H = I - v v^T / |v_k| maps u = g / norm onto -+e_k
+            v = g / norm
+            v[k] += math.copysign(1.0, v[k])
+            v_scaled = v / abs(v[k])
+            Q[:, :p] -= np.outer(Q[:, :p].dot(v), v_scaled)
+            R_inv[:p, :p] -= np.outer(R_inv[:p, :p] @ v, v_scaled)
+            qty[:p] -= v_scaled.dot(qty[:p]) * v
+        p -= 1
+        for buf in (P, x_buf, qty, A_P, Q):
+            buf[..., k:p] = buf[..., k + 1:p + 1]
+        R_inv[k:p, :p + 1] = R_inv[k + 1:p + 1, :p + 1]
+        R_inv[:p, k:p] = R_inv[:p, k + 1:p + 1]
+        R_inv[p, :p + 1] = 0.0
+        if not reflect:
+            Q[:, :p], R = np.linalg.qr(A_P[:, :p])
+            R_inv[:p, :p] = np.linalg.inv(R)
+            qty[:p] = Q[:, :p].T.dot(y)
 
     r = y
     w = A.T.dot(r)
@@ -161,8 +176,13 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
         j = int(w.argmax())
         converged = not (w[j] > tol or cut)
         while w[j] > tol and iterations < max_iter and p < cap:
+            # a less its projection on Q, taken twice, and its column h of R
             a = A[:, j]
-            h, q = orthogonalise(a, p)
+            h = Q[:, :p].T.dot(a)
+            q = a - Q[:, :p].dot(h)
+            h2 = Q[:, :p].T.dot(q)
+            q -= Q[:, :p].dot(h2)
+            h += h2
             # the entry test: rho is the distance of a from the passive
             # columns' span, and a's passive value is qty[p] / rho
             rho = math.sqrt(q.dot(q))
@@ -198,7 +218,8 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
             x_P += alpha * (z_P - x_P)
             # the values the step stops at become exactly 0, so one leaves
             x_P[np.flatnonzero(neg)[ratio == alpha]] = 0.0
-            leave(np.flatnonzero(x_P <= 0))
+            for k in np.flatnonzero(x_P <= 0)[::-1].tolist():
+                leave(k)
             x_P = x_buf[:p]
             z_P = R_inv[:p, :p] @ qty[:p]
             iterations += 1

@@ -10,7 +10,7 @@ import pytest
 
 import uracs
 from uracs import harness
-from uracs.cli import build_parser, main
+from uracs.cli import THREAD_VARIABLES, build_parser, main
 
 SISO_DATA = {
     "scenario": "siso",
@@ -252,3 +252,23 @@ def test_search_below_the_float_gap_ends(tmp_path):
     (coarse,), (fine,) = required(1e-12), required(1e-300)
     assert 0.0 < fine < 24.0  # found by bisection
     assert abs(fine - coarse) <= 1e-12
+
+
+def test_ura_runs_the_blas_on_one_thread_unless_told_otherwise(tmp_path):
+    # A fresh process runs ura's entry point, uracs.cli.main, with no BLAS
+    # thread variable set, then with OMP_NUM_THREADS=2: uracs.cli sets each
+    # unset one to 1 before numpy is imported and keeps the user's value.
+    code = ("import json, os, sys\n"
+            "from uracs.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            f"print(json.dumps({{name: os.environ.get(name) for name in {THREAD_VARIABLES!r}}}))\n"
+            "sys.exit(status)")
+    env = {key: value for key, value in os.environ.items() if key not in THREAD_VARIABLES}
+    env["PYTHONPATH"] = str(Path(uracs.__file__).parents[1])
+    args = [sys.executable, "-c", code, "siso", "--config", write_cfg(tmp_path, SISO_DATA),
+            "--out", str(tmp_path / "rows.csv")]
+    for user, expected in (({}, ["1", "1", "1"]), ({"OMP_NUM_THREADS": "2"}, ["1", "2", "1"])):
+        run = subprocess.run(args, capture_output=True, text=True, env={**env, **user},
+                             timeout=60, check=True)
+        assert list(json.loads(run.stdout).values()) == expected
+        assert (tmp_path / "rows.csv").read_text().startswith("K,ebn0_db,mode,")

@@ -585,24 +585,24 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     # and 4 parity bits, messages and fragments take 7 + 11 + 8 x 4 = 50
     # bytes and the user signals 12 doubles, 96 bytes. One slot solve at the
     # 4-bit width holds a pruned 12 x 16 copy of its matrix and NNLS's
-    # passive set for min(12, 16) = 12 columns, 12 x (5 x 12 + 12 + 3): the
-    # columns, Q and the three blocks of a leave, 12 x 12 each, R^-1 and
-    # three vectors. 1092 doubles, 8736 bytes. With the 131072-byte ufunc
-    # buffer, 142258. Beside them: the codebook's 7 x 4 G, 224 bytes; its
+    # passive set for min(12, 16) = 12 columns, 12 x (4 x 12 + 4 x 12 + 3):
+    # the columns, Q and a re-factor's two 12 x 12 blocks, R^-1 and a
+    # re-factor's three 12 x 12 blocks, and three vectors. 1380 doubles,
+    # 11040 bytes. With the 131072-byte ufunc buffer, 144562. Beside them: the codebook's 7 x 4 G, 224 bytes; its
     # build layout and working set for three blocks of one output and 16
     # bits, (8 + 16) x 3 per output, (8 + 10) x 16 per bit, (16 + 256) x 3
     # per block and 16 x 4 for the offsets, 1240 bytes; the message's
     # Python int (192), its bits as float64 (56) and the parity product's
     # int64 copy and uint8 bits (4 x 9), 284 bytes; and per column of the
     # solve, NNLS's gradient and x (16) and the index set and the top-K
-    # sort's two vectors (24), 16 x 40 = 640 bytes. 144646 in all. Building
+    # sort's two vectors (24), 16 x 40 = 640 bytes. 146950 in all. Building
     # the 4-bit matrix (its norms' 12 x 16 product and three 16-vectors,
     # 1920 bytes) holds less than the slot, and comes before it, so it adds
     # nothing.
-    siso = parse_config(siso_config(memory_budget=144645))
-    with pytest.raises(ResourceRefusalError, match="need 144646 bytes, budget is 144645"):
+    siso = parse_config(siso_config(memory_budget=146949))
+    with pytest.raises(ResourceRefusalError, match="need 146950 bytes, budget is 146949"):
         run_siso_trial(siso, 1, 10.0, 0)
-    run_siso_trial(replace(siso, memory_budget=144646), 1, 10.0, 0)
+    run_siso_trial(replace(siso, memory_budget=146950), 1, 10.0, 0)
 
 
 def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
@@ -618,9 +618,9 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
     # a matrix build's norms (8576) are held before any block and are
     # fewer, so they add nothing. 1e8 scalar-channel users' messages and
     # fragments (50 bytes each), the same 284 more each, and signals (12
-    # doubles each) take 43000000000 bytes, and 13144 more for the
+    # doubles each) take 43000000000 bytes, and 15448 more for the
     # codebook, its build, the matrices and one 16-column slot solve, with
-    # the ufunc buffer 43000144216. Both trials are refused under the default 256 MiB
+    # the ufunc buffer 43000146520. Both trials are refused under the default 256 MiB
     # budget before a message is drawn.
     def no_alloc(*args, **kwargs):
         raise AssertionError("the trial allocated before the refusal")
@@ -632,7 +632,7 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
     with pytest.raises(ResourceRefusalError, match="need 86400198484 bytes"):
         run_mimo_trial(mimo_cfg, 2, 10 ** 8, 0)
     siso = parse_config(siso_config(K=10 ** 8))
-    with pytest.raises(ResourceRefusalError, match="need 43000144216 bytes"):
+    with pytest.raises(ResourceRefusalError, match="need 43000146520 bytes"):
         run_siso_trial(siso, 10 ** 8, 10.0, 0)
 
 

@@ -76,6 +76,24 @@ def test_nnls_solve(n, v):
     assert_bounded(lambda: nnls.nnls_solve(A, y), nnls.workspace_bytes(n, 1 << v))
 
 
+def test_nnls_solve_refactor(monkeypatch):
+    # siso-desk's n with one column 1e-6 from another: the passive set fills
+    # to 63 columns, and one of the pair leaves by a re-factor of the rest,
+    # NNLS's largest working set
+    n = 64
+    rng = np.random.default_rng(9)
+    B = rng.standard_normal((n, n))
+    A = np.column_stack([B, B[:, 0] + 1e-6 * rng.standard_normal(n)])
+    y = A @ np.abs(rng.standard_normal(n + 1)) + 0.1 * rng.standard_normal(n)
+    refactored = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: refactored.append(a.shape[1]) or qr(a))
+    nnls.nnls_solve(A, y)
+    monkeypatch.undo()
+    assert refactored and max(refactored) >= n - 2
+    assert_bounded(lambda: nnls.nnls_solve(A, y), nnls.workspace_bytes(n, n + 1))
+
+
 @SCALAR
 def test_scalar_slot_solve(n, v):
     A = ccs.build_sensing_matrix(n, v, 0)

@@ -300,7 +300,7 @@ def leave_test_instances():
 
 
 def test_updated_solve_matches_restarting_solve_when_columns_leave():
-    # The leave steps exercise the re-orthogonalisation of the passive factor.
+    # The leave steps exercise the reflection of the passive factor.
     leaves = 0
     for A, y in leave_test_instances():
         res = assert_matches_restarting(A, y)
@@ -433,34 +433,125 @@ def traced_nnls(A, y, **kwargs):
 
 
 def test_entering_column_that_leaves_at_once_keeps_the_factor():
-    # At tol = 1e-300 gradients of rounding size (3e-23 at ||y|| of 2.5e-7)
-    # let columns 3 and 0 enter after column 1, with passive values of 4e-24
-    # and 2e-23. The step toward the passive solution stops at column 3,
-    # which leaves, and the next solve puts column 0 at a value <= 0, so it
-    # leaves in the leave loop of its own entry. It entered last, so that
-    # leave returns at k == p: it keeps the factor of column 1 and
-    # re-orthogonalises nothing. The solve repeats this cycle of four solves until
-    # the 40-solve cap cuts a leave loop short, with column 0 passive at
-    # 1.1e-23, and reports unconverged. The line trace shows both paths.
-    A = np.array([[1.513562333298318, 2.336602717496222, 1.1753798066800678, 1.9629988628279036],
-                  [-0.20303620255395707, 1.2318939881655495, -0.3885871458603537,
-                   -1.7445357772016066],
-                  [0.006799460918892046, -0.2621480021904016, 0.10384476520347777,
-                   0.37892446933817986],
-                  [-0.1840799429484111, 0.06380671761051558, -1.6142932001796226,
-                   -0.38816399837506826]])
-    y = np.array([2.1904495532914637e-07, 1.1548397234473518e-07, -2.4575079451654503e-08,
-                  5.981564390060863e-09])
+    # Columns 0 and 3 are equal, and column 1 is 2.05 times column 4 up to
+    # 3e-12. At tol = 1e-300 columns 0 and 2 enter, then column 3 on a
+    # rounding-size gradient (4e-16), and column 0 leaves with kappa 6e16
+    # (its twin is passive), so the factor of the rest is re-factored. Then
+    # columns 1 and 4 enter on gradients of 2e-15 and 2e-16; in column 4's
+    # leave loop column 1 leaves with kappa 1e12, another re-factor, and
+    # column 4, now last with a row of R^-1 that is e_k / rho, leaves at
+    # once: that leave returns, keeping the factor of columns 2 and 3 and
+    # touching no other column. The solve repeats this cycle of four solves
+    # until the 50-solve cap cuts a leave loop short, right after column 4
+    # enters, with column 1 passive at 9.5e-17, and reports unconverged. The
+    # line trace shows all three paths.
+    a = [-0.12003114202137677, -0.8555993069467925, 0.23175346133754546, 1.0129341652509865,
+         -0.011562714281646153, 2.3584777667404544, -0.920333193371461]
+    d = [3.0294055242756923, 0.8233040474711393, 0.5078970901830097, 0.1237743734239332,
+         1.7640577004838327, -1.2760169122282692, 0.6136656525374501]
+    c = [-0.22177009131335407, 2.3654500489912857, 0.011534643075077393, 0.44882151314559254,
+         1.800867872000343, 0.4937107986025292, -0.9878455526579948]
+    b = [1.476046108301975, 0.4011462729188784, 0.24746753690563184, 0.06030776689786612,
+         0.8595186358358989, -0.6217258740454226, 0.2990021609731032]
+    A = np.column_stack([a, d, c, a, b])
+    y = np.array([-0.283151174006642, 0.342281966638581, 0.2974624434889216, 1.5384550573786366,
+                  1.0627696012230652, 3.25229208687151, -1.7447963209104178])
     res, lines = traced_nnls(A, y, tol=1e-300)
     assert ("leave", "return") in lines
+    assert ("leave", "Q[:, :p], R = np.linalg.qr(A_P[:, :p])") in lines
     assert ("nnls_solve", "cut = True") in lines
-    assert res.iterations == 40 and not res.converged
-    np.testing.assert_array_equal(np.flatnonzero(res.x), [0, 1])
-    assert 0.0 < res.x[0] < 1e-22
-    # column 1 alone fits y, through the factor every k == p return kept
-    a = A[:, 1]
-    assert abs(res.x[1] - a.dot(y) / a.dot(a)) <= 1e-12 * res.x[1]
+    assert res.iterations == 50 and not res.converged
+    np.testing.assert_array_equal(np.flatnonzero(res.x), [1, 2, 3])
+    assert 0.0 < res.x[1] < 1e-15
+    # columns 2 and 3 alone fit y, through the factor every return kept
+    fit = np.linalg.lstsq(A[:, 2:4], y, rcond=None)[0]
+    assert np.abs(res.x[2:4] - fit).max() <= 1e-12 * np.abs(fit).max()
     assert res.residual_norm == float(np.linalg.norm(A @ res.x - y))
+
+
+def leaves_with_factors(A, y, **kwargs):
+    """nnls_solve's result and one record per leave, from a trace: the
+    leaving position k, the passive count p before it, the solve count of its
+    leave step, whether its row of R^-1 had an entry off the diagonal, and
+    copies of the factor after it: A_P, Q, R^-1 with one more row, and Q^T y."""
+    path = nnls_module.__file__
+    records = []
+
+    def tracer(frame, event, arg):
+        if frame.f_code.co_filename != path:
+            return None
+        if frame.f_code.co_name == "leave" and event in ("call", "return"):
+            k, state = frame.f_locals["k"], frame.f_back.f_locals
+            p = state["p"]
+            if event == "call":
+                records.append({"k": k, "p": p, "step": state["iterations"],
+                                "full_row": np.count_nonzero(state["R_inv"][k, :p]) > 1})
+            else:
+                records[-1].update(A_P=state["A_P"][:, :p].copy(), Q=state["Q"][:, :p].copy(),
+                                   R_inv=state["R_inv"][:p + 1, :p + 1].copy(),
+                                   qty=state["qty"][:p].copy())
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        res = nnls_solve(A, y, **kwargs)
+    finally:
+        sys.settrace(previous)
+    return res, records
+
+
+def test_leaves_keep_the_factor_of_the_passive_columns():
+    # 3,000 small instances y = A x0 with coefficients down to 1e-14, at
+    # tol = 1e-20, where columns leave at the first, a middle and the last
+    # position (the last with a full row of R^-1, so reflected), and several
+    # in one leave step. After every leave Q is orthonormal, A_P R^-1 = Q,
+    # qty = Q^T y, row p of R^-1 is zero, and Q spans what a fresh QR of A_P
+    # spans, with the same passive solution.
+    kinds = set()
+    rng = np.random.default_rng(0)
+    for _ in range(3000):
+        n, c = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+        A = rng.standard_normal((n, c))
+        x0 = np.where(rng.random(c) < 0.5,
+                      np.abs(rng.standard_normal(c)) * 10.0 ** rng.uniform(-14, 0, c), 0.0)
+        y = A @ x0
+        res, records = leaves_with_factors(A, y, tol=1e-20)
+        steps = [r["step"] for r in records]
+        for r in records:
+            k, p = r["k"], r["p"] - 1
+            if steps.count(r["step"]) > 1:
+                kinds.add("several")
+            kinds.add("first" if k == 0 else "middle" if k < p else
+                      "last" if r["full_row"] else "kept")
+            A_P, Q, R_inv, qty = r["A_P"], r["Q"], r["R_inv"], r["qty"]
+            assert not R_inv[p, :p].any()
+            if p == 0:
+                continue
+            R_inv = R_inv[:p, :p]
+            assert np.abs(Q.T @ Q - np.eye(p)).max() <= 1e-12
+            assert np.linalg.norm(A_P @ R_inv - Q) <= 1e-12 * np.linalg.norm(A_P) * np.linalg.norm(R_inv)
+            assert np.abs(Q.T @ y - qty).max() <= 1e-12 * np.linalg.norm(y)
+            fresh_Q, fresh_R = np.linalg.qr(A_P)
+            assert np.abs(fresh_Q @ fresh_Q.T - Q @ Q.T).max() <= 1e-12
+            z = np.linalg.solve(fresh_R, fresh_Q.T @ y)
+            assert np.abs(R_inv @ qty - z).max() <= 1e-12 * np.linalg.cond(A_P) * np.abs(z).max()
+    assert {"first", "middle", "last", "several"} <= kinds
+
+
+def test_leave_of_a_nearly_dependent_column_refactors():
+    # Column 5 is column 0 plus 1e-5 of noise, so when one of the two leaves
+    # while the other is passive, kappa is about 1e5, past KAPPA_MAX: the
+    # passive block is re-factored by one QR, and the solve still matches
+    # the restarting reference.
+    for seed in (0, 13, 14, 47, 89):
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((8, 5))
+        A = np.column_stack([B, B[:, 0] + 1e-5 * rng.standard_normal(8)])
+        y = rng.standard_normal(8)
+        _, lines = traced_nnls(A, y)
+        assert ("leave", "Q[:, :p], R = np.linalg.qr(A_P[:, :p])") in lines
+        assert assert_matches_restarting(A, y).converged
 
 
 def test_tiny_positive_passive_value_stays_passive():
@@ -482,7 +573,7 @@ def test_tiny_positive_passive_value_stays_passive():
 def test_entries_right_after_a_leave_match_restarting_solve():
     # The capped solves stop right after the first or second entry that
     # follows a leave step, each solved through the factor the leave
-    # re-orthogonalised, and must match the reference.
+    # reflected, and must match the reference.
     firsts = seconds = 0
     for A, y in leave_test_instances():
         total = restarting_nnls(A, y)[1]
