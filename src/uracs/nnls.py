@@ -154,8 +154,9 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
             R_inv[:p, :p] -= np.outer(R_inv[:p, :p] @ v, v_scaled)
             qty[:p] -= v_scaled.dot(qty[:p]) * v
         p -= 1
-        for buf in (P, x_buf, qty, A_P, Q):
-            buf[..., k:p] = buf[..., k + 1:p + 1]
+        # as 1-D runs (A_P, Q by F-order views) numpy moves tails in place, not via a copy
+        for buf, run in ((P, 1), (x_buf, 1), (qty, 1), (A_P.ravel("F"), n), (Q.ravel("F"), n)):
+            buf[run * k:run * p] = buf[run * (k + 1):run * (p + 1)]
         R_inv[k:p, :p + 1] = R_inv[k + 1:p + 1, :p + 1]
         R_inv[:p, k:p] = R_inv[:p, k + 1:p + 1]
         R_inv[p, :p + 1] = 0.0
@@ -212,8 +213,8 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
                 break
             # step toward z until the first passive coordinate hits zero
             neg = z_P <= 0
-            denom = x_P[neg] - z_P[neg]
-            ratio = np.where(denom > 0, x_P[neg] / np.where(denom > 0, denom, 1.0), 0.0)
+            # x_P > 0 but the entering 0, whose z > 0 (entry test): x - z > 0 where z <= 0
+            ratio = x_P[neg] / (x_P[neg] - z_P[neg])
             alpha = float(np.minimum.reduce(ratio))
             x_P += alpha * (z_P - x_P)
             # the values the step stops at become exactly 0, so one leaves

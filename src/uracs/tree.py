@@ -92,20 +92,19 @@ DEFAULT_MIMO_PROFILE = ParityProfile(
 # words, its hash and mix constants and its 16-bit xorshift. Array products
 # wrap mod 2^32 without a warning; constants are 0-d arrays so that numpy
 # converts no Python int per call.
-_POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _XSHIFT = (np.array(c, np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
 _MASK32 = (1 << 32) - 1
 
 
-def _hash_constants(init: int, mult: int, first: int, calls: int) -> tuple:
-    """SeedSequence's hash calls first .. first + calls - 1 as columns (xor,
-    mul): call t xors with init * mult^t mod 2^32 and multiplies by the next
-    power. The sequence does not depend on the data hashed."""
-    c = np.array([init * pow(mult, t, 1 << 32) & _MASK32
-                  for t in range(first, first + calls + 1)], np.uint32)[:, None]
-    return c[:-1], c[1:]
+@lru_cache(maxsize=16)
+def _hash_constants(init: int, mult: int, calls: int) -> tuple:
+    """Read-only columns (xor, mul) for a pass of ``calls`` hash calls, whatever it
+    hashes: call t xors with init * mult^t and multiplies by init * mult^(t + 1), mod 2^32."""
+    c = np.array([init * pow(mult, t, 1 << 32) & _MASK32 for t in range(calls + 1)], np.uint32)
+    c.flags.writeable = False
+    return c[:-1, None], c[1:, None]
 
 
 def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
@@ -121,22 +120,6 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cross_constants(src: int) -> tuple:
-    """Calls 4 + 3 src .. 6 + 3 src, which mix_entropy makes on pool word
-    src, one per other word in order, as rows by destination word. Row src
-    is a dummy: the caller keeps that word."""
-    xor, mul = (np.insert(c, src, 0, axis=0)
-                for c in _hash_constants(_INIT_A, _MULT_A, _POOL + (_POOL - 1) * src, _POOL - 1))
-    return src, xor, mul
-
-
-# mix_entropy hashes each pool word (calls 0-3), then each word in turn into
-# each other word (calls 4-15); generate_state makes 8 calls of its own
-_HASH_POOL = _hash_constants(_INIT_A, _MULT_A, 0, _POOL)
-_CROSS = [_cross_constants(src) for src in range(_POOL)]
-_HASH_STATE = _hash_constants(_INIT_B, _MULT_B, 0, 2 * _POOL)
-
-
 def _seed_sequence_states(seed: int, block_words: np.ndarray) -> np.ndarray:
     """``SeedSequence(entropy).generate_state(4, np.uint64)`` for every
     column of ``block_words``, as one C-contiguous row of 4 uint64 words per
@@ -145,19 +128,20 @@ def _seed_sequence_states(seed: int, block_words: np.ndarray) -> np.ndarray:
     chunks = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
     words = len(chunks) + block_words.shape[0]
     # entropy shorter than the pool is padded with zeros
-    entropy = np.zeros((max(words, _POOL), block_words.shape[1]), np.uint32)
+    entropy = np.zeros((max(words, 4), block_words.shape[1]), np.uint32)
     entropy[:len(chunks)] = np.array(chunks, np.uint32)[:, None]
     entropy[len(chunks):words] = block_words
-    pool = _hashmix(entropy[:_POOL], *_HASH_POOL)
-    for src, xor, mul in _CROSS:
-        mixed = _mix(pool, _hashmix(pool[src], xor, mul))
-        mixed[src] = pool[src]
-        pool = mixed
-    # entropy beyond the pool: each word's hash mixed into all four
-    for i in range(_POOL, words):
-        pool = _mix(pool, _hashmix(entropy[i], *_hash_constants(_INIT_A, _MULT_A, _POOL * i, _POOL)))
-    # generate_state: the pool cycled to 8 uint32 words, paired little-endian
-    state = _hashmix(np.concatenate((pool, pool)), *_HASH_STATE)
+    # mix_entropy's calls in numpy's order: 4 hash the pool, 3 per pool word
+    # mix it into the other three, 4 per further entropy word mix it into all
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, 4 * len(entropy))
+    pool = _hashmix(entropy[:4], xor[:4], mul[:4])
+    for src in range(4):
+        dst, t = np.arange(4) != src, 4 + 3 * src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[t:t + 3], mul[t:t + 3]))
+    for i in range(4, words):
+        pool = _mix(pool, _hashmix(entropy[i], xor[4 * i:4 * i + 4], mul[4 * i:4 * i + 4]))
+    # generate_state's 8 calls on the pool cycled to 8 words, paired little-endian
+    state = _hashmix(np.concatenate((pool, pool)), *_hash_constants(_INIT_B, _MULT_B, 8))
     return np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64, copy=False)
 
 

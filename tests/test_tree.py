@@ -274,6 +274,21 @@ def test_codebook_build_wraps_its_integer_arithmetic_silently():
             TreeCodebook(prof, seed)
 
 
+def test_block_states_are_numpy_seed_sequence_words():
+    # all 256 bits of every block's PCG64 state, where the generator test
+    # sees only bit 7 of each drawn byte: every codebook case, seeds of each
+    # length from 1 to 7 words, and profiles with no block
+    cases = codebook_cases() + [(DEFAULT_SISO_PROFILE, 1 << 32 * w) for w in range(7)]
+    assert any(not tree_module._blocks(prof) for prof, _ in cases)
+    for prof, seed in cases:
+        words = tree_module._layout(prof).words
+        states = tree_module._seed_sequence_states(seed, words)
+        assert states.shape == (words.shape[1], 4) and states.dtype == np.uint64
+        for state, (j, ell) in zip(states, words.T.tolist()):
+            expect = np.random.SeedSequence((seed, j, ell)).generate_state(4, np.uint64)
+            assert state.tolist() == expect.tolist()
+
+
 def test_codebook_refuses_negative_seeds():
     # SeedSequence refuses them too; the seed's 32-bit chunks never run out
     prof = ParityProfile(m=(2, 2), l=(0, 2))
