@@ -18,13 +18,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from . import ccs, channel, mimo, tree
-from .bits import random_bits, rows_to_ints
+from .bits import bit_draws, random_bits, rows_to_ints
 from .ccs import build_complex_sensing_matrix, build_sensing_matrix, decode_siso, user_signals
 from .channel import (EBN0_DB_LIMIT, ebn0_to_amplitude, ebn0_to_power,
                       gmac_transmit, mimo_block_transmit)
@@ -376,6 +376,8 @@ def _map_trials(fn, cfg: ExperimentConfig, *args) -> list[TrialResult]:
     workers = min(cfg.workers, cfg.trials, os.cpu_count() or 1)
     if workers <= 1:
         return [fn(cfg, *args, t) for t in range(cfg.trials)]
+    # imported here: only a pool pays for concurrent.futures.process
+    from concurrent.futures import ProcessPoolExecutor
     out: list = [None] * cfg.trials
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {pool.submit(fn, cfg, *args, t): t for t in range(cfg.trials)}
@@ -394,19 +396,23 @@ def genie_tree_trial(profile: ParityProfile, K: int, master_seed: int, trial: in
     Returns (live path count per stage, admissible pattern count per stage
     2..L). Messages are redrawn, up to 100 times, until all K fragments
     differ in every section, matching the analytical model's assumptions.
-    Fragments may have at most 53 bits (see ``tree.fragment_values``).
+    Each draw is ``random_bits(rng, (K, B))``, read by ``bit_draws`` straight
+    from the PCG64 stream: bit 7 of each byte of its uint32 words, low byte
+    first, each draw from a fresh word. Fragments may have at most 53 bits
+    (see ``tree.fragment_values``).
     """
     codebook, rng = _trial_source(profile, master_seed, trial)
-    for _ in range(100):
-        # one column of K fragment indices per section
-        frags = fragment_values(random_bits(rng, (K, profile.B)), codebook)
-        # every section's fragments are distinct iff no two neighbours in
-        # its sorted column of fragment values are equal
-        values = np.sort(frags, axis=0)
-        if (values[1:] != values[:-1]).all():
-            break
-    else:
-        raise RuntimeError("could not draw distinct fragments; sections too small")
+    with closing(bit_draws(rng, (K, profile.B))) as draws:
+        for _, W in zip(range(100), draws):
+            # one column of K fragment indices per section
+            frags = fragment_values(W, codebook)
+            # every section's fragments are distinct iff no two neighbours in
+            # its sorted column of fragment values are equal
+            values = np.sort(frags, axis=0)
+            if (values[1:] != values[:-1]).all():
+                break
+        else:
+            raise RuntimeError("could not draw distinct fragments; sections too small")
     # the tracker takes int64 fragment indices: cast every section at once
     sections = frags.T.astype(np.int64, order="C")
     tracker = PathTracker(codebook)

@@ -243,8 +243,11 @@ class TreeCodebook:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         lay = self._layout = _layout(profile)
         stream = lay.outputs(self.seed).astype("<u8", copy=False).view(np.uint8)
-        self.G = np.zeros(lay.shape)
-        self.G.reshape(-1)[lay.dest] = stream[lay.keep] >> 7
+        # scattered as uint8 and cast once: a float64 scatter would cast the
+        # picked bits to float64 first
+        bits = np.zeros(lay.shape, np.uint8)
+        bits.reshape(-1)[lay.dest] = stream[lay.keep] >> 7
+        self.G = bits.astype(np.float64)
         self.G.flags.writeable = False
 
     def generator(self, j: int, ell: int) -> np.ndarray:
@@ -267,16 +270,18 @@ def message_bytes(profile: ParityProfile, K: int) -> int:
     destination index, per block its two words and output count; and while
     G is built, 256 bytes per block (its seed sequence, its row of words
     and its outputs' array), 2 uint64 words per output (the outputs and
-    their joined copy) and 10 bytes per bit (picked from the output bytes,
-    shifted, cast to float64). The messages: their bits, fragments and
+    their joined copy) and G as uint8 (the bits are scattered into it, then
+    cast once; the picked and shifted bits, 2 bytes per bit, are freed
+    before the float64 G exists). The messages: their bits, the raw PCG64 words they are read
+    from and those words' uint32 halves (a byte per bit each), fragments and
     parity (uint8), and beside them while they are encoded their bits as
     float64, the parity product and its int64 copy."""
     B, parity = profile.B, sum(profile.l)
     blocks = _blocks(profile)
     bits, outputs = sum(b[2] for b in blocks), sum(b[3] for b in blocks)
     layout = 8 * outputs + 8 * bits + 16 * len(blocks) + 16 * (profile.L + 1)
-    build = 256 * len(blocks) + 16 * outputs + 10 * bits
-    return 8 * B * parity + layout + build + K * (9 * B + sum(profile.v) + 17 * parity)
+    build = 256 * len(blocks) + 16 * outputs + B * parity
+    return 8 * B * parity + layout + build + K * (11 * B + sum(profile.v) + 17 * parity)
 
 
 def encode_messages(W: np.ndarray, codebook: TreeCodebook) -> list[np.ndarray]:

@@ -1,9 +1,13 @@
 """Tests for the experiment harness: configs, seeding, metrics, CSV output."""
 
+import concurrent.futures
 import json
 import math
+import os
 import re
 import signal
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import Future
 from dataclasses import fields, replace
@@ -31,7 +35,8 @@ from uracs.harness import (
     run_siso_trial,
 )
 from uracs.predictors import expected_erroneous_paths
-from uracs.tree import DEFAULT_SISO_PROFILE, ParityProfile
+from uracs.tree import (DEFAULT_MIMO_PROFILE, DEFAULT_SISO_PROFILE, ParityProfile,
+                         PathTracker, fragment_values)
 
 SMALL_PROFILE = {"m": [3, 2, 2], "l": [0, 2, 2]}
 
@@ -556,19 +561,21 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     # counts the codebook's 10 x 6 float64 G, 480 bytes; its build layout,
     # six blocks of one output and 36 bits: 8 x 6 per output, 8 x 36 per
     # bit, 16 x 6 per block and 16 x 5 for the offsets, 512 bytes; the
-    # build's working set, 256 x 6 per block, 16 x 6 per output and 10 x 36
-    # per bit, 1992 bytes; per message its Python int (192), its bits as
-    # float64 (80) and the parity product's int64 copy and uint8 bits
-    # (6 x 9), 652 more bytes for two; and per column of a solve, its index
-    # set, gamma, the sweep's Python int (40) and the top-K sort's three
-    # int64 vectors, 16 x 80 = 1280 bytes. 170696 bytes in all, and one
-    # byte less refuses the trial before any matrix is built. A block's sample covariance (the block, its conjugate
-    # copy and two 8 x 8 matrices, 6144 bytes) holds less than its
-    # transmission, and building a matrix (its norms' two 8 x 16 complex
-    # temporaries and three 16-vectors, 4480 bytes) less than a slot, and
-    # neither is held beside the other, so neither adds to the plan.
+    # build's working set, 256 x 6 per block, 16 x 6 per output and G as
+    # uint8 (60), 1692 bytes; per message its Python int (192), its bits as
+    # float64 (80), the raw words and halves they are read from (2 x 10)
+    # and the parity product's int64 copy and uint8 bits (6 x 9), 692 more
+    # bytes for two; and per column of a solve, its index set, gamma, the
+    # sweep's Python int (40) and the top-K sort's three int64 vectors,
+    # 16 x 80 = 1280 bytes. 170436 bytes in all, and one byte less refuses
+    # the trial before any matrix is built. A block's sample covariance (the
+    # block, its conjugate copy and two 8 x 8 matrices, 6144 bytes) holds
+    # less than its transmission, and building a matrix (its norms' two
+    # 8 x 16 complex temporaries and three 16-vectors, 4480 bytes) less than
+    # a slot, and neither is held beside the other, so neither adds to the
+    # plan.
     data = {"scenario": "mimo", "profile": {"m": [4, 2, 2, 2], "l": [0, 2, 2, 2]},
-            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 170695}
+            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 170435}
     cfg = parse_config(data)
 
     def no_build(*args, **kwargs):
@@ -577,9 +584,9 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(harness, "build_complex_sensing_matrix", no_build)
         with pytest.raises(ResourceRefusalError,
-                           match="need 170696 bytes, budget is 170695"):
+                           match="need 170436 bytes, budget is 170435"):
             run_mimo_trial(cfg, 2, 16, 0)
-    run_mimo_trial(replace(cfg, memory_budget=170696), 2, 16, 0)
+    run_mimo_trial(replace(cfg, memory_budget=170436), 2, 16, 0)
     # The scalar trial builds one matrix per distinct width (3 and 4 bits
     # here): 12 x (8 + 16) doubles, 2304 bytes. With K = 1, B = 7, 11 coded
     # and 4 parity bits, messages and fragments take 7 + 11 + 8 x 4 = 50
@@ -590,19 +597,20 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     # re-factor's three 12 x 12 blocks, and three vectors. 1380 doubles,
     # 11040 bytes. With the 131072-byte ufunc buffer, 144562. Beside them: the codebook's 7 x 4 G, 224 bytes; its
     # build layout and working set for three blocks of one output and 16
-    # bits, (8 + 16) x 3 per output, (8 + 10) x 16 per bit, (16 + 256) x 3
-    # per block and 16 x 4 for the offsets, 1240 bytes; the message's
-    # Python int (192), its bits as float64 (56) and the parity product's
-    # int64 copy and uint8 bits (4 x 9), 284 bytes; and per column of the
-    # solve, NNLS's gradient and x (16) and the index set and the top-K
-    # sort's two vectors (24), 16 x 40 = 640 bytes. 146950 in all. Building
+    # bits, (8 + 16) x 3 per output, 8 x 16 per bit, (16 + 256) x 3 per
+    # block, 16 x 4 for the offsets and G as uint8 (28), 1108 bytes; the
+    # message's Python int (192), its bits as float64 (56), the raw words
+    # and halves they are read from (2 x 7) and the parity product's int64
+    # copy and uint8 bits (4 x 9), 298 bytes; and per column of the solve,
+    # NNLS's gradient and x (16) and the index set and the top-K sort's two
+    # vectors (24), 16 x 40 = 640 bytes. 146832 in all. Building
     # the 4-bit matrix (its norms' 12 x 16 product and three 16-vectors,
     # 1920 bytes) holds less than the slot, and comes before it, so it adds
     # nothing.
-    siso = parse_config(siso_config(memory_budget=146949))
-    with pytest.raises(ResourceRefusalError, match="need 146950 bytes, budget is 146949"):
+    siso = parse_config(siso_config(memory_budget=146831))
+    with pytest.raises(ResourceRefusalError, match="need 146832 bytes, budget is 146831"):
         run_siso_trial(siso, 1, 10.0, 0)
-    run_siso_trial(replace(siso, memory_budget=146950), 1, 10.0, 0)
+    run_siso_trial(replace(siso, memory_budget=146832), 1, 10.0, 0)
 
 
 def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
@@ -612,15 +620,15 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
     # fragments, three matrices (640 complex numbers), three 16 x 16 sample
     # covariances (768), one block's activity detection (2560), the 2 x 16
     # user signals (32) and the 131072-byte ufunc buffer, 86400195172 bytes.
-    # The plan's other terms add 3312: the codebook's G (224), its build
-    # layout and working set (1240), two messages' ints and encoding copies
-    # (2 x 284) and a 16-column solve's vectors (1280), 86400198484 in all;
-    # a matrix build's norms (8576) are held before any block and are
-    # fewer, so they add nothing. 1e8 scalar-channel users' messages and
-    # fragments (50 bytes each), the same 284 more each, and signals (12
-    # doubles each) take 43000000000 bytes, and 15448 more for the
+    # The plan's other terms add 3208: the codebook's G (224), its build
+    # layout and working set (1108), two messages' ints, raw words and
+    # encoding copies (2 x 298) and a 16-column solve's vectors (1280),
+    # 86400198380 in all; a matrix build's norms (8576) are held before any
+    # block and are fewer, so they add nothing. 1e8 scalar-channel users' messages and
+    # fragments (50 bytes each), the same 298 more each, and signals (12
+    # doubles each) take 44400000000 bytes, and 15316 more for the
     # codebook, its build, the matrices and one 16-column slot solve, with
-    # the ufunc buffer 43000146520. Both trials are refused under the default 256 MiB
+    # the ufunc buffer 44400146388. Both trials are refused under the default 256 MiB
     # budget before a message is drawn.
     def no_alloc(*args, **kwargs):
         raise AssertionError("the trial allocated before the refusal")
@@ -629,10 +637,10 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
                  "build_complex_sensing_matrix", "mimo_block_transmit"):
         monkeypatch.setattr(harness, name, no_alloc)
     mimo_cfg = parse_config({**MIMO_SMALL, "M": 1e8, "n": 16})
-    with pytest.raises(ResourceRefusalError, match="need 86400198484 bytes"):
+    with pytest.raises(ResourceRefusalError, match="need 86400198380 bytes"):
         run_mimo_trial(mimo_cfg, 2, 10 ** 8, 0)
     siso = parse_config(siso_config(K=10 ** 8))
-    with pytest.raises(ResourceRefusalError, match="need 43000146520 bytes"):
+    with pytest.raises(ResourceRefusalError, match="need 44400146388 bytes"):
         run_siso_trial(siso, 10 ** 8, 10.0, 0)
 
 
@@ -767,6 +775,40 @@ def test_genie_tree_trial_enforces_distinct_fragments():
         genie_tree_trial(ParityProfile(m=(54,), l=(0,)), K=2, master_seed=0, trial=0)
 
 
+def reference_genie_tree_trial(profile: ParityProfile, K: int, master_seed: int, trial: int):
+    """genie_tree_trial with each redraw an ``integers`` call of its own."""
+    codebook, rng = harness._trial_source(profile, master_seed, trial)
+    for _ in range(100):
+        frags = fragment_values(rng.integers(0, 2, (K, profile.B), np.uint8), codebook)
+        values = np.sort(frags, axis=0)
+        if (values[1:] != values[:-1]).all():
+            break
+    else:
+        raise RuntimeError("could not draw distinct fragments; sections too small")
+    sections = frags.T.astype(np.int64, order="C")
+    tracker = PathTracker(codebook)
+    tracker.start(sections[0])
+    patterns = []
+    for ell in range(2, profile.L + 1):
+        patterns.append(int(tracker.admissible().size))
+        tracker.advance(sections[ell - 1])
+    return tracker.diagnostics.live_paths, patterns
+
+
+@pytest.mark.parametrize("profile, K", [
+    (DEFAULT_SISO_PROFILE, 100),
+    (DEFAULT_MIMO_PROFILE, 20),
+    (ParityProfile(m=(12, 12, 12, 12), l=(0, 4, 6, 8)), 10),  # acceptance 3's
+], ids=["siso-default-K100", "mimo-96-K20", "acceptance-3-K10"])
+def test_genie_tree_trial_draws_as_integers_would(profile, K):
+    # the redraws read the PCG64 stream directly; the messages, and so every
+    # count, are those of one integers call per redraw
+    for master_seed in (0, 1, 314):
+        for trial in range(4):
+            assert (genie_tree_trial(profile, K, master_seed, trial)
+                    == reference_genie_tree_trial(profile, K, master_seed, trial))
+
+
 def test_genie_path_stats_tracks_recursion():
     # The measured wrong-path mean should sit near the closed-form value.
     profile = ParityProfile(m=(6, 4, 4), l=(0, 3, 2))
@@ -787,6 +829,15 @@ def test_workers_do_not_change_results():
     text1 = run_experiment(cfg1)
     text2 = run_experiment(cfg2)
     assert text1 == text2
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a pooled _map_trials needs concurrent.futures.process, which costs
+    # every import of the harness milliseconds
+    code = "import sys, uracs.harness; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])})
+    assert out.stdout.strip() == "False"
 
 
 def test_worker_pool_is_bounded_by_trials_and_cpus(monkeypatch):
@@ -811,7 +862,8 @@ def test_worker_pool_is_bounded_by_trials_and_cpus(monkeypatch):
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    # _map_trials imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
 
     def trial(cfg, x, t):
