@@ -154,10 +154,10 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
             R_inv[:p, :p] -= np.outer(R_inv[:p, :p] @ v, v_scaled)
             qty[:p] -= v_scaled.dot(qty[:p]) * v
         p -= 1
-        # as 1-D runs (A_P, Q by F-order views) numpy moves tails in place, not via a copy
-        for buf, run in ((P, 1), (x_buf, 1), (qty, 1), (A_P.ravel("F"), n), (Q.ravel("F"), n)):
+        # numpy moves 1-D runs in place: A_P and Q by F-order views, R^-1 by whole C-order rows
+        for buf, run in ((P, 1), (x_buf, 1), (qty, 1), (A_P.ravel("F"), n),
+                         (Q.ravel("F"), n), (R_inv.ravel(), cap)):
             buf[run * k:run * p] = buf[run * (k + 1):run * (p + 1)]
-        R_inv[k:p, :p + 1] = R_inv[k + 1:p + 1, :p + 1]
         R_inv[:p, k:p] = R_inv[:p, k + 1:p + 1]
         R_inv[p, :p + 1] = 0.0
         if not reflect:

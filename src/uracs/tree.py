@@ -59,6 +59,9 @@ class ParityProfile:
         if max(self.v) > MAX_FRAGMENT_BITS:
             raise ValueError(f"sections may have at most {MAX_FRAGMENT_BITS} coded bits "
                              f"(m + l), got {max(self.v)}")
+        if self.B >= 1 << 24:
+            raise ValueError(f"messages may have fewer than 2^24 information bits, where "
+                             f"float32 parity products are exact, got B={self.B}")
 
     @property
     def B(self) -> int:
@@ -171,6 +174,9 @@ class _Layout:
         self.rows = np.cumsum((0,) + profile.m)
         self.cols = np.cumsum((0,) + profile.l)
         self.shape = (profile.B, int(self.cols[-1]))
+        self.widest = max(profile.v)
+        # product entries, counts of at most B ones, cast exactly to it (uint8 below 256)
+        self.counts_dtype = np.min_scalar_type(profile.B)
         j, ell, bits, outputs = np.array(_blocks(profile), dtype=np.int64).reshape(-1, 4).T
         # the blocks' own entropy words, after the seed's, and output counts
         self.words = np.stack([j, ell]).astype(np.uint32)
@@ -197,13 +203,15 @@ class _Layout:
     @cached_property
     def fragment_weights(self) -> np.ndarray:
         """(B + sum(l)) x L powers of two that map a message's info bits,
-        then its parity bits, to the radix-2 value of each section's fragment."""
+        then its parity bits, to the radix-2 value of each section's fragment:
+        float32, exact, while every fragment has at most 24 bits, else float64."""
+        if self.widest > 53:
+            raise ValueError("fragment values need fragments of at most 53 bits")
         B, rows, cols = self.shape[0], self.rows, self.cols
-        weights = np.zeros((B + self.shape[1], rows.size - 1))
+        weights = np.zeros((B + self.shape[1], rows.size - 1),
+                           np.float32 if self.widest <= 24 else np.float64)
         for s in range(rows.size - 1):
             bits = np.r_[rows[s]:rows[s + 1], B + cols[s]:B + cols[s + 1]]
-            if bits.size > 53:
-                raise ValueError("fragment values need fragments of at most 53 bits")
             weights[bits, s] = 2.0 ** np.arange(bits.size - 1, -1, -1)
         weights.flags.writeable = False
         return weights
@@ -227,12 +235,13 @@ class TreeCodebook:
     np.uint8)`` returns. The build computes SeedSequence's four words for
     all blocks at once in uint32 arrays, and numpy's PCG64 draws each block.
 
-    All of them live in one read-only B x sum(l) float64 0/1 matrix ``G``
+    All of them live in one read-only B x sum(l) float32 0/1 matrix ``G``
     that maps a message's info bits to the parity bits of every section: the
     column block of section l holds G[1][l], ..., G[l-1][l] stacked by rows,
-    with zeros below. Every entry of a product with it sums at most B ones,
-    so the float64 (BLAS) products are exact and their parity mod 2 is the
-    GF(2) parity.
+    with zeros below. Every entry of a product with it sums at most B < 2^24
+    ones, so the float32 (BLAS) products are exact and their parity mod 2 is
+    the GF(2) parity. A uint8 operand keeps a product float32; an int64 one
+    would promote it to float64 without a word.
     """
 
     def __init__(self, profile: ParityProfile, seed: int):
@@ -243,11 +252,11 @@ class TreeCodebook:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         lay = self._layout = _layout(profile)
         stream = lay.outputs(self.seed).astype("<u8", copy=False).view(np.uint8)
-        # scattered as uint8 and cast once: a float64 scatter would cast the
-        # picked bits to float64 first
+        # scattered as uint8 and cast once: a float32 scatter would cast the
+        # picked bits to float32 first
         bits = np.zeros(lay.shape, np.uint8)
         bits.reshape(-1)[lay.dest] = stream[lay.keep] >> 7
-        self.G = bits.astype(np.float64)
+        self.G = bits.astype(np.float32)
         self.G.flags.writeable = False
 
     def generator(self, j: int, ell: int) -> np.ndarray:
@@ -256,32 +265,35 @@ class TreeCodebook:
         return self.G[rows[j - 1]:rows[j], cols[ell - 1]:cols[ell]]
 
 
-def _mod2(product: np.ndarray) -> np.ndarray:
-    """Int64 bits mod 2 of an exact float64 product of 0/1 arrays. Its entries
-    are integers, and the integer cast is several times faster than float ``%``."""
-    bits = product.astype(np.int64)
+def _mod2(product: np.ndarray, dtype) -> np.ndarray:
+    """Bits mod 2, as ``dtype``, of an exact float32 product of 0/1 arrays, whose entries
+    (at most B) it must hold; the cast beats float ``%`` several times. uint8 bits keep a
+    further float32 product float32; int64 bits, read by ``rows_to_ints``, promote it."""
+    bits = product.astype(dtype)
     bits &= 1
     return bits
 
 
 def message_bytes(profile: ParityProfile, K: int) -> int:
-    """Bytes of a codebook and of K messages. The codebook: its float64 G;
+    """Bytes of a codebook and of K messages. The codebook: its float32 G;
     its profile's cached layout, per output 8 byte flags, per bit a
     destination index, per block its two words and output count; and while
     G is built, 256 bytes per block (its seed sequence, its row of words
     and its outputs' array), 2 uint64 words per output (the outputs and
     their joined copy) and G as uint8 (the bits are scattered into it, then
     cast once; the picked and shifted bits, 2 bytes per bit, are freed
-    before the float64 G exists). The messages: their bits, the raw PCG64 words they are read
-    from and those words' uint32 halves (a byte per bit each), fragments and
-    parity (uint8), and beside them while they are encoded their bits as
-    float64, the parity product and its int64 copy."""
+    before the float32 G exists). The messages: their bits, the raw PCG64 words they are
+    read from and those words' uint32 halves (a byte per bit each), fragments (uint8), and
+    beside them while they are encoded their bits as float32, the float32 parity product
+    and its bits in the narrowest type that holds B, with a uint8 copy if that is wider."""
     B, parity = profile.B, sum(profile.l)
     blocks = _blocks(profile)
     bits, outputs = sum(b[2] for b in blocks), sum(b[3] for b in blocks)
     layout = 8 * outputs + 8 * bits + 16 * len(blocks) + 16 * (profile.L + 1)
     build = 256 * len(blocks) + 16 * outputs + B * parity
-    return 8 * B * parity + layout + build + K * (11 * B + sum(profile.v) + 17 * parity)
+    counts = np.min_scalar_type(B).itemsize
+    per_parity = 4 + counts + (counts > 1)
+    return 4 * B * parity + layout + build + K * (7 * B + sum(profile.v) + per_parity * parity)
 
 
 def encode_messages(W: np.ndarray, codebook: TreeCodebook) -> list[np.ndarray]:
@@ -290,20 +302,23 @@ def encode_messages(W: np.ndarray, codebook: TreeCodebook) -> list[np.ndarray]:
     prof = codebook.profile
     if W.shape[1] != prof.B:
         raise ValueError(f"messages have {W.shape[1]} bits, profile needs B={prof.B}")
-    parity = _mod2(W @ codebook.G).astype(np.uint8)
-    rows, cols = codebook._layout.rows, codebook._layout.cols
+    lay = codebook._layout
+    parity = _mod2(W @ codebook.G, lay.counts_dtype).astype(np.uint8, copy=False)
+    rows, cols = lay.rows, lay.cols
     return [np.concatenate((W[:, rows[i]:rows[i + 1]], parity[:, cols[i]:cols[i + 1]]), axis=1)
             for i in range(prof.L)]
 
 
 def fragment_values(W: np.ndarray, codebook: TreeCodebook) -> np.ndarray:
     """Radix-2 values of the fragments ``encode_messages`` builds from the
-    messages W, as a (K, L) float64 array, without building them. Every
-    product entry is a sum of distinct powers of two below 2^53, so the
-    values are exact; fragments wider than 53 bits raise ValueError."""
+    messages W, as a (K, L) array, without building them. Every product entry
+    is a sum of distinct powers of two below 2^24 (float32 values) or 2^53
+    (float64), so the values are exact; fragments wider than 53 bits raise
+    ValueError."""
     W = np.atleast_2d(np.asarray(W, dtype=np.uint8))
-    B, weights = codebook.profile.B, codebook._layout.fragment_weights
-    return W @ weights[:B] + _mod2(W @ codebook.G) @ weights[B:]
+    lay = codebook._layout
+    B, weights = codebook.profile.B, lay.fragment_weights
+    return W @ weights[:B] + _mod2(W @ codebook.G, lay.counts_dtype) @ weights[B:]
 
 
 @dataclass
@@ -359,7 +374,7 @@ class PathTracker:
             # the next section's parity depends on the info bits so far only
             cols = cb._layout.cols
             G = cb.G[:info.shape[1], cols[stage]:cols[stage + 1]]
-            self._next = rows_to_ints(_mod2(info @ G))
+            self._next = rows_to_ints(_mod2(info @ G, np.int64))
 
     def start(self, roots: np.ndarray) -> None:
         """Open one root per section-1 fragment index."""

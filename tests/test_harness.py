@@ -550,24 +550,23 @@ def test_siso_decodes_at_200_db_converge_and_match_16_db(monkeypatch):
 def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     # Four MIMO blocks of 4-bit fragments (B = 10 info, 6 parity bits), K = 2,
     # M = 16, n = 8: four 8 x 16 complex matrices take 8192 bytes; messages
-    # and fragments 2 x (10 + 16) bytes plus a 2 x 6 float64 parity product,
-    # 148 bytes; 2 x 8 user signals, one 8 x 16 block in flight with two
+    # and fragments 2 x (10 + 16) bytes plus a 2 x 6 float32 parity product,
+    # 100 bytes; 2 x 8 user signals, one 8 x 16 block in flight with two
     # more beside it and three 2 x 16 arrays of its fading draw, and four
     # 8 x 8 sample covariances, 752 complex numbers or 12032 bytes; one
     # block's activity detection, one 8 x 16 row copy, three more in its
     # drift check, and 3 + 3 8 x 8 matrices, 896 complex numbers or 14336
     # bytes; and one complex ufunc buffer of np.getbufsize() = 8192 (numpy's
-    # default) elements, 131072 bytes: 165780 bytes. Beside them the plan
-    # counts the codebook's 10 x 6 float64 G, 480 bytes; its build layout,
+    # default) elements, 131072 bytes: 165732 bytes. Beside them the plan
+    # counts the codebook's 10 x 6 float32 G, 240 bytes; its build layout,
     # six blocks of one output and 36 bits: 8 x 6 per output, 8 x 36 per
     # bit, 16 x 6 per block and 16 x 5 for the offsets, 512 bytes; the
     # build's working set, 256 x 6 per block, 16 x 6 per output and G as
     # uint8 (60), 1692 bytes; per message its Python int (192), its bits as
-    # float64 (80), the raw words and halves they are read from (2 x 10)
-    # and the parity product's int64 copy and uint8 bits (6 x 9), 692 more
-    # bytes for two; and per column of a solve, its index set, gamma, the
+    # float32 (40), the raw words and halves they are read from (2 x 10)
+    # and its uint8 parity bits (6), 516 more bytes for two; and per column of a solve, its index set, gamma, the
     # sweep's Python int (40) and the top-K sort's three int64 vectors,
-    # 16 x 80 = 1280 bytes. 170436 bytes in all, and one byte less refuses
+    # 16 x 80 = 1280 bytes. 169972 bytes in all, and one byte less refuses
     # the trial before any matrix is built. A block's sample covariance (the
     # block, its conjugate copy and two 8 x 8 matrices, 6144 bytes) holds
     # less than its transmission, and building a matrix (its norms' two
@@ -575,7 +574,7 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     # a slot, and neither is held beside the other, so neither adds to the
     # plan.
     data = {"scenario": "mimo", "profile": {"m": [4, 2, 2, 2], "l": [0, 2, 2, 2]},
-            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 170435}
+            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 169971}
     cfg = parse_config(data)
 
     def no_build(*args, **kwargs):
@@ -584,51 +583,52 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(harness, "build_complex_sensing_matrix", no_build)
         with pytest.raises(ResourceRefusalError,
-                           match="need 170436 bytes, budget is 170435"):
+                           match="need 169972 bytes, budget is 169971"):
             run_mimo_trial(cfg, 2, 16, 0)
-    run_mimo_trial(replace(cfg, memory_budget=170436), 2, 16, 0)
+    run_mimo_trial(replace(cfg, memory_budget=169972), 2, 16, 0)
     # The scalar trial builds one matrix per distinct width (3 and 4 bits
     # here): 12 x (8 + 16) doubles, 2304 bytes. With K = 1, B = 7, 11 coded
-    # and 4 parity bits, messages and fragments take 7 + 11 + 8 x 4 = 50
-    # bytes and the user signals 12 doubles, 96 bytes. One slot solve at the
+    # and 4 parity bits, messages and fragments take 7 + 11 + 4 x 4 = 34
+    # bytes (4 x 4 the float32 parity product) and the user signals 12 doubles, 96 bytes. One slot solve at the
     # 4-bit width holds a pruned 12 x 16 copy of its matrix and NNLS's
     # passive set for min(12, 16) = 12 columns, 12 x (4 x 12 + 4 x 12 + 3):
     # the columns, Q and a re-factor's two 12 x 12 blocks, R^-1 and a
     # re-factor's three 12 x 12 blocks, and three vectors. 1380 doubles,
-    # 11040 bytes. With the 131072-byte ufunc buffer, 144562. Beside them: the codebook's 7 x 4 G, 224 bytes; its
+    # 11040 bytes. With the 131072-byte ufunc buffer, 144546. Beside them:
+    # the codebook's 7 x 4 float32 G, 112 bytes; its
     # build layout and working set for three blocks of one output and 16
     # bits, (8 + 16) x 3 per output, 8 x 16 per bit, (16 + 256) x 3 per
     # block, 16 x 4 for the offsets and G as uint8 (28), 1108 bytes; the
-    # message's Python int (192), its bits as float64 (56), the raw words
-    # and halves they are read from (2 x 7) and the parity product's int64
-    # copy and uint8 bits (4 x 9), 298 bytes; and per column of the solve,
+    # message's Python int (192), its bits as float32 (28), the raw words
+    # and halves they are read from (2 x 7) and its uint8 parity bits (4),
+    # 238 bytes; and per column of the solve,
     # NNLS's gradient and x (16) and the index set and the top-K sort's two
-    # vectors (24), 16 x 40 = 640 bytes. 146832 in all. Building
+    # vectors (24), 16 x 40 = 640 bytes. 146644 in all. Building
     # the 4-bit matrix (its norms' 12 x 16 product and three 16-vectors,
     # 1920 bytes) holds less than the slot, and comes before it, so it adds
     # nothing.
-    siso = parse_config(siso_config(memory_budget=146831))
-    with pytest.raises(ResourceRefusalError, match="need 146832 bytes, budget is 146831"):
+    siso = parse_config(siso_config(memory_budget=146643))
+    with pytest.raises(ResourceRefusalError, match="need 146644 bytes, budget is 146643"):
         run_siso_trial(siso, 1, 10.0, 0)
-    run_siso_trial(replace(siso, memory_budget=146832), 1, 10.0, 0)
+    run_siso_trial(replace(siso, memory_budget=146644), 1, 10.0, 0)
 
 
 def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
     # Matrices of a few KiB, but one MIMO block of 16 x 1e8 complex numbers
     # in flight with two more beside it and three 2 x 1e8 arrays of its
-    # fading draw take 8.64e10 bytes; with 100 bytes of messages and
+    # fading draw take 8.64e10 bytes; with 68 bytes of messages and
     # fragments, three matrices (640 complex numbers), three 16 x 16 sample
     # covariances (768), one block's activity detection (2560), the 2 x 16
-    # user signals (32) and the 131072-byte ufunc buffer, 86400195172 bytes.
-    # The plan's other terms add 3208: the codebook's G (224), its build
-    # layout and working set (1108), two messages' ints, raw words and
-    # encoding copies (2 x 298) and a 16-column solve's vectors (1280),
-    # 86400198380 in all; a matrix build's norms (8576) are held before any
-    # block and are fewer, so they add nothing. 1e8 scalar-channel users' messages and
-    # fragments (50 bytes each), the same 298 more each, and signals (12
-    # doubles each) take 44400000000 bytes, and 15316 more for the
-    # codebook, its build, the matrices and one 16-column slot solve, with
-    # the ufunc buffer 44400146388. Both trials are refused under the default 256 MiB
+    # user signals (32) and the 131072-byte ufunc buffer, 86400195140 bytes.
+    # The plan's other terms add 2976: the codebook's float32 G (112), its
+    # build layout and working set (1108), two messages' ints, raw words and
+    # encoding copies (2 x 238) and a 16-column solve's vectors (1280),
+    # 86400198116 in all; a matrix build's norms (8576) are held before any
+    # block and are fewer, so they add nothing. 1e8 scalar-channel users'
+    # messages and fragments (34 bytes each), the same 238 more each, and
+    # signals (12 doubles each) take 36800000000 bytes, and 15204 more for
+    # the codebook, its build, the matrices and one 16-column slot solve,
+    # with the ufunc buffer 36800146276. Both trials are refused under the default 256 MiB
     # budget before a message is drawn.
     def no_alloc(*args, **kwargs):
         raise AssertionError("the trial allocated before the refusal")
@@ -637,10 +637,10 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
                  "build_complex_sensing_matrix", "mimo_block_transmit"):
         monkeypatch.setattr(harness, name, no_alloc)
     mimo_cfg = parse_config({**MIMO_SMALL, "M": 1e8, "n": 16})
-    with pytest.raises(ResourceRefusalError, match="need 86400198380 bytes"):
+    with pytest.raises(ResourceRefusalError, match="need 86400198116 bytes"):
         run_mimo_trial(mimo_cfg, 2, 10 ** 8, 0)
     siso = parse_config(siso_config(K=10 ** 8))
-    with pytest.raises(ResourceRefusalError, match="need 44400146388 bytes"):
+    with pytest.raises(ResourceRefusalError, match="need 36800146276 bytes"):
         run_siso_trial(siso, 10 ** 8, 10.0, 0)
 
 
@@ -770,7 +770,8 @@ def test_genie_tree_trial_enforces_distinct_fragments():
     tiny = ParityProfile(m=(1, 1), l=(0, 0))
     with pytest.raises(RuntimeError, match="distinct"):
         genie_tree_trial(tiny, K=3, master_seed=0, trial=0)
-    # fragment values are float64, exact up to 53 bits
+    # fragment values are float32 up to 24 bits and float64, still exact, up
+    # to 53 bits
     with pytest.raises(ValueError, match="53 bits"):
         genie_tree_trial(ParityProfile(m=(54,), l=(0,)), K=2, master_seed=0, trial=0)
 

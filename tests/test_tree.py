@@ -191,14 +191,18 @@ def random_profile(rng):
     return ParityProfile(m=tuple(m), l=tuple(l))
 
 
-@pytest.mark.parametrize("profile", ["siso-default", "mimo-96", "random"])
+@pytest.mark.parametrize("profile", ["siso-default", "mimo-96", "random", "wide"])
 def test_float_parity_equals_integer_parity(profile):
-    # The generator matrix is float64 so its products run on BLAS; they are
-    # exact, so encode_messages must equal integer GF(2), also on prefixes,
-    # and fragment_values the radix-2 values of the encoded fragments.
+    # The generator matrix is float32 so its products run on BLAS; they sum
+    # fewer than 2^24 ones, so they are exact, and encode_messages must equal
+    # integer GF(2), also on prefixes, and fragment_values the radix-2 values
+    # of the encoded fragments. At B = 1,280 product entries pass 255, so
+    # their parity is taken through uint16.
     rng = np.random.default_rng(23)
     if profile == "random":
         cases = [(random_profile(rng), 40) for _ in range(30)]
+    elif profile == "wide":
+        cases = [(ParityProfile(m=(20,) + (14,) * 90, l=(0,) + (6,) * 90), 200)]
     else:
         prof = DEFAULT_SISO_PROFILE if profile == "siso-default" else DEFAULT_MIMO_PROFILE
         cases = [(prof, 3000)]
@@ -737,6 +741,32 @@ def test_profile_refuses_sections_wider_than_63_bits():
     with pytest.raises(ValueError, match="at most 63 coded bits \\(m \\+ l\\), got 64"):
         ParityProfile(m=(2, 62), l=(0, 2))
     assert ParityProfile(m=(2, 61), l=(0, 2)).v == (2, 63)
+
+
+def test_profile_refuses_messages_of_2_to_the_24_bits():
+    # a product with the float32 G sums up to B ones, and float32 holds every
+    # integer below 2^24 only, so the profile itself refuses B = 2^24, before
+    # any codebook could be built
+    m = (63,) * ((1 << 24) // 63)
+    assert ParityProfile(m=m, l=(0,) * len(m)).B == (1 << 24) - 1
+    with pytest.raises(ValueError, match="float32 parity products are exact, got B=16777216"):
+        ParityProfile(m=m + (1,), l=(0,) * (len(m) + 1))
+
+
+@pytest.mark.parametrize("width", [23, 24, 25, 40, 53])
+def test_fragment_values_are_exact_in_either_weights_dtype(width):
+    # float32 holds every integer below 2^24 and float64 every one below
+    # 2^53: the values of a profile whose widest fragment has at most 24
+    # bits are float32, of one up to 53 bits float64, and either way equal
+    # to the integers of the encoded fragments, the narrow section's too
+    prof = ParityProfile(m=(width, width // 2, 3), l=(0, width - width // 2, 2))
+    for seed in range(4):
+        cb = TreeCodebook(prof, seed)
+        W = random_bits(np.random.default_rng(seed), (200, prof.B))
+        values = fragment_values(W, cb)
+        assert values.dtype == (np.float32 if width <= 24 else np.float64)
+        assert [values[:, i].tolist() for i in range(prof.L)] == [
+            rows_to_ints(f).tolist() for f in encode_messages(W, cb)]
 
 
 def test_codebook_determinism():
