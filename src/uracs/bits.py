@@ -6,8 +6,6 @@ first. A fragment's integer index is its radix-2 value under that order.
 
 from __future__ import annotations
 
-from contextlib import closing
-
 import numpy as np
 
 # 2^62, ..., 2, 1: a row of w <= 63 bits is weighted by the last w of them
@@ -36,42 +34,14 @@ def ints_to_rows(values: np.ndarray, width: int) -> np.ndarray:
     return ((values >> shifts) & 1).astype(np.uint8)
 
 
-def bit_draws(rng: np.random.Generator, shape):
-    """Successive ``rng.integers(0, 2, shape, np.uint8)`` draws, read from the
-    raw output of its PCG64 bit generator.
-
-    numpy's rule for those draws: each bit is bit 7 of a byte of the uint32
-    stream, low byte first; every draw starts on a fresh uint32 word, so a
-    draw of n bits takes ceil(n / 4) words (none if n = 0); the uint32 stream
-    is each 64-bit output's low half, then its high half, and a leftover
-    half is cached for the next draw. The first draw refuses any other bit
-    generator (TypeError) and reads the cached half; closing writes it back.
-    """
-    bg = rng.bit_generator
-    if not isinstance(bg, np.random.PCG64):
-        raise TypeError(f"bits are read from a PCG64 stream, not {type(bg).__name__}")
-    n = int(np.prod(shape))
-    words = -(-n // 4)
-    state = bg.state
-    # numpy keeps the last half read, whether or not it is still cached
-    cached, uinteger = state["has_uint32"], np.uint32(state["uinteger"])
-    try:
-        while True:
-            # that half, then the halves of the outputs the draw still needs
-            raw = bg.random_raw(-(-(words - cached) // 2))
-            halves = np.concatenate(([uinteger], raw.astype("<u8", copy=False).view("<u4")),
-                                    dtype="<u4")
-            first = 1 - cached
-            cached, uinteger = halves.size - first - words, halves[-1]
-            yield (halves[first:first + words].view(np.uint8)[:n] >> 7).reshape(shape)
-    finally:
-        state = bg.state
-        state["has_uint32"], state["uinteger"] = cached, int(uinteger)
-        bg.state = state
+def stream_bits(outputs: np.ndarray) -> np.ndarray:
+    """The bits numpy's ``integers(0, 2, n, np.uint8)`` reads from 64-bit
+    PCG64 ``outputs``: bit 7 of each byte, the outputs read little-endian.
+    A draw starts on a fresh uint32 word (an output is its low word, then its
+    high word) and takes the next n of these bits, ceil(n / 4) words."""
+    return outputs.astype("<u8", copy=False).view(np.uint8) >> 7
 
 
 def random_bits(rng: np.random.Generator, shape) -> np.ndarray:
-    """i.i.d. Bernoulli(1/2) bits: ``rng.integers(0, 2, shape, np.uint8)``,
-    the single-draw case of ``bit_draws``."""
-    with closing(bit_draws(rng, shape)) as draws:
-        return next(draws)
+    """i.i.d. Bernoulli(1/2) bits: ``rng.integers(0, 2, shape, np.uint8)``."""
+    return rng.integers(0, 2, shape, np.uint8)

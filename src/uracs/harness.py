@@ -18,13 +18,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import closing
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from . import ccs, channel, mimo, tree
-from .bits import bit_draws, random_bits, rows_to_ints
+from .bits import random_bits, rows_to_ints, stream_bits
 from .ccs import build_complex_sensing_matrix, build_sensing_matrix, decode_siso, user_signals
 from .channel import (EBN0_DB_LIMIT, ebn0_to_amplitude, ebn0_to_power,
                       gmac_transmit, mimo_block_transmit)
@@ -396,23 +395,27 @@ def genie_tree_trial(profile: ParityProfile, K: int, master_seed: int, trial: in
     Returns (live path count per stage, admissible pattern count per stage
     2..L). Messages are redrawn, up to 100 times, until all K fragments
     differ in every section, matching the analytical model's assumptions.
-    Each draw is ``random_bits(rng, (K, B))``, read by ``bit_draws`` straight
-    from the PCG64 stream: bit 7 of each byte of its uint32 words, low byte
-    first, each draw from a fresh word. Fragments may have at most 53 bits
-    (see ``tree.fragment_values``).
+    Each draw is ``random_bits(rng, (K, B))``, read in pairs from the trial's
+    fresh PCG64 stream by ``stream_bits``: a draw takes ceil(K * B / 4) uint32
+    words from a fresh word, so a pair is ceil(K * B / 4) whole outputs and
+    leaves no half word cached; a pair's first passing draw is taken.
+    Fragments may have at most 53 bits (see ``tree.fragment_values``).
     """
     codebook, rng = _trial_source(profile, master_seed, trial)
-    with closing(bit_draws(rng, (K, profile.B))) as draws:
-        for _, W in zip(range(100), draws):
-            # one column of K fragment indices per section
-            frags = fragment_values(W, codebook)
-            # every section's fragments are distinct iff no two neighbours in
-            # its sorted column of fragment values are equal
-            values = np.sort(frags, axis=0)
-            if (values[1:] != values[:-1]).all():
-                break
-        else:
-            raise RuntimeError("could not draw distinct fragments; sections too small")
+    n, outputs = K * profile.B, -(-K * profile.B // 4)
+    for _ in range(50):
+        pair = stream_bits(rng.bit_generator.random_raw(outputs)).reshape(2, -1)[:, :n]
+        # one column of K fragment indices per section, for each draw
+        frags = fragment_values(pair.reshape(2 * K, profile.B), codebook).reshape(2, K, profile.L)
+        # every section's fragments are distinct iff no two neighbours in
+        # its sorted column of fragment values are equal
+        values = np.sort(frags, axis=1)
+        distinct = (values[:, 1:] != values[:, :-1]).all(axis=(1, 2))
+        if distinct.any():
+            frags = frags[distinct.argmax()]
+            break
+    else:
+        raise RuntimeError("could not draw distinct fragments; sections too small")
     # the tracker takes int64 fragment indices: cast every section at once
     sections = frags.T.astype(np.int64, order="C")
     tracker = PathTracker(codebook)

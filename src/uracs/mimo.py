@@ -102,7 +102,7 @@ class CovarianceState:
         sc = s.conj()
         quad = float(np.vdot(a, s).real)  # a^H Sigma^-1 a
         fit = float(sc.dot(self.sample_cov.dot(s)).real)
-        d_star = (fit - quad) / quad ** 2
+        d_star = (fit - quad) / (quad * quad)  # x * x, not libm's pow: the same bits everywhere
         g = float(self.gamma[k])
         new_gamma = max(g + d_star, 0.0)
         d_eff = new_gamma - g

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .bits import ints_to_rows, rows_to_ints
+from .bits import ints_to_rows, rows_to_ints, stream_bits
 
 DEFAULT_PATH_CAP = 1 << 16
 # widest fragment (m + l coded bits) whose column index fits an int64
@@ -182,8 +182,8 @@ class _Layout:
         self.words = np.stack([j, ell]).astype(np.uint32)
         self.counts = tuple(outputs.tolist())
         first = np.cumsum(outputs) - outputs
-        # bit t of a block is bit 7 of byte t of its outputs read
-        # little-endian, and sits in row t // l_ell, column t % l_ell of it
+        # bit t of a block is bit t of its outputs' ``stream_bits``, and sits
+        # in row t // l_ell, column t % l_ell of it
         t = np.arange(bits.sum()) - np.repeat(np.cumsum(bits) - bits, bits)
         self.keep = np.zeros(8 * int(outputs.sum()), dtype=bool)
         self.keep[8 * np.repeat(first, bits) + t] = True
@@ -229,11 +229,11 @@ class TreeCodebook:
     the link. Each matrix comes from an independent PCG64 stream seeded by
     ``SeedSequence`` with the entropy words of the tuple (seed, j, l): the
     seed's 32-bit chunks, low chunk first, then j, then l. Its m_j * l_l
-    bits, row by row, are bit 7 of the first m_j * l_l bytes of the stream's
-    64-bit outputs read little-endian. That is the top bit of each byte,
-    which is what ``default_rng((seed, j, l)).integers(0, 2, (m_j, l_l),
-    np.uint8)`` returns. The build computes SeedSequence's four words for
-    all blocks at once in uint32 arrays, and numpy's PCG64 draws each block.
+    bits, row by row, are the first m_j * l_l ``bits.stream_bits`` of the
+    stream's outputs, which is what ``default_rng((seed, j, l)).integers(0,
+    2, (m_j, l_l), np.uint8)`` returns. The build computes SeedSequence's
+    four words for all blocks at once in uint32 arrays, and numpy's PCG64
+    draws each block.
 
     All of them live in one read-only B x sum(l) float32 0/1 matrix ``G``
     that maps a message's info bits to the parity bits of every section: the
@@ -251,11 +251,10 @@ class TreeCodebook:
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         lay = self._layout = _layout(profile)
-        stream = lay.outputs(self.seed).astype("<u8", copy=False).view(np.uint8)
         # scattered as uint8 and cast once: a float32 scatter would cast the
         # picked bits to float32 first
         bits = np.zeros(lay.shape, np.uint8)
-        bits.reshape(-1)[lay.dest] = stream[lay.keep] >> 7
+        bits.reshape(-1)[lay.dest] = stream_bits(lay.outputs(self.seed))[lay.keep]
         self.G = bits.astype(np.float32)
         self.G.flags.writeable = False
 
@@ -279,13 +278,14 @@ def message_bytes(profile: ParityProfile, K: int) -> int:
     its profile's cached layout, per output 8 byte flags, per bit a
     destination index, per block its two words and output count; and while
     G is built, 256 bytes per block (its seed sequence, its row of words
-    and its outputs' array), 2 uint64 words per output (the outputs and
-    their joined copy) and G as uint8 (the bits are scattered into it, then
-    cast once; the picked and shifted bits, 2 bytes per bit, are freed
-    before the float32 G exists). The messages: their bits, the raw PCG64 words they are
-    read from and those words' uint32 halves (a byte per bit each), fragments (uint8), and
-    beside them while they are encoded their bits as float32, the float32 parity product
-    and its bits in the narrowest type that holds B, with a uint8 copy if that is wider."""
+    and its outputs' array), 16 bytes per output (the outputs and their
+    joined copy; then the joined copy and its stream bits; then the stream
+    bits and the picked bits, a byte per bit) and G as uint8 (the bits are
+    scattered into it, then cast once, when nothing else of the build is
+    left, to the float32 G). The messages: their bits (one ``integers`` draw),
+    fragments (uint8), and beside them while they are encoded their bits as
+    float32, the float32 parity product and its bits in the narrowest type
+    that holds B, with a uint8 copy if that is wider."""
     B, parity = profile.B, sum(profile.l)
     blocks = _blocks(profile)
     bits, outputs = sum(b[2] for b in blocks), sum(b[3] for b in blocks)
@@ -293,7 +293,7 @@ def message_bytes(profile: ParityProfile, K: int) -> int:
     build = 256 * len(blocks) + 16 * outputs + B * parity
     counts = np.min_scalar_type(B).itemsize
     per_parity = 4 + counts + (counts > 1)
-    return 4 * B * parity + layout + build + K * (7 * B + sum(profile.v) + per_parity * parity)
+    return 4 * B * parity + layout + build + K * (5 * B + sum(profile.v) + per_parity * parity)
 
 
 def encode_messages(W: np.ndarray, codebook: TreeCodebook) -> list[np.ndarray]:

@@ -1,12 +1,10 @@
-"""Tests for the PCG64 bit reader: ``random_bits`` and ``bit_draws`` against
+"""Tests for the PCG64 bit rule: ``random_bits`` and ``stream_bits`` against
 ``Generator.integers(0, 2, shape, np.uint8)``."""
-
-from contextlib import closing
 
 import numpy as np
 import pytest
 
-from uracs.bits import bit_draws, random_bits
+from uracs.bits import random_bits, stream_bits
 
 # K x B with K * B = 0, 1, 2 and 3 (mod 4), zero-size shapes and 1-D shapes
 SHAPES = [(4, 5), (3, 3), (2, 3), (1, 7), (100, 75), (0, 75), (5, 0), (0,), (1,), (6,), (13,)]
@@ -41,28 +39,6 @@ def test_random_bits_is_integers(seed, cached):
     assert b.random() == a.random()
 
 
-@pytest.mark.parametrize("cached", [False, True], ids=["fresh", "cached-half"])
-@pytest.mark.parametrize("shape", SHAPES)
-def test_bit_draws_are_successive_random_bits(shape, cached):
-    a, b = twin_generators(7, cached)
-    with closing(bit_draws(b, shape)) as draws:
-        for _, got in zip(range(11), draws):
-            assert np.array_equal(got, a.integers(0, 2, shape, np.uint8))
-            assert got.shape == np.empty(shape).shape
-    # the cached half is written back when the draws stop, so the next draw
-    # is the one after as many random_bits calls
-    assert b.bit_generator.state == a.bit_generator.state
-    assert np.array_equal(random_bits(b, (3, 3)), a.integers(0, 2, (3, 3), np.uint8))
-
-
-def test_bit_draws_match_random_bits_calls():
-    a, b = np.random.default_rng(11), np.random.default_rng(11)
-    with closing(bit_draws(b, (2, 3))) as draws:
-        drawn = [next(draws) for _ in range(9)]
-    assert all(np.array_equal(d, random_bits(a, (2, 3))) for d in drawn)
-    assert np.array_equal(random_bits(b, (1, 5)), random_bits(a, (1, 5)))
-
-
 def test_zero_size_draw_consumes_nothing():
     for cached in (False, True):
         a, b = twin_generators(3, cached)
@@ -72,13 +48,19 @@ def test_zero_size_draw_consumes_nothing():
         assert np.array_equal(random_bits(b, 6), a.integers(0, 2, 6, np.uint8))
 
 
-@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
-                                           np.random.SFC64, np.random.PCG64DXSM])
-def test_other_bit_generators_are_refused(bit_generator):
-    rng, twin = np.random.Generator(bit_generator(0)), np.random.Generator(bit_generator(0))
-    with pytest.raises(TypeError, match="PCG64"):
-        random_bits(rng, (2, 3))
-    with pytest.raises(TypeError, match="PCG64"):
-        next(bit_draws(rng, (2, 3)))
-    # nothing was drawn
-    assert rng.random() == twin.random()
+@pytest.mark.parametrize("cached", [False, True], ids=["fresh", "cached-half"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_bit_draws_are_successive_random_bits(shape, cached):
+    # eleven draws read from the raw outputs' stream bits, each n bits from
+    # a fresh uint32 word and ceil(n / 4) words long; a cached half, the high
+    # word of the output it came from, is the first word read
+    a, b = twin_generators(7, cached)
+    n = int(np.prod(shape))
+    words = -(-n // 4)
+    half = [b.bit_generator.state["uinteger"] << 32] if cached else []
+    outputs = np.r_[np.array(half, np.uint64), b.bit_generator.random_raw(6 * words)]
+    bits = stream_bits(outputs)[4 * cached:]
+    for draw in range(11):
+        got = bits[4 * words * draw:][:n].reshape(shape)
+        assert np.array_equal(got, a.integers(0, 2, shape, np.uint8))
+

@@ -36,7 +36,7 @@ from uracs.harness import (
 )
 from uracs.predictors import expected_erroneous_paths
 from uracs.tree import (DEFAULT_MIMO_PROFILE, DEFAULT_SISO_PROFILE, ParityProfile,
-                         PathTracker, fragment_values)
+                         PathTracker)
 
 SMALL_PROFILE = {"m": [3, 2, 2], "l": [0, 2, 2]}
 
@@ -563,18 +563,19 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     # bit, 16 x 6 per block and 16 x 5 for the offsets, 512 bytes; the
     # build's working set, 256 x 6 per block, 16 x 6 per output and G as
     # uint8 (60), 1692 bytes; per message its Python int (192), its bits as
-    # float32 (40), the raw words and halves they are read from (2 x 10)
-    # and its uint8 parity bits (6), 516 more bytes for two; and per column of a solve, its index set, gamma, the
-    # sweep's Python int (40) and the top-K sort's three int64 vectors,
-    # 16 x 80 = 1280 bytes. 169972 bytes in all, and one byte less refuses
-    # the trial before any matrix is built. A block's sample covariance (the
+    # float32 (40) and its uint8 parity bits (6), 476 more bytes for two;
+    # and per column of a solve, its index set, gamma, the sweep's Python
+    # int (40) and the top-K sort's three int64 vectors, 16 x 80 = 1280
+    # bytes. 165732 + 240 + 512 + 1692 + 476 + 1280 = 169932 bytes in all,
+    # and one byte less refuses the trial before any matrix is built. A
+    # block's sample covariance (the
     # block, its conjugate copy and two 8 x 8 matrices, 6144 bytes) holds
     # less than its transmission, and building a matrix (its norms' two
     # 8 x 16 complex temporaries and three 16-vectors, 4480 bytes) less than
     # a slot, and neither is held beside the other, so neither adds to the
     # plan.
     data = {"scenario": "mimo", "profile": {"m": [4, 2, 2, 2], "l": [0, 2, 2, 2]},
-            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 169971}
+            "K": 2, "M": 16, "ebn0_db": 6.0, "n": 8, "memory_budget": 169931}
     cfg = parse_config(data)
 
     def no_build(*args, **kwargs):
@@ -583,9 +584,9 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(harness, "build_complex_sensing_matrix", no_build)
         with pytest.raises(ResourceRefusalError,
-                           match="need 169972 bytes, budget is 169971"):
+                           match="need 169932 bytes, budget is 169931"):
             run_mimo_trial(cfg, 2, 16, 0)
-    run_mimo_trial(replace(cfg, memory_budget=169972), 2, 16, 0)
+    run_mimo_trial(replace(cfg, memory_budget=169932), 2, 16, 0)
     # The scalar trial builds one matrix per distinct width (3 and 4 bits
     # here): 12 x (8 + 16) doubles, 2304 bytes. With K = 1, B = 7, 11 coded
     # and 4 parity bits, messages and fragments take 7 + 11 + 4 x 4 = 34
@@ -599,18 +600,17 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     # build layout and working set for three blocks of one output and 16
     # bits, (8 + 16) x 3 per output, 8 x 16 per bit, (16 + 256) x 3 per
     # block, 16 x 4 for the offsets and G as uint8 (28), 1108 bytes; the
-    # message's Python int (192), its bits as float32 (28), the raw words
-    # and halves they are read from (2 x 7) and its uint8 parity bits (4),
-    # 238 bytes; and per column of the solve,
-    # NNLS's gradient and x (16) and the index set and the top-K sort's two
-    # vectors (24), 16 x 40 = 640 bytes. 146644 in all. Building
-    # the 4-bit matrix (its norms' 12 x 16 product and three 16-vectors,
-    # 1920 bytes) holds less than the slot, and comes before it, so it adds
-    # nothing.
-    siso = parse_config(siso_config(memory_budget=146643))
-    with pytest.raises(ResourceRefusalError, match="need 146644 bytes, budget is 146643"):
+    # message's Python int (192), its bits as float32 (28) and its uint8
+    # parity bits (4), 224 bytes; and per column of the solve, NNLS's
+    # gradient and x (16) and the index set and the top-K sort's two
+    # vectors (24), 16 x 40 = 640 bytes. 144546 + 112 + 1108 + 224 + 640 =
+    # 146630 in all. Building the 4-bit matrix (its norms' 12 x 16 product
+    # and three 16-vectors, 1920 bytes) holds less than the slot, and comes
+    # before it, so it adds nothing.
+    siso = parse_config(siso_config(memory_budget=146629))
+    with pytest.raises(ResourceRefusalError, match="need 146630 bytes, budget is 146629"):
         run_siso_trial(siso, 1, 10.0, 0)
-    run_siso_trial(replace(siso, memory_budget=146644), 1, 10.0, 0)
+    run_siso_trial(replace(siso, memory_budget=146630), 1, 10.0, 0)
 
 
 def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
@@ -620,16 +620,17 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
     # fragments, three matrices (640 complex numbers), three 16 x 16 sample
     # covariances (768), one block's activity detection (2560), the 2 x 16
     # user signals (32) and the 131072-byte ufunc buffer, 86400195140 bytes.
-    # The plan's other terms add 2976: the codebook's float32 G (112), its
-    # build layout and working set (1108), two messages' ints, raw words and
-    # encoding copies (2 x 238) and a 16-column solve's vectors (1280),
-    # 86400198116 in all; a matrix build's norms (8576) are held before any
-    # block and are fewer, so they add nothing. 1e8 scalar-channel users'
-    # messages and fragments (34 bytes each), the same 238 more each, and
-    # signals (12 doubles each) take 36800000000 bytes, and 15204 more for
-    # the codebook, its build, the matrices and one 16-column slot solve,
-    # with the ufunc buffer 36800146276. Both trials are refused under the default 256 MiB
-    # budget before a message is drawn.
+    # The plan's other terms add 112 + 1108 + 448 + 1280 = 2948: the
+    # codebook's float32 G (112), its build layout and working set (1108),
+    # two messages' ints and encoding copies (2 x 224) and a 16-column
+    # solve's vectors (1280), 86400198088 in all; a matrix build's norms
+    # (8576) are held before any block and are fewer, so they add nothing.
+    # 1e8 scalar-channel users' messages and fragments (34 bytes each), the
+    # same 224 more each, and signals (12 doubles each) take 1e8 x 354 =
+    # 35400000000 bytes, and 15204 more for the codebook, its build, the
+    # matrices and one 16-column slot solve, with the ufunc buffer
+    # 35400146276. Both trials are refused under the default 256 MiB budget
+    # before a message is drawn.
     def no_alloc(*args, **kwargs):
         raise AssertionError("the trial allocated before the refusal")
 
@@ -637,10 +638,10 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
                  "build_complex_sensing_matrix", "mimo_block_transmit"):
         monkeypatch.setattr(harness, name, no_alloc)
     mimo_cfg = parse_config({**MIMO_SMALL, "M": 1e8, "n": 16})
-    with pytest.raises(ResourceRefusalError, match="need 86400198116 bytes"):
+    with pytest.raises(ResourceRefusalError, match="need 86400198088 bytes"):
         run_mimo_trial(mimo_cfg, 2, 10 ** 8, 0)
     siso = parse_config(siso_config(K=10 ** 8))
-    with pytest.raises(ResourceRefusalError, match="need 36800146276 bytes"):
+    with pytest.raises(ResourceRefusalError, match="need 35400146276 bytes"):
         run_siso_trial(siso, 10 ** 8, 10.0, 0)
 
 
@@ -776,16 +777,20 @@ def test_genie_tree_trial_enforces_distinct_fragments():
         genie_tree_trial(ParityProfile(m=(54,), l=(0,)), K=2, master_seed=0, trial=0)
 
 
-def reference_genie_tree_trial(profile: ParityProfile, K: int, master_seed: int, trial: int):
-    """genie_tree_trial with each redraw an ``integers`` call of its own."""
+def reference_genie_tree_trial(profile: ParityProfile, K: int, master_seed: int, trial: int,
+                               accepted: list | None = None):
+    """genie_tree_trial with each redraw an ``integers`` call of its own; the
+    index of the draw it takes is appended to ``accepted``."""
     codebook, rng = harness._trial_source(profile, master_seed, trial)
-    for _ in range(100):
-        frags = fragment_values(rng.integers(0, 2, (K, profile.B), np.uint8), codebook)
+    for attempt in range(100):
+        frags = harness.fragment_values(rng.integers(0, 2, (K, profile.B), np.uint8), codebook)
         values = np.sort(frags, axis=0)
         if (values[1:] != values[:-1]).all():
             break
     else:
         raise RuntimeError("could not draw distinct fragments; sections too small")
+    if accepted is not None:
+        accepted.append(attempt)
     sections = frags.T.astype(np.int64, order="C")
     tracker = PathTracker(codebook)
     tracker.start(sections[0])
@@ -796,18 +801,68 @@ def reference_genie_tree_trial(profile: ParityProfile, K: int, master_seed: int,
     return tracker.diagnostics.live_paths, patterns
 
 
-@pytest.mark.parametrize("profile, K", [
-    (DEFAULT_SISO_PROFILE, 100),
-    (DEFAULT_MIMO_PROFILE, 20),
-    (ParityProfile(m=(12, 12, 12, 12), l=(0, 4, 6, 8)), 10),  # acceptance 3's
-], ids=["siso-default-K100", "mimo-96-K20", "acceptance-3-K10"])
-def test_genie_tree_trial_draws_as_integers_would(profile, K):
-    # the redraws read the PCG64 stream directly; the messages, and so every
-    # count, are those of one integers call per redraw
+def genie_outcome(trial_fn, *args):
+    """What a genie trial returns, or the type and text of what it raises."""
+    try:
+        return trial_fn(*args)
+    except (RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("profile, K, both_halves", [
+    (DEFAULT_SISO_PROFILE, 100, True),
+    # K * B = 1, 3 and 2 (mod 4), each pair an odd number of outputs
+    (DEFAULT_SISO_PROFILE, 99, True),
+    (ParityProfile(m=(2, 3, 4), l=(0, 2, 2)), 3, True),
+    (ParityProfile(m=(2, 3, 4), l=(0, 2, 2)), 2, False),
+    (DEFAULT_MIMO_PROFILE, 20, True),
+    (ParityProfile(m=(12, 12, 12, 12), l=(0, 4, 6, 8)), 10, False),  # acceptance 3's
+    # ten distinct fragments of 3 bits cannot be drawn: 100 attempts, then
+    # RuntimeError; and no messages at all
+    (ParityProfile(m=(3, 3, 3), l=(0, 1, 2)), 10, False),
+    (ParityProfile(m=(3, 3, 3), l=(0, 1, 2)), 0, False),
+], ids=["siso-default-K100", "siso-default-K99", "odd-B-K3", "odd-B-K2", "mimo-96-K20",
+        "acceptance-3-K10", "impossible-K10", "K0"])
+def test_genie_tree_trial_draws_as_integers_would(profile, K, both_halves):
+    # the redraws read the PCG64 stream two at a time; the messages, and so
+    # every count, are those of one integers call per redraw, and the draw
+    # taken is the reference's, whether it is the first or second of its pair
+    accepted = []
     for master_seed in (0, 1, 314):
         for trial in range(4):
-            assert (genie_tree_trial(profile, K, master_seed, trial)
-                    == reference_genie_tree_trial(profile, K, master_seed, trial))
+            assert (genie_outcome(genie_tree_trial, profile, K, master_seed, trial)
+                    == genie_outcome(reference_genie_tree_trial, profile, K, master_seed,
+                                     trial, accepted))
+    if both_halves:
+        assert {a % 2 for a in accepted} == {0, 1}
+    if K == 0:
+        assert genie_tree_trial(profile, 0, 0, 0) == ([0] * profile.L, [0] * (profile.L - 1))
+
+
+@pytest.mark.parametrize("repeats", [98, 99, 100])
+def test_genie_tree_trial_takes_the_last_of_100_draws(monkeypatch, repeats):
+    # fragment values in which the first ``repeats`` draws repeat a fragment:
+    # the 99th draw (first of the last pair) or the 100th (second) is taken,
+    # and a trial whose 100 draws all repeat raises, as in the reference
+    profile, K = ParityProfile(m=(12, 12, 12, 12), l=(0, 4, 6, 8)), 10
+    real = harness.fragment_values
+
+    def repeating(W, codebook):
+        nonlocal drawn
+        frags = real(W, codebook)
+        frags[drawn + np.arange(len(W)) // K < repeats] = 0
+        drawn += len(W) // K
+        return frags
+
+    monkeypatch.setattr(harness, "fragment_values", repeating)
+    outcomes = []
+    for trial_fn in (genie_tree_trial, reference_genie_tree_trial):
+        drawn = 0
+        outcomes.append(genie_outcome(trial_fn, profile, K, 0, 0))
+        # the genie reads whole pairs, and 50 pairs at most
+        assert drawn == (100 if trial_fn is genie_tree_trial else min(repeats + 1, 100))
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0][0] is RuntimeError) == (repeats == 100)
 
 
 def test_genie_path_stats_tracks_recursion():

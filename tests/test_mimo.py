@@ -108,7 +108,7 @@ def reference_coordinate_step(st, A, k):
     s = st.sigma_inv @ a
     quad = float((a.conj() @ s).real)
     fit = float((s.conj() @ (st.sample_cov @ s)).real)
-    d_star = (fit - quad) / quad ** 2
+    d_star = (fit - quad) / (quad * quad)
     new_gamma = max(st.gamma[k] + d_star, 0.0)
     d_eff = new_gamma - st.gamma[k]
     denom = 1.0 + d_eff * quad
