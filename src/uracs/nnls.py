@@ -21,9 +21,15 @@ inverse of the Gram block A_P^T A_P grows with its square (Bjorck, Numerical
 Methods for Least Squares Problems, 1996). R^-1 need not be triangular: the
 entry update needs only row p of R^-1 to be zero before column p enters.
 
-An entering column is orthogonalised against Q twice (classical Gram-Schmidt
-with one reorthogonalisation), which gives its column h of R and its distance
-rho from the passive span; R^-1 gains the column [-R^-1 h / rho; 1 / rho].
+An entering column a is orthogonalised against Q by classical Gram-Schmidt:
+its column of R is h = Q^T a, and q = a - Q h, so ||a||^2 = ||h||^2 + ||q||^2.
+Rounding of about eps ||a|| in q costs q / ||q|| up to eps ||a|| / ||q|| of
+orthogonality to Q, so a second pass runs only when q.q <= h.h, that is when
+||q|| <= ||a|| / sqrt(2) (the DGKS test: Daniel, Gragg, Kaufman & Stewart,
+Math. Comp., 1976). rho = ||q|| is a's distance from the passive span; R^-1
+gains the column [-R^-1 h / rho; 1 / rho]. After a step that ends at z_P the
+residual is y - Q (Q^T y), y - A_P z_P in exact arithmetic; after a leave loop
+the cap cut short it is y - A_P x_P from A's columns: no copy of A_P is kept.
 
 Leaving positions go last first, each by an update of the factor. Row k of
 R^-1, g, is in Q's basis the direction in span(A_P) orthogonal to every
@@ -37,10 +43,9 @@ eps kappa ||R^-1|| ||A_P|| >= eps kappa^2. KAPPA_MAX = eps^(-1/4) = 8192
 holds that below sqrt(eps); past it the passive block is re-factored by QR.
 
 An iteration costs tens of microseconds, mostly numpy's per-call overhead, so
-products call ndarray.dot (with numpy 2.4, ``r.dot(r)`` takes about 0.8 us
-and ``r @ r`` 1.5 us), except those with the leading p x p block of R^-1:
-ndarray.dot copies a matrix that is not one contiguous block before its gemv,
-which made the siso-wide solves about 6% slower there than ``@``.
+minima are read at their argmin (numpy 2.4: 0.4 us; a reduce takes 1.3-2.2 us)
+and products call ndarray.dot (0.8 us; ``@`` 1.5 us), but for R^-1's p x p
+block, which ndarray.dot copies first: there ``@`` ran siso-wide 6% faster.
 """
 
 from __future__ import annotations
@@ -56,12 +61,12 @@ KAPPA_MAX = np.finfo(float).eps ** -0.25
 
 
 def workspace_bytes(n: int, c: int) -> int:
-    """Bytes of ``nnls_solve``'s buffers for p = min(n, c) passive columns: four
-    n x p blocks (A_P, Q, and a re-factor's copy of A_P and new Q), four p x p
-    (R^-1, and a re-factor's R, inverse and numpy's working copy; a reflection's
-    temporaries fit in these), three p-vectors, and two c-vectors: gradient and x."""
+    """Bytes of ``nnls_solve``'s buffers for p = min(n, c) passive columns: three
+    n x p blocks (Q, which a re-factor fills with A's passive columns, qr's copy and
+    its new Q, room too for a reflection's or cut step's temporaries), four p x p (R^-1,
+    a re-factor's R, inverse and numpy's copy), three p-vectors, gradient and x."""
     p = min(n, c)
-    return 8 * p * (4 * n + 4 * p + 3) + 16 * c
+    return 8 * p * (3 * n + 4 * p + 3) + 16 * c
 
 
 @dataclass
@@ -86,19 +91,16 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
     fixed tolerance would chase until the iteration cap.
 
     The column with the largest gradient enters only if it passes Lawson &
-    Hanson's entry test: its distance from the passive span is nonzero and
-    its own value in the passive least-squares solution is positive. One
-    that fails is skipped for this outer step, and the next largest gradient
-    is tried. A solve reports unconverged when its last step skipped a
-    column, when the cap cut a leave loop short, or when it stopped at the
-    cap or at min(n, c) passive columns with a gradient above ``tol``. So
-    with a ``tol`` far below rounding no distance of 0 is divided by, a
-    column whose value would come out <= 0 does not enter only to leave
-    again, and x stays finite. By Lawson & Hanson's leave rule a column
-    leaves only when a step toward the passive solution stops at it (its
-    value is set to exactly 0) or leaves its value <= 0, by a reflection of
-    the factor or, past KAPPA_MAX, a re-factor (module docstring). A NaN or
-    infinity in y or A raises ValueError; one in A shows in A^T y."""
+    Hanson's entry test: its distance from the passive span is nonzero and its
+    own value in the passive least-squares solution is positive. One that fails
+    is skipped for this outer step, and the next largest gradient is tried. A
+    solve reports unconverged when its last step skipped a column, when the cap
+    cut a leave loop short, or when it stopped at the cap or at min(n, c)
+    passive columns with a gradient above ``tol``. So with a ``tol`` far below
+    rounding no zero distance is divided by, no column enters with a value <= 0
+    only to leave, and x stays finite. Columns leave by Lawson & Hanson's rule
+    (module docstring). A NaN or infinity in y or A raises ValueError; one in A
+    shows in A^T y."""
     A = np.asarray(A, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if A.ndim != 2 or y.ndim != 1 or A.shape[0] != y.shape[0]:
@@ -121,15 +123,13 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
     # the cap stopped a leave loop while a passive value was <= 0
     cut = False
     history: list[float] = []
-    # passive-set state in entry order: column indices P, values x_P, the
-    # columns A_P and their factor (Q, R^-1, Q^T y), each in the leading p
-    # entries, columns or p x p block of its buffer; row p of R^-1 is zero.
-    # Independent columns fit in min(n, c) slots, and no column enters once
-    # they are full
+    # passive-set state in entry order: column indices P, values x_P and the
+    # factor (Q, R^-1, Q^T y), each in the leading p entries, columns or p x p
+    # block of its buffer; row p of R^-1 is zero. Independent columns fit in
+    # min(n, c) slots, and no column enters once they are full
     cap = min(n, c)
     P = np.empty(cap, dtype=np.intp)
     x_buf = np.empty(cap)
-    A_P = np.empty((n, cap), order="F")
     Q = np.empty((n, cap), order="F")
     R_inv = np.zeros((cap, cap))
     qty = np.empty(cap)
@@ -144,7 +144,8 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
             p -= 1
             return
         norm = math.sqrt(g.dot(g))
-        reflect = norm * math.sqrt(A_P[:, k].dot(A_P[:, k])) <= KAPPA_MAX
+        a_k = A[:, P[k]]
+        reflect = norm * math.sqrt(a_k.dot(a_k)) <= KAPPA_MAX
         if reflect:
             # H = I - v v^T / |v_k| maps u = g / norm onto -+e_k
             v = g / norm
@@ -154,14 +155,15 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
             R_inv[:p, :p] -= np.outer(R_inv[:p, :p] @ v, v_scaled)
             qty[:p] -= v_scaled.dot(qty[:p]) * v
         p -= 1
-        # numpy moves 1-D runs in place: A_P and Q by F-order views, R^-1 by whole C-order rows
-        for buf, run in ((P, 1), (x_buf, 1), (qty, 1), (A_P.ravel("F"), n),
-                         (Q.ravel("F"), n), (R_inv.ravel(), cap)):
+        # numpy moves 1-D runs in place: Q's by an F-order view, R^-1's by whole rows
+        for buf, run in ((P, 1), (x_buf, 1), (qty, 1), (Q.ravel("F"), n),
+                         (R_inv.ravel(), cap)):
             buf[run * k:run * p] = buf[run * (k + 1):run * (p + 1)]
         R_inv[:p, k:p] = R_inv[:p, k + 1:p + 1]
         R_inv[p, :p + 1] = 0.0
         if not reflect:
-            Q[:, :p], R = np.linalg.qr(A_P[:, :p])
+            Q[:, :p] = A[:, P[:p]]  # so that qr's own copy is the only other one
+            Q[:, :p], R = np.linalg.qr(Q[:, :p])
             R_inv[:p, :p] = np.linalg.inv(R)
             qty[:p] = Q[:, :p].T.dot(y)
 
@@ -176,17 +178,22 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
         # a free gradient above tol leaves the solve unconverged
         j = int(w.argmax())
         converged = not (w[j] > tol or cut)
+        Q_p = Q[:, :p]
+        Q_pT = Q_p.T
         while w[j] > tol and iterations < max_iter and p < cap:
-            # a less its projection on Q, taken twice, and its column h of R
+            # a less its projection on Q, and its column h of R (module docstring)
             a = A[:, j]
-            h = Q[:, :p].T.dot(a)
-            q = a - Q[:, :p].dot(h)
-            h2 = Q[:, :p].T.dot(q)
-            q -= Q[:, :p].dot(h2)
-            h += h2
+            h = Q_pT.dot(a)
+            q = a - Q_p.dot(h)
+            qq = q.dot(q)
+            if qq <= h.dot(h):
+                h2 = Q_pT.dot(q)
+                q -= Q_p.dot(h2)
+                h += h2
+                qq = q.dot(q)
             # the entry test: rho is the distance of a from the passive
             # columns' span, and a's passive value is qty[p] / rho
-            rho = math.sqrt(q.dot(q))
+            rho = math.sqrt(qq)
             if rho:
                 np.divide(q, rho, out=Q[:, p])
                 qty[p] = Q[:, p].dot(y)
@@ -200,22 +207,22 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
         # column j enters as passive column p
         np.divide(R_inv[:p, :p] @ h, -rho, out=R_inv[:p, p])
         R_inv[p, p] = 1.0 / rho
-        A_P[:, p] = a
         P[p] = j
         x_buf[p] = 0.0
         p += 1
         x_P = x_buf[:p]
         z_P = R_inv[:p, :p] @ qty[:p]
         iterations += 1
-        while p and np.minimum.reduce(z_P) <= 0:
+        while p and z_P[z_P.argmin()] <= 0:
             if iterations >= max_iter:
                 cut = True
+                r = y - A[:, P[:p]].dot(x_P)
                 break
             # step toward z until the first passive coordinate hits zero
             neg = z_P <= 0
             # x_P > 0 but the entering 0, whose z > 0 (entry test): x - z > 0 where z <= 0
             ratio = x_P[neg] / (x_P[neg] - z_P[neg])
-            alpha = float(np.minimum.reduce(ratio))
+            alpha = float(ratio[ratio.argmin()])
             x_P += alpha * (z_P - x_P)
             # the values the step stops at become exactly 0, so one leaves
             x_P[np.flatnonzero(neg)[ratio == alpha]] = 0.0
@@ -226,18 +233,11 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
             iterations += 1
         else:
             x_P[:] = z_P
-        r = y - A_P[:, :p].dot(x_P)
+            r = y - Q[:, :p].dot(qty[:p])
         w = A.T.dot(r)
 
     x = np.zeros(c)
     x[P[:p]] = x_buf[:p]
-    # the last entry comes from the returned x on the whole matrix, so that
-    # residual_norm is exactly ||A x - y||
+    # from the returned x on the whole matrix, residual_norm is exactly ||A x - y||
     history[-1] = float(np.linalg.norm(A @ x - y))
-    return NnlsResult(
-        x=x,
-        residual_norm=history[-1],
-        iterations=iterations,
-        converged=converged,
-        objective_history=history,
-    )
+    return NnlsResult(x, history[-1], iterations, converged, history)

@@ -592,10 +592,11 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     # and 4 parity bits, messages and fragments take 7 + 11 + 4 x 4 = 34
     # bytes (4 x 4 the float32 parity product) and the user signals 12 doubles, 96 bytes. One slot solve at the
     # 4-bit width holds a pruned 12 x 16 copy of its matrix and NNLS's
-    # passive set for min(12, 16) = 12 columns, 12 x (4 x 12 + 4 x 12 + 3):
-    # the columns, Q and a re-factor's two 12 x 12 blocks, R^-1 and a
-    # re-factor's three 12 x 12 blocks, and three vectors. 1380 doubles,
-    # 11040 bytes. With the 131072-byte ufunc buffer, 144546. Beside them:
+    # passive set for min(12, 16) = 12 columns, 12 x (3 x 12 + 4 x 12 + 3):
+    # Q, which a re-factor fills with the passive columns, and the
+    # re-factor's two 12 x 12 blocks (qr's copy and new Q), R^-1 and a
+    # re-factor's three 12 x 12 blocks, and three vectors. 1236 doubles,
+    # 9888 bytes. With the 131072-byte ufunc buffer, 143394. Beside them:
     # the codebook's 7 x 4 float32 G, 112 bytes; its
     # build layout and working set for three blocks of one output and 16
     # bits, (8 + 16) x 3 per output, 8 x 16 per bit, (16 + 256) x 3 per
@@ -603,14 +604,14 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     # message's Python int (192), its bits as float32 (28) and its uint8
     # parity bits (4), 224 bytes; and per column of the solve, NNLS's
     # gradient and x (16) and the index set and the top-K sort's two
-    # vectors (24), 16 x 40 = 640 bytes. 144546 + 112 + 1108 + 224 + 640 =
-    # 146630 in all. Building the 4-bit matrix (its norms' 12 x 16 product
+    # vectors (24), 16 x 40 = 640 bytes. 143394 + 112 + 1108 + 224 + 640 =
+    # 145478 in all. Building the 4-bit matrix (its norms' 12 x 16 product
     # and three 16-vectors, 1920 bytes) holds less than the slot, and comes
     # before it, so it adds nothing.
-    siso = parse_config(siso_config(memory_budget=146629))
-    with pytest.raises(ResourceRefusalError, match="need 146630 bytes, budget is 146629"):
+    siso = parse_config(siso_config(memory_budget=145477))
+    with pytest.raises(ResourceRefusalError, match="need 145478 bytes, budget is 145477"):
         run_siso_trial(siso, 1, 10.0, 0)
-    run_siso_trial(replace(siso, memory_budget=146630), 1, 10.0, 0)
+    run_siso_trial(replace(siso, memory_budget=145478), 1, 10.0, 0)
 
 
 def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
@@ -627,9 +628,9 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
     # (8576) are held before any block and are fewer, so they add nothing.
     # 1e8 scalar-channel users' messages and fragments (34 bytes each), the
     # same 224 more each, and signals (12 doubles each) take 1e8 x 354 =
-    # 35400000000 bytes, and 15204 more for the codebook, its build, the
-    # matrices and one 16-column slot solve, with the ufunc buffer
-    # 35400146276. Both trials are refused under the default 256 MiB budget
+    # 35400000000 bytes, and 14052 more for the codebook, its build, the
+    # matrices and one 16-column slot solve (its NNLS figure holds three
+    # 12 x 12 blocks, not four), with the ufunc buffer 35400145124. Both trials are refused under the default 256 MiB budget
     # before a message is drawn.
     def no_alloc(*args, **kwargs):
         raise AssertionError("the trial allocated before the refusal")
@@ -641,7 +642,7 @@ def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):
     with pytest.raises(ResourceRefusalError, match="need 86400198088 bytes"):
         run_mimo_trial(mimo_cfg, 2, 10 ** 8, 0)
     siso = parse_config(siso_config(K=10 ** 8))
-    with pytest.raises(ResourceRefusalError, match="need 35400146276 bytes"):
+    with pytest.raises(ResourceRefusalError, match="need 35400145124 bytes"):
         run_siso_trial(siso, 10 ** 8, 10.0, 0)
 
 

@@ -397,13 +397,13 @@ def test_default_tolerance_stops_at_the_rounding_level_of_a_large_y():
 
 def test_column_failing_the_entry_test_stops_the_solve_unconverged():
     # Column 1 alone fits y with x_1 = 2, leaving a residual orthogonal to
-    # column 0 in exact arithmetic. Rounding leaves column 0 a gradient of
-    # about 1e-15, above tol = 1e-300, but its passive value would be <= 0,
-    # so it fails the entry test instead of entering and leaving again until
-    # the cap. No other column may enter, so the solve stops after its one
-    # solve, unconverged, with x at the solution.
-    A = np.array([[1.0, 1.0], [2.0, -1.0], [2.0, -1.0]])
-    y = np.array([2.0, -1.0, -3.0])
+    # column 0 in exact arithmetic (y = 2 a_1 + a_0 x a_1 / 2). Rounding
+    # leaves column 0 a gradient of about 4e-15, above tol = 1e-300, but its
+    # passive value would be <= 0, so it fails the entry test instead of
+    # entering and leaving again until the cap. No other column may enter, so
+    # the solve stops after its one solve, unconverged, with x at the solution.
+    A = np.array([[-2.0, 2.0], [1.0, -1.0], [-3.0, 1.0]])
+    y = np.array([3.0, -4.0, 2.0])
     res = nnls_solve(A, y, tol=1e-300)
     assert res.iterations == 1 and not res.converged
     assert res.x[0] == 0.0 and abs(res.x[1] - 2.0) <= 1e-15
@@ -433,32 +433,26 @@ def traced_nnls(A, y, **kwargs):
 
 
 def test_entering_column_that_leaves_at_once_keeps_the_factor():
-    # Columns 0 and 3 are equal, and column 1 is 2.05 times column 4 up to
-    # 3e-12. At tol = 1e-300 columns 0 and 2 enter, then column 3 on a
-    # rounding-size gradient (4e-16), and column 0 leaves with kappa 6e16
-    # (its twin is passive), so the factor of the rest is re-factored. Then
-    # columns 1 and 4 enter on gradients of 2e-15 and 2e-16; in column 4's
-    # leave loop column 1 leaves with kappa 1e12, another re-factor, and
-    # column 4, now last with a row of R^-1 that is e_k / rho, leaves at
-    # once: that leave returns, keeping the factor of columns 2 and 3 and
-    # touching no other column. The solve repeats this cycle of four solves
-    # until the 50-solve cap cuts a leave loop short, right after column 4
-    # enters, with column 1 passive at 9.5e-17, and reports unconverged. The
-    # line trace shows all three paths.
-    a = [-0.12003114202137677, -0.8555993069467925, 0.23175346133754546, 1.0129341652509865,
-         -0.011562714281646153, 2.3584777667404544, -0.920333193371461]
-    d = [3.0294055242756923, 0.8233040474711393, 0.5078970901830097, 0.1237743734239332,
-         1.7640577004838327, -1.2760169122282692, 0.6136656525374501]
-    c = [-0.22177009131335407, 2.3654500489912857, 0.011534643075077393, 0.44882151314559254,
-         1.800867872000343, 0.4937107986025292, -0.9878455526579948]
-    b = [1.476046108301975, 0.4011462729188784, 0.24746753690563184, 0.06030776689786612,
-         0.8595186358358989, -0.6217258740454226, 0.2990021609731032]
-    A = np.column_stack([a, d, c, a, b])
-    y = np.array([-0.283151174006642, 0.342281966638581, 0.2974624434889216, 1.5384550573786366,
-                  1.0627696012230652, 3.25229208687151, -1.7447963209104178])
+    # Columns 0 and 3 are equal, column 1 is 2.05 times column 4 up to 2e-12,
+    # and y is a positive combination of columns 0 and 2. At tol = 1e-300
+    # columns 2 and 0 enter, then column 3 on a rounding-size gradient
+    # (6e-16), and column 0 leaves with kappa 2e16 (its twin is passive), so
+    # the factor of the rest is re-factored. Then columns 1 and 4 enter on
+    # gradients of 7e-16 and 2e-16; in column 4's leave loop column 1 leaves
+    # with kappa 3e12, another re-factor, and column 4, now last with a row of
+    # R^-1 that is e_k / rho, leaves at once: that leave returns, keeping the
+    # factor of columns 2 and 3 and touching no other column. The solve
+    # repeats this cycle of four solves until the 50-solve cap cuts a leave
+    # loop short, right after column 4 enters, with column 1 passive at
+    # 1e-17, and reports unconverged. The line trace shows all three paths.
+    rng = np.random.default_rng(207)
+    a, b, c = rng.standard_normal((3, 7))
+    d = 2.05 * b + 1e-12 * rng.standard_normal(7)
+    g = np.abs(rng.standard_normal(2))
+    A, y = np.column_stack([a, d, c, a, b]), g[0] * a + g[1] * c
     res, lines = traced_nnls(A, y, tol=1e-300)
     assert ("leave", "return") in lines
-    assert ("leave", "Q[:, :p], R = np.linalg.qr(A_P[:, :p])") in lines
+    assert ("leave", "Q[:, :p], R = np.linalg.qr(Q[:, :p])") in lines
     assert ("nnls_solve", "cut = True") in lines
     assert res.iterations == 50 and not res.converged
     np.testing.assert_array_equal(np.flatnonzero(res.x), [1, 2, 3])
@@ -487,7 +481,8 @@ def leaves_with_factors(A, y, **kwargs):
                 records.append({"k": k, "p": p, "step": state["iterations"],
                                 "full_row": np.count_nonzero(state["R_inv"][k, :p]) > 1})
             else:
-                records[-1].update(A_P=state["A_P"][:, :p].copy(), Q=state["Q"][:, :p].copy(),
+                records[-1].update(A_P=state["A"][:, state["P"][:p]],
+                                   Q=state["Q"][:, :p].copy(),
                                    R_inv=state["R_inv"][:p + 1, :p + 1].copy(),
                                    qty=state["qty"][:p].copy())
         return tracer
@@ -550,7 +545,7 @@ def test_leave_of_a_nearly_dependent_column_refactors():
         A = np.column_stack([B, B[:, 0] + 1e-5 * rng.standard_normal(8)])
         y = rng.standard_normal(8)
         _, lines = traced_nnls(A, y)
-        assert ("leave", "Q[:, :p], R = np.linalg.qr(A_P[:, :p])") in lines
+        assert ("leave", "Q[:, :p], R = np.linalg.qr(Q[:, :p])") in lines
         assert assert_matches_restarting(A, y).converged
 
 
@@ -635,6 +630,65 @@ def test_ill_conditioned_solves_converge():
             x_ref, _, converged, _ = restarting_nnls(A, y)
             assert res.converged and converged
             assert np.abs(res.x - x_ref).max() <= 1e-6 * np.abs(x_ref).max()
+
+
+def entries_with_factors(A, y):
+    """nnls_solve's factor right after each entry, as (A_P, Q, R^-1), and the
+    source lines that ran right after the second-pass test, from a trace."""
+    path = nnls_module.__file__
+    records, after_test, previous = [], set(), [""]
+
+    def tracer(frame, event, arg):
+        if frame.f_code.co_filename != path:
+            return None
+        if event == "line" and frame.f_code.co_name == "nnls_solve":
+            state, line = frame.f_locals, linecache.getline(path, frame.f_lineno).strip()
+            if previous[0] == "p += 1":
+                p = state["p"]
+                records.append((A[:, state["P"][:p]], state["Q"][:, :p].copy(),
+                                state["R_inv"][:p, :p].copy()))
+            if previous[0] == "if qq <= h.dot(h):":
+                after_test.add(line)
+            previous[0] = line
+        return tracer
+
+    previous_trace = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        nnls_solve(A, y)
+    finally:
+        sys.settrace(previous_trace)
+    return records, after_test
+
+
+def test_entries_keep_the_factor_orthonormal_with_one_or_two_passes():
+    # An entering column is orthogonalised a second time only when the first
+    # pass leaves ||q|| <= ||a|| / sqrt(2). On the nearly collinear family of
+    # test_ill_conditioned_solves_converge and on decoder slots both branches
+    # run, and after every entry ||Q^T Q - I||_F <= 1e-14 (about 45 eps; the
+    # largest seen is 3e-15) and ||A_P R^-1 - Q||_F <= 1e-12 ||A_P||_F
+    # ||R^-1||_F. Skipping every second pass leaves Q^T Q up to 4e-9 from I
+    # on the family and 1e-13 on the slots.
+    def slots():
+        for cols in (256, 128):
+            for K in (2, 4, 8):
+                rng = np.random.default_rng(600 + 10 * K + cols)
+                d = ebn0_to_amplitude(16.0, 24, 4)
+                A = unit_columns(rng, 64, cols)
+                yield A, (d * A[:, rng.choice(cols, K, replace=False)].sum(axis=1)
+                          + rng.standard_normal(64))
+
+    collinear = (nearly_collinear(seed, 32, 64, scale) for scale in (1.0, 1e3) for seed in range(20))
+    for instances in (collinear, slots()):
+        branches = set()
+        for A, y in instances:
+            records, after_test = entries_with_factors(A, y)
+            branches |= after_test
+            for A_P, Q, R_inv in records:
+                assert np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1])) <= 1e-14
+                assert (np.linalg.norm(A_P @ R_inv - Q)
+                        <= 1e-12 * np.linalg.norm(A_P) * np.linalg.norm(R_inv))
+        assert branches == {"h2 = Q_pT.dot(q)", "rho = math.sqrt(qq)"}
 
 
 def test_objective_history_non_increasing_on_decoder_slots(monkeypatch):
