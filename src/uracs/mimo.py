@@ -9,10 +9,16 @@ indices that the admissible parity patterns of the surviving tree paths generate
 A step is a few hundred flops on n x n arrays, so its time is mostly numpy's
 per-call overhead: it calls ndarray.dot, not ``@`` (at n = 16 with numpy 2.4,
 ``sigma_inv.dot(a)`` takes about 1.0 us and ``sigma_inv @ a`` 1.9 us), and
-writes its rank-one update into one buffer allocated with the state.
+writes its rank-one update into one buffer allocated with the state. For the
+same reason a whole pass over the index set is one call,
+``CovarianceState.sweep``, with the state's arrays bound to locals: a method
+call and its attribute loads per step took about a tenth of a pass.
+``coordinate_step`` is the sweep over one index.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -51,7 +57,8 @@ def sample_covariance(Y: np.ndarray) -> np.ndarray:
 
 
 class CovarianceState:
-    """Running gamma, inverse of N0*I + A diag(gamma) A^H, and solve counters."""
+    """Running gamma, inverse of N0*I + A diag(gamma) A^H, and solve counters:
+    sweeps, rank-one updates, skipped steps and inverse refreshes."""
 
     def __init__(self, sample_cov: np.ndarray, A: SensingMatrix, N0: float):
         n = A.rows
@@ -61,6 +68,8 @@ class CovarianceState:
         if not np.isfinite(self.sample_cov).all():
             raise ValueError("sample covariance must be finite")
         self.N0 = float(N0)
+        if not (math.isfinite(self.N0) and self.N0 > 0.0):
+            raise ValueError("N0 must be finite and positive")
         self._eye = np.eye(n, dtype=np.complex128)
         self.sigma_inv = self._eye / self.N0
         self.gamma = np.zeros(A.cols)
@@ -71,6 +80,7 @@ class CovarianceState:
         self.sweeps_run = 0
         self.updates = 0
         self.skipped = 0
+        self.refreshes = 0
 
     def covariance(self) -> np.ndarray:
         """The covariance N0*I + A diag(gamma) A^H implied by the current gamma."""
@@ -88,39 +98,69 @@ class CovarianceState:
         return float(logdet + np.trace(np.linalg.solve(sigma, self.sample_cov)).real)
 
     def drift(self) -> float:
+        """||SIGMA^-1 SIGMA - I||_F / sqrt(n), the norm by numpy's rule for the
+        raveled error, sqrt(re.re + im.im), without np.linalg.norm's wrapper."""
         err = self.sigma_inv.dot(self.covariance())
         err -= self._eye
-        return float(np.linalg.norm(err) / np.sqrt(len(err)))
+        flat = err.ravel()
+        re, im = flat.real, flat.imag
+        return math.sqrt(re.dot(re) + im.dot(im)) / math.sqrt(len(err))
 
     def refresh_inverse(self) -> None:
         self.sigma_inv = np.linalg.inv(self.covariance())
+        self.refreshes += 1
+
+    def sweep(self, order) -> float:
+        """One clamped descent step on gamma[k] for each k of ``order``, in
+        order; returns the largest absolute change, 0.0 for a skipped step.
+
+        The state's arrays are locals for the whole pass; drift checks and
+        refreshes still go through ``self``, and a refresh rebinds sigma_inv.
+        """
+        rows, gamma, sample_cov, outer = self._rows, self.gamma, self.sample_cov, self._outer
+        sigma_inv = self.sigma_inv
+        updates, max_change = self.updates, 0.0
+        for k in order:
+            a = rows[k]
+            s = sigma_inv.dot(a)
+            sc = s.conj()
+            quad = float(sc.dot(a).real)  # a^H Sigma^-1 a, the bits of np.vdot(a, s)
+            fit = float(sc.dot(sample_cov.dot(s)).real)
+            # x * x, not libm's pow: the same bits everywhere
+            d_star = (fit - quad) / (quad * quad)
+            g = gamma.item(k)
+            new_gamma = g + d_star
+            if new_gamma < 0.0:
+                new_gamma = 0.0
+            d_eff = new_gamma - g
+            denom = 1.0 + d_eff * quad
+            if denom <= TAU_SING:
+                self.skipped += 1
+                continue
+            if d_eff != 0.0:
+                gamma[k] = new_gamma
+                # rank-one inverse update with the clamped step, so sigma_inv
+                # stays the inverse of the covariance implied by gamma
+                np.multiply(s[:, None], sc, out=outer)
+                outer *= d_eff / denom
+                sigma_inv -= outer
+                updates += 1
+                if updates % REFRESH_EVERY == 0:
+                    self.updates = updates
+                    if self.drift() > TAU_INV:
+                        self.refresh_inverse()
+                        sigma_inv = self.sigma_inv
+                change = abs(d_eff)
+                if change > max_change:
+                    max_change = change
+        self.updates = updates
+        return max_change
 
     def coordinate_step(self, k: int) -> float:
         """One clamped descent step on gamma[k]; returns the applied change."""
-        a = self._rows[k]
-        s = self.sigma_inv.dot(a)
-        sc = s.conj()
-        quad = float(np.vdot(a, s).real)  # a^H Sigma^-1 a
-        fit = float(sc.dot(self.sample_cov.dot(s)).real)
-        d_star = (fit - quad) / (quad * quad)  # x * x, not libm's pow: the same bits everywhere
         g = float(self.gamma[k])
-        new_gamma = max(g + d_star, 0.0)
-        d_eff = new_gamma - g
-        denom = 1.0 + d_eff * quad
-        if denom <= TAU_SING:
-            self.skipped += 1
-            return 0.0
-        self.gamma[k] = new_gamma
-        if d_eff != 0.0:
-            # rank-one inverse update with the clamped step, so sigma_inv
-            # stays the inverse of the covariance implied by gamma
-            outer = np.multiply.outer(s, sc, out=self._outer)
-            outer *= d_eff / denom
-            self.sigma_inv -= outer
-            self.updates += 1
-            if self.updates % REFRESH_EVERY == 0 and self.drift() > TAU_INV:
-                self.refresh_inverse()
-        return d_eff
+        self.sweep((k,))
+        return float(self.gamma[k]) - g
 
 
 def activity_detect(sample_cov: np.ndarray, A: SensingMatrix,
@@ -134,14 +174,12 @@ def activity_detect(sample_cov: np.ndarray, A: SensingMatrix,
     """
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
+    if S.size and not (S.min() >= 0 and S.max() < A.cols):
+        raise ValueError("column indices must lie in [0, 2^v)")
     state = CovarianceState(sample_cov, A, N0)
-    step, order = state.coordinate_step, S.tolist()
+    order = S.tolist()
     for _ in range(sweeps):
-        max_change = 0.0
-        for k in order:
-            change = abs(step(k))
-            if change > max_change:
-                max_change = change
+        max_change = state.sweep(order)
         state.sweeps_run += 1
         if max_change < tol:
             break

@@ -8,7 +8,7 @@ import pytest
 from uracs.bits import random_bits, rows_to_ints
 import uracs.mimo
 from uracs.ccs import SensingMatrix, build_complex_sensing_matrix, top_k_support
-from uracs.channel import mimo_block_transmit
+from uracs.channel import ebn0_to_power, mimo_block_transmit
 from uracs.mimo import (
     DEFAULT_CD_TOL,
     DEFAULT_SWEEPS,
@@ -257,6 +257,96 @@ def test_singular_step_is_skipped_and_changes_nothing():
     np.testing.assert_array_equal(st.sigma_inv, sigma_inv)
 
 
+def stepped_like_sweep(st, order):
+    """Steps coordinate_step k by k over order, the sweep's reference; returns
+    the largest absolute change."""
+    return max((abs(st.coordinate_step(k)) for k in order), default=0.0)
+
+
+def assert_same_state(st, ref):
+    assert np.array_equal(st.gamma, ref.gamma)
+    assert np.array_equal(st.sigma_inv, ref.sigma_inv)
+    assert ((st.updates, st.skipped, st.refreshes)
+            == (ref.updates, ref.skipped, ref.refreshes))
+
+
+def test_sweep_leaves_the_state_of_single_steps():
+    # A sweep carries sigma_inv as a local across its steps, so a refresh in
+    # the middle of it must rebind that local; a skipped step counts 0.
+    n, v, M, N0 = 16, 6, 64, 0.5
+    A = build_complex_sensing_matrix(n, v, radius=np.sqrt(n), seed=41)
+    cov = sample_covariance(mimo_block_transmit(np.array([3, 17, 40, 58]), A.columns,
+                                                M, N0, 42, 43, block=0))
+    st, ref = CovarianceState(cov, A, N0), CovarianceState(cov, A, N0)
+    for state in (st, ref):
+        state.sigma_inv += 1e-6 * np.eye(n)
+    # two passes over the columns in one sweep, so that steps which update
+    # follow the refresh at update REFRESH_EVERY
+    order = list(range(1 << v)) * 2
+    for sweep in range(3):
+        assert st.sweep(order) == stepped_like_sweep(ref, order)
+        assert_same_state(st, ref)
+        if sweep == 0:
+            assert st.refreshes == 1 and st.updates > REFRESH_EVERY + 1
+
+    # the singular step of the test below, followed by steps that update
+    n, v, k = 8, 3, 5
+    A = build_complex_sensing_matrix(n, v, radius=np.sqrt(n), seed=24)
+    N0 = float(np.vdot(A.columns[:, k], A.columns[:, k]).real)
+    st, ref = (CovarianceState(np.zeros((n, n)), A, N0) for _ in range(2))
+    for state in (st, ref):
+        state.gamma[:] = 0.5
+        state.gamma[k] = 1.0
+    order = [k] + [j for j in range(1 << v) if j != k]
+    change = st.sweep(order)
+    assert change == stepped_like_sweep(ref, order) > 0.0
+    assert_same_state(st, ref)
+    assert st.gamma[k] == 1.0 and st.skipped >= 1 and st.updates > 0
+    assert st.sweep([]) == 0.0
+
+
+def test_drift_is_numpys_frobenius_norm_bit_for_bit():
+    # drift() is ||SIGMA^-1 SIGMA - I||_F / sqrt(n). Here the error
+    # is sigma_inv = E: the covariance is the identity and the subtracted
+    # identity is zero.
+    rng = np.random.default_rng(45)
+    for n in (1, 8, 16, 32):
+        A = build_complex_sensing_matrix(n, 2, radius=1.0, seed=46)
+        st = CovarianceState(np.eye(n), A, 1.0)
+        st._eye = np.zeros((n, n), dtype=np.complex128)
+        identity = np.eye(n, dtype=np.complex128)
+        st.covariance = lambda: identity
+        errors = [np.zeros((n, n), dtype=np.complex128)]
+        for e in range(-150, 151, 10):
+            spread = 10.0 ** rng.uniform(-2, 2, size=(n, n))
+            errors.append((rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+                          * spread * 10.0 ** e)
+        for E in errors:
+            st.sigma_inv = E
+            assert st.drift() == np.linalg.norm(E) / np.sqrt(n)
+        assert st.drift() > 0.0
+        st.sigma_inv = errors[0]
+        assert st.drift() == 0.0
+
+
+def test_refreshes_are_counted():
+    # A 0 dB slot of the mimo-desk size (n = 16, v = 5; B = 12 bits over L = 4
+    # slots) never refreshes; an inverse perturbed past TAU_INV does.
+    n, v, M, N0 = 16, 5, 64, 1.0
+    P = ebn0_to_power(0.0, 12, 4, n, N0)
+    A = build_complex_sensing_matrix(n, v, radius=np.sqrt(n * P), seed=47)
+    cov = sample_covariance(mimo_block_transmit(np.array([2, 9, 30]), A.columns, M, N0,
+                                                48, 49, block=0))
+    _, st = activity_detect(cov, A, np.arange(1 << v), N0, tol=0.0)
+    assert st.updates > REFRESH_EVERY
+    assert st.refreshes == 0
+    st = CovarianceState(cov, A, N0)
+    st.sigma_inv += 1e-6 * np.eye(n)
+    while st.updates < REFRESH_EVERY:
+        st.sweep(range(1 << v))
+    assert st.refreshes >= 1
+
+
 def test_activity_detect_exact_support_large_arrays():
     # Near-asymptotic array: the detector concentrates gamma on the two
     # transmitted columns.
@@ -313,6 +403,20 @@ def test_activity_detect_restricted_sweep_stays_in_set():
         cov[1, 2] = bad
         with pytest.raises(ValueError, match="^sample covariance must be finite$"):
             activity_detect(cov, A, S, N0)
+    # N0 = 0 or NaN used to give an all-NaN gamma and N0 = -1 all zeros
+    cov = sample_covariance(Y)
+    for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^N0 must be finite and positive$"):
+            CovarianceState(cov, A, bad)
+        with pytest.raises(ValueError, match="^N0 must be finite and positive$"):
+            activity_detect(cov, A, S, bad)
+    # S = [-1, 2] used to step column 2^v - 1
+    for bad in ([-1, 2], [0, 1 << v]):
+        with pytest.raises(ValueError, match=r"^column indices must lie in \[0, 2\^v\)$"):
+            activity_detect(cov, A, np.array(bad, dtype=np.int64), N0)
+    for edge in ([0, (1 << v) - 1], []):
+        gamma, _ = activity_detect(cov, A, np.array(edge, dtype=np.int64), N0)
+        assert np.all(np.delete(gamma, edge) == 0.0)
 
 
 def test_activity_detect_pure_noise_converges_immediately():
