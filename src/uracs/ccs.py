@@ -14,7 +14,7 @@ import numpy as np
 
 from .bits import rows_to_ints
 from .nnls import nnls_solve, workspace_bytes
-from .tree import DEFAULT_PATH_CAP, DecodeResult, TreeCodebook, interleaved_decode
+from .tree import DecodeResult, TreeCodebook, interleaved_decode
 
 
 @dataclass
@@ -97,14 +97,12 @@ def prune_columns(A: SensingMatrix, S: np.ndarray) -> SensingMatrix:
 
 
 def decode_siso(y_slots: list[np.ndarray], matrices: list[SensingMatrix],
-                codebook: TreeCodebook, list_size: int, mode: str = "original",
-                force_full_patterns: bool = False, path_cap: int = DEFAULT_PATH_CAP,
-                memo: dict | None = None) -> DecodeResult:
-    """Recover messages from L slot observations (modes and memo: see
-    interleaved_decode).
+                codebook: TreeCodebook, list_size: int, **loop) -> DecodeResult:
+    """Recover messages from L slot observations.
 
     Each slot runs NNLS, at its default tolerance, on the matrix columns of
-    its index set and keeps the top ``list_size`` fragments.
+    its index set and keeps the top ``list_size`` fragments. ``loop`` goes to
+    interleaved_decode unchanged: mode, force_full_patterns, path_cap, memo.
     """
     def solve_slot(y, A, S):
         A_S = prune_columns(A, S)
@@ -113,5 +111,4 @@ def decode_siso(y_slots: list[np.ndarray], matrices: list[SensingMatrix],
         return (top_k_support(res.x, list_size, S), res.iterations,
                 res.iterations * A_S.rows * A_S.cols)
 
-    return interleaved_decode(y_slots, matrices, codebook, mode,
-                              force_full_patterns, path_cap, solve_slot, memo)
+    return interleaved_decode(y_slots, matrices, codebook, solve_slot, **loop)

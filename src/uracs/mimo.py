@@ -22,8 +22,9 @@ import math
 
 import numpy as np
 
-from .ccs import SensingMatrix, top_k_support
-from .tree import DEFAULT_PATH_CAP, DecodeResult, TreeCodebook, interleaved_decode
+from . import ccs
+from .ccs import SensingMatrix
+from .tree import DecodeResult, TreeCodebook, interleaved_decode
 
 TAU_SING = 1e-12
 # every REFRESH_EVERY rank-one updates the tracked inverse is checked against
@@ -188,22 +189,20 @@ def activity_detect(sample_cov: np.ndarray, A: SensingMatrix,
 
 def decode_mimo(covariances: list[np.ndarray], matrices: list[SensingMatrix],
                 codebook: TreeCodebook, list_size: int, N0: float,
-                mode: str = "original", force_full_patterns: bool = False,
-                path_cap: int = DEFAULT_PATH_CAP,
-                memo: dict | None = None) -> DecodeResult:
-    """Recover messages from the sample covariances of L blocks (modes and
-    memo: see interleaved_decode).
+                **loop) -> DecodeResult:
+    """Recover messages from the sample covariances of L blocks.
 
     Each block runs activity detection over its index set and keeps the
     ``list_size`` largest gamma entries, in index order. They are ranked over
     all columns, so a list short of positive gamma fills up with zero-gamma
-    columns, which may lie outside the set.
+    columns, which may lie outside the set. ``loop`` goes to
+    interleaved_decode unchanged: mode, force_full_patterns, path_cap, memo.
     """
     def solve_slot(sample_cov, A, S):
         gamma, state = activity_detect(sample_cov, A, S, N0)
-        found = np.sort(top_k_support(gamma, list_size, np.arange(A.cols)))
+        # looked up on its module, so that a patched top_k_support sees every call
+        found = np.sort(ccs.top_k_support(gamma, list_size, np.arange(A.cols)))
         # every visited coordinate costs an n^2 matvec whether or not it moves
         return found, state.sweeps_run, state.sweeps_run * S.size * A.rows ** 2
 
-    return interleaved_decode(covariances, matrices, codebook, mode,
-                              force_full_patterns, path_cap, solve_slot, memo)
+    return interleaved_decode(covariances, matrices, codebook, solve_slot, **loop)

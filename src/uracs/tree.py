@@ -328,7 +328,7 @@ class DecodeDiagnostics:
 
     live_paths: list[int] = field(default_factory=list)
     capped_roots: int = 0
-    cols: list[int] = field(default_factory=list)        # |S_l|, 0 once every path died
+    cols: list[int] = field(default_factory=list)        # |S_l|; enhanced: 0 once all paths died
     iterations: list[int] = field(default_factory=list)  # inner-solver iterations or sweeps
     # deterministic work model of the slot solver, summed over slots
     work_units: int = 0
@@ -483,18 +483,20 @@ def admissible_columns(patterns: np.ndarray, m: int, l: int) -> np.ndarray:
 
 
 def interleaved_decode(observations: list, matrices: list, codebook: TreeCodebook,
-                       mode: str, force_full_patterns: bool, path_cap: int,
-                       solve_slot, memo: dict | None = None) -> DecodeResult:
+                       solve_slot, mode: str = "original",
+                       force_full_patterns: bool = False,
+                       path_cap: int = DEFAULT_PATH_CAP,
+                       memo: dict | None = None) -> DecodeResult:
     """Recover messages slot by slot, advancing the tree search after each slot.
 
     ``solve_slot(observation, matrix, S)`` picks one slot's column indices
     from the columns in S, a sorted int64 index array, and returns (indices,
     solver iterations, work units). mode="original" hands every slot the full
     set; mode="enhanced" restricts slots 2..L to the indices whose parity the
-    live paths admit. ``force_full_patterns`` keeps the enhanced plumbing but
-    admits every parity, which must reproduce original-mode output exactly.
-    Once every path has died the set is empty and the remaining slots are not
-    solved.
+    live paths admit, so once every path has died the set is empty and the
+    remaining slots are not solved. ``force_full_patterns`` keeps the enhanced
+    plumbing but admits every parity, which must reproduce original-mode
+    output exactly. ``path_cap`` bounds each root's live paths (PathTracker).
 
     ``memo`` maps a slot whose set is full to its solve: (indices, iterations,
     work units, solve ms). Decodes of the same observations with the same

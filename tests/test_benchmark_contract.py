@@ -69,6 +69,8 @@ def test_traced_trials_record_their_spans(tracing):
     _, spans = traced(tracing, lambda: run_mimo_trial(mimo, 2, 32, 0))
     assert spans["mimo.activity_detect"]
     assert sum(s["updates"] for s in spans["mimo.activity_detect"]) > 0
+    # one list per solve, looked up on ccs like the scalar decoder's
+    assert len(spans["ccs.top_k"]) == len(spans["mimo.activity_detect"])
     assert len(spans["tree.advance"]) == 2 * (len(PROFILE["m"]) - 1)
 
     profile = ParityProfile(m=(6, 4, 2), l=(0, 3, 4))

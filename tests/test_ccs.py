@@ -4,6 +4,8 @@ recovery, column pruning, and the two slot decoders."""
 import numpy as np
 import pytest
 
+import uracs.ccs
+import uracs.mimo
 from uracs.bits import ints_to_rows, random_bits, rows_to_ints
 from uracs.ccs import (
     build_complex_sensing_matrix,
@@ -13,6 +15,8 @@ from uracs.ccs import (
     top_k_support,
     user_signals,
 )
+from uracs.channel import mimo_block_transmit
+from uracs.mimo import decode_mimo, sample_covariance
 from uracs.tree import ParityProfile, TreeCodebook, admissible_columns, encode_messages
 
 
@@ -211,3 +215,67 @@ def test_decode_siso_input_validation():
     bad[1] = build_sensing_matrix(24, 5, seed=0)
     with pytest.raises(ValueError):
         decode_siso(y, bad, cb, list_size=2)
+
+
+# no slot-2 parity: every root extends into both slot-2 list entries
+LOOP_PROFILE = ParityProfile(m=(3, 2, 2), l=(0, 0, 4))
+
+
+def loop_instance(decoder, monkeypatch):
+    """decode(**loop) through ``decoder`` on two users' noiseless scalar slots
+    or long MIMO blocks, with list size 2, and the log of its slot solves."""
+    prof = LOOP_PROFILE
+    cb = TreeCodebook(prof, seed=5)
+    frags = encode_messages(random_bits(np.random.default_rng(6), (2, prof.B)), cb)
+    module, solver = ((uracs.ccs, "nnls_solve") if decoder == "siso"
+                      else (uracs.mimo, "activity_detect"))
+    real, calls = getattr(module, solver), []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, solver, counting)
+    if decoder == "siso":
+        mats = [build_sensing_matrix(16, v, seed=(40, ell)) for ell, v in enumerate(prof.v)]
+        y = [slot_signal(f, A) for f, A in zip(frags, mats)]
+        return (lambda **loop: decode_siso(y, mats, cb, 2, **loop)), calls
+    mats = [build_complex_sensing_matrix(8, v, radius=np.sqrt(8), seed=(41, ell))
+            for ell, v in enumerate(prof.v)]
+    covs = [sample_covariance(mimo_block_transmit(rows_to_ints(f), A.columns, 1024, 0.1,
+                                                  50 + ell, 60 + ell, block=ell))
+            for ell, (f, A) in enumerate(zip(frags, mats))]
+    return (lambda **loop: decode_mimo(covs, mats, cb, 2, 0.1, **loop)), calls
+
+
+@pytest.mark.parametrize("decoder", ["siso", "mimo"])
+def test_decoders_forward_every_loop_keyword(decoder, monkeypatch):
+    # decode_siso and decode_mimo declare none of interleaved_decode's loop
+    # keywords; each must still reach the loop through them.
+    decode, calls = loop_instance(decoder, monkeypatch)
+    full = [1 << v for v in LOOP_PROFILE.v]
+    cold = decode(mode="enhanced")
+    assert cold.diagnostics.capped_roots == 0
+    assert 0 < cold.diagnostics.cols[2] < full[2]
+    # path_cap: each root has two slot-2 paths, so a cap of 1 takes them all
+    capped = decode(mode="enhanced", path_cap=1).diagnostics
+    assert capped.capped_roots == capped.live_paths[0] == 2
+    assert capped.live_paths[1:] == [0, 0] and capped.cols[2] == 0
+    # memo: the original decode fills it, the enhanced one reuses its full slots
+    memo = {}
+    calls.clear()
+    orig = decode(mode="original", memo=memo)
+    assert sorted(memo) == [1, 2, 3] and len(calls) == 3
+    calls.clear()
+    warm = decode(mode="enhanced", memo=memo)
+    assert len(calls) == 1
+    assert warm.messages == cold.messages
+    for name in ("cols", "iterations", "work_units", "live_paths"):
+        assert getattr(warm.diagnostics, name) == getattr(cold.diagnostics, name)
+    # force_full_patterns: the enhanced decode solves the full sets
+    forced = decode(mode="enhanced", force_full_patterns=True)
+    assert forced.diagnostics.cols == orig.diagnostics.cols == full
+    assert forced.messages == orig.messages
+    with pytest.raises(TypeError):
+        decode(mode="enhanced", path_caps=1)
+    with pytest.raises(ValueError, match="mode must be"):
+        decode(mode="fancy")

@@ -806,8 +806,8 @@ def memo_instance():
         return fragments[np.isin(fragments, S)], 1, S.size
 
     def decode(mode, memo=None, force_full_patterns=False):
-        return interleaved_decode(frags, mats, cb, mode, force_full_patterns,
-                                  DEFAULT_PATH_CAP, solve_slot, memo)
+        return interleaved_decode(frags, mats, cb, solve_slot, mode,
+                                  force_full_patterns, DEFAULT_PATH_CAP, memo)
     return prof, decode, calls, sorted(int(w) for w in rows_to_ints(W))
 
 
