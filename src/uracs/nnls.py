@@ -36,7 +36,10 @@ R^-1, g, is in Q's basis the direction in span(A_P) orthogonal to every
 passive column but a_k; the Householder reflection that maps g / ||g|| onto
 e_k (up to sign), applied to Q and R^-1 from the right and to Q^T y, makes
 row k of R^-1 a multiple of e_k, so position k and row and column k of R^-1
-can be deleted, in O(np + p^2). kappa = ||g|| ||a_k|| is 1 / sine of a_k's
+can be deleted, in O(np + p^2): the last position moves into slot k, with
+its entry of P, x and Q^T y, its column of Q and its row and column of R^-1.
+So a leave moves no position below k, and the passive set is not kept in
+entry order, which nothing reads. kappa = ||g|| ||a_k|| is 1 / sine of a_k's
 angle to the others' span. The deletion drops rounding of about eps ||g||,
 so eps kappa of a_k stays in A_P R^-1 = Q, and z_P's error grows by about
 eps kappa ||R^-1|| ||A_P|| >= eps kappa^2. KAPPA_MAX = eps^(-1/4) = 8192
@@ -123,10 +126,10 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
     # the cap stopped a leave loop while a passive value was <= 0
     cut = False
     history: list[float] = []
-    # passive-set state in entry order: column indices P, values x_P and the
-    # factor (Q, R^-1, Q^T y), each in the leading p entries, columns or p x p
-    # block of its buffer; row p of R^-1 is zero. Independent columns fit in
-    # min(n, c) slots, and no column enters once they are full
+    # passive-set state: column indices P, values x_P and the factor (Q, R^-1,
+    # Q^T y), each in the leading p entries, columns or p x p block of its
+    # buffer; row p of R^-1 is zero. Independent columns fit in min(n, c)
+    # slots, and no column enters once they are full
     cap = min(n, c)
     P = np.empty(cap, dtype=np.intp)
     x_buf = np.empty(cap)
@@ -136,13 +139,9 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
     p = 0
 
     def leave(k: int) -> None:
-        # passive position k leaves (module docstring); a last position whose
-        # row of R^-1 is already e_k / rho touches no other column
+        # passive position k leaves and the last one takes its place (module docstring)
         nonlocal p
         g = R_inv[k, :p]
-        if k == p - 1 and not g[:k].any():
-            p -= 1
-            return
         norm = math.sqrt(g.dot(g))
         a_k = A[:, P[k]]
         reflect = norm * math.sqrt(a_k.dot(a_k)) <= KAPPA_MAX
@@ -155,11 +154,10 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
             R_inv[:p, :p] -= np.outer(R_inv[:p, :p] @ v, v_scaled)
             qty[:p] -= v_scaled.dot(qty[:p]) * v
         p -= 1
-        # numpy moves 1-D runs in place: Q's by an F-order view, R^-1's by whole rows
-        for buf, run in ((P, 1), (x_buf, 1), (qty, 1), (Q.ravel("F"), n),
-                         (R_inv.ravel(), cap)):
-            buf[run * k:run * p] = buf[run * (k + 1):run * (p + 1)]
-        R_inv[:p, k:p] = R_inv[:p, k + 1:p + 1]
+        P[k], x_buf[k], qty[k] = P[p], x_buf[p], qty[p]
+        Q[:, k] = Q[:, p]
+        R_inv[k, :p + 1] = R_inv[p, :p + 1]
+        R_inv[:p, k] = R_inv[:p, p]
         R_inv[p, :p + 1] = 0.0
         if not reflect:
             Q[:, :p] = A[:, P[:p]]  # so that qr's own copy is the only other one

@@ -13,11 +13,17 @@ with repeated parity buckets and with capped roots) were recorded before
 The whole-CSV texts were recorded before the scenario runners shared one
 row loop; they guard the row layout, averaging and number formatting that
 a rerun-equals-rerun check cannot see.
+
+The slot-solve values (every NNLS solve of six acceptance-6 trials) were
+recorded before a leaving passive column was replaced by the last one in
+place of shifting the rest; a solver refactor that keeps them keeps each
+solve's iteration count, convergence and top-K list.
 """
 
 import numpy as np
 import pytest
 
+from uracs import ccs
 from uracs.bits import random_bits
 from uracs.harness import (genie_tree_trial, parse_config, run_experiment,
                            run_mimo_trial, run_siso_trial)
@@ -92,6 +98,55 @@ def test_trials_match_recorded_outcomes(kind, data, args, expected):
                for mode, o in r.outcomes.items()}
         assert got == outcomes, f"trial {trial}"
 
+
+
+# acceptance 6's scalar config; per trial, each slot solve of both modes in
+# call order: (iterations, converged, positions of x's K largest values)
+SLOT_SOLVE_CONFIG = {"scenario": "siso", "profile": {"m": [8, 7, 5, 4], "l": [0, 1, 3, 4]},
+                     "K": [2, 4, 8], "ebn0_db": 16.0, "n": 64, "master_seed": 2026}
+SLOT_SOLVES = {
+    0: [(66, True, [214, 66]), (66, True, [162, 62]), (64, True, [27, 246]),
+        (68, True, [28, 239]), (96, True, [81, 31]), (86, True, [13, 122]),
+        (13, True, [2, 29])],
+    1: [(66, True, [242, 212, 235, 231]), (66, True, [239, 80, 237, 69]),
+        (64, True, [162, 211, 35, 201]), (64, True, [6, 124, 166, 246]),
+        (119, True, [101, 107, 82, 19]), (61, True, [93, 63, 47, 3])],
+    2: [(66, True, [202, 235, 128, 43, 170, 151, 148, 209]),
+        (64, True, [188, 228, 180, 250, 4, 31, 68, 48]),
+        (68, True, [21, 227, 122, 238, 115, 228, 14, 148]),
+        (66, True, [175, 17, 182, 219, 49, 123, 26, 142]),
+        (68, True, [170, 164, 205, 16, 115, 46, 133, 24])],
+    3: [(66, True, [61, 106]), (72, True, [97, 95]), (70, True, [126, 159]),
+        (66, True, [242, 171]), (55, True, [48, 47]), (39, True, [30, 39]),
+        (34, True, [60, 42])],
+    4: [(70, True, [207, 112, 100, 67]), (70, True, [48, 16, 224, 30]),
+        (64, True, [74, 197, 155, 50]), (68, True, [163, 51, 164, 121]),
+        (80, True, [24, 112, 15, 8]), (72, True, [117, 56, 38, 148]),
+        (86, True, [68, 73, 91, 40])],
+    5: [(66, True, [127, 53, 45, 7, 106, 6, 204, 148]),
+        (68, True, [180, 207, 244, 108, 40, 214, 43, 165]),
+        (70, True, [60, 224, 103, 244, 98, 43, 2, 97]),
+        (66, True, [235, 134, 197, 17, 109, 75, 187, 133]),
+        (68, True, [178, 142, 102, 58, 149, 83, 13, 101])],
+}
+
+
+def test_slot_solves_match_recorded_outcomes(monkeypatch):
+    cfg = parse_config(SLOT_SOLVE_CONFIG)
+    solve = ccs.nnls_solve
+    for trial, expected in SLOT_SOLVES.items():
+        K = cfg.K[trial % len(cfg.K)]
+        got = []
+
+        def recording(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            # largest first, ties to the lower position, as top_k_support orders
+            top = np.lexsort((np.arange(res.x.size), -res.x))[:K]
+            got.append((res.iterations, res.converged, top.tolist()))
+            return res
+        monkeypatch.setattr(ccs, "nnls_solve", recording)
+        run_siso_trial(cfg, K, 16.0, trial)
+        assert got == expected, f"trial {trial}"
 
 # (profile, K, master_seed, trial, live paths per stage, patterns per stage 2..L)
 GENIE_CASES = [

@@ -440,24 +440,23 @@ def test_entering_column_that_leaves_at_once_keeps_the_factor():
     # the factor of the rest is re-factored. Then columns 1 and 4 enter on
     # gradients of 7e-16 and 2e-16; in column 4's leave loop column 1 leaves
     # with kappa 3e12, another re-factor, and column 4, now last with a row of
-    # R^-1 that is e_k / rho, leaves at once: that leave returns, keeping the
-    # factor of columns 2 and 3 and touching no other column. The solve
+    # R^-1 that is e_k / rho, leaves at once: its reflection negates only
+    # column 4's entries, keeping the factor of columns 2 and 3. The solve
     # repeats this cycle of four solves until the 50-solve cap cuts a leave
     # loop short, right after column 4 enters, with column 1 passive at
-    # 1e-17, and reports unconverged. The line trace shows all three paths.
+    # 1e-17, and reports unconverged. The line trace shows both paths.
     rng = np.random.default_rng(207)
     a, b, c = rng.standard_normal((3, 7))
     d = 2.05 * b + 1e-12 * rng.standard_normal(7)
     g = np.abs(rng.standard_normal(2))
     A, y = np.column_stack([a, d, c, a, b]), g[0] * a + g[1] * c
     res, lines = traced_nnls(A, y, tol=1e-300)
-    assert ("leave", "return") in lines
     assert ("leave", "Q[:, :p], R = np.linalg.qr(Q[:, :p])") in lines
     assert ("nnls_solve", "cut = True") in lines
     assert res.iterations == 50 and not res.converged
     np.testing.assert_array_equal(np.flatnonzero(res.x), [1, 2, 3])
     assert 0.0 < res.x[1] < 1e-15
-    # columns 2 and 3 alone fit y, through the factor every return kept
+    # columns 2 and 3 alone fit y, through the factor every such leave kept
     fit = np.linalg.lstsq(A[:, 2:4], y, rcond=None)[0]
     assert np.abs(res.x[2:4] - fit).max() <= 1e-12 * np.abs(fit).max()
     assert res.residual_norm == float(np.linalg.norm(A @ res.x - y))
@@ -466,8 +465,9 @@ def test_entering_column_that_leaves_at_once_keeps_the_factor():
 def leaves_with_factors(A, y, **kwargs):
     """nnls_solve's result and one record per leave, from a trace: the
     leaving position k, the passive count p before it, the solve count of its
-    leave step, whether its row of R^-1 had an entry off the diagonal, and
-    copies of the factor after it: A_P, Q, R^-1 with one more row, and Q^T y."""
+    leave step, whether its row of R^-1 had an entry off the diagonal, A_P
+    before it, and copies of the factor after it: A_P, Q, R^-1 with one more
+    row, and Q^T y."""
     path = nnls_module.__file__
     records = []
 
@@ -479,7 +479,8 @@ def leaves_with_factors(A, y, **kwargs):
             p = state["p"]
             if event == "call":
                 records.append({"k": k, "p": p, "step": state["iterations"],
-                                "full_row": np.count_nonzero(state["R_inv"][k, :p]) > 1})
+                                "full_row": np.count_nonzero(state["R_inv"][k, :p]) > 1,
+                                "A_P_before": state["A"][:, state["P"][:p]]})
             else:
                 records[-1].update(A_P=state["A"][:, state["P"][:p]],
                                    Q=state["Q"][:, :p].copy(),
@@ -500,9 +501,11 @@ def test_leaves_keep_the_factor_of_the_passive_columns():
     # 3,000 small instances y = A x0 with coefficients down to 1e-14, at
     # tol = 1e-20, where columns leave at the first, a middle and the last
     # position (the last with a full row of R^-1, so reflected), and several
-    # in one leave step. After every leave Q is orthonormal, A_P R^-1 = Q,
-    # qty = Q^T y, row p of R^-1 is zero, and Q spans what a fresh QR of A_P
-    # spans, with the same passive solution.
+    # in one leave step. Every leave moves the last passive column into the
+    # leaving position and keeps the others where they were. After every
+    # leave Q is orthonormal, A_P R^-1 = Q, qty = Q^T y, row p of R^-1 is
+    # zero, and Q spans what a fresh QR of A_P spans, with the same passive
+    # solution.
     kinds = set()
     rng = np.random.default_rng(0)
     for _ in range(3000):
@@ -521,6 +524,9 @@ def test_leaves_keep_the_factor_of_the_passive_columns():
                       "last" if r["full_row"] else "kept")
             A_P, Q, R_inv, qty = r["A_P"], r["Q"], r["R_inv"], r["qty"]
             assert not R_inv[p, :p].any()
+            moved = r["A_P_before"]
+            moved[:, k] = moved[:, p]
+            np.testing.assert_array_equal(A_P, moved[:, :p])
             if p == 0:
                 continue
             R_inv = R_inv[:p, :p]
