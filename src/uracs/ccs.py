@@ -4,6 +4,9 @@ Each slot transmits the superposition of sensing-matrix columns indexed by
 the users' coded fragments. Recovery is per-slot NNLS followed by a top-K
 support estimate, over the slot's admissible set of column indices; in
 enhanced mode that set shrinks with the surviving tree paths.
+
+The matrix builders check no memory budget: ``harness._check_trial_memory``
+plans a whole trial's memory before any matrix is built.
 """
 
 from __future__ import annotations

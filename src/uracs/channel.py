@@ -3,6 +3,10 @@
 Energy conventions (documented, not canonical):
   SISO  Eb/N0 = d^2 * L / (2 * B)   unit-norm columns, real noise variance 1
   MIMO  Eb/N0 = L * n * P / (B * N0)  columns on the sphere of radius sqrt(n*P)
+
+Both transmit functions take the plain values they read (the amplitude, or M
+and N0, and the noise and fading seeds) and raise ValueError on one they
+cannot use.
 """
 
 from __future__ import annotations

@@ -297,13 +297,24 @@ def _decode_modes(decode, modes, cfg: ExperimentConfig, sent: list[int],
 
 def _check_trial_memory(cfg: ExperimentConfig, K: int, M: int = 0) -> None:
     """Refuse a trial, before it allocates anything, whose working set exceeds
-    the budget. ``M`` is a MIMO trial's antenna count, 0 for a scalar trial.
-    The plan adds up the figures the layers state, the sent messages' ints
-    and one complex ufunc buffer of np.getbufsize() elements, for numpy's
-    casts in mixed-type calls. Every matrix is built before any slot, and a
-    build holds less beside its matrix than a slot does, so one slot covers
-    it. A MIMO block is transmitted before its covariance is taken, so of
-    these two the plan counts the larger."""
+    the budget: the one memory check. ``M`` is a MIMO trial's antenna count,
+    0 for a scalar trial. The plan adds up, for the widest section, the
+    figures the layers state: ``tree.message_bytes`` (the codebook, its
+    cached layout and its build, the K messages and their encoding), the
+    sent messages' ints, ``ccs.matrix_bytes``, one slot, and one complex
+    ufunc buffer of np.getbufsize() elements for numpy's casts in mixed-type
+    calls. A scalar slot is ``ccs.slot_bytes`` (user signals and a solve
+    with ``nnls.workspace_bytes``); a MIMO slot is ``mimo.decoder_bytes``
+    (the L covariances and a solve) plus the larger of
+    ``channel.mimo_block_bytes`` and ``mimo.covariance_bytes``, since a
+    block is sent before its covariance is taken. A matrix build comes
+    before any slot and holds less beside its matrix (its column norms'
+    products), so a slot covers it. A figure sums the arrays its layer can
+    hold at once, so the plan bounds a trial's traced peak, and overstates
+    it where sets that never coexist are summed (a MIMO block's transmission
+    and the slot solve). The path search is not counted, nor the first
+    trial's imports (about 0.75 MB). The default budget, 256 MiB, takes
+    ``siso-default`` (v = 15) up to n = 483 at every K <= 100."""
     prof, n, v = cfg.profile, cfg.n, max(cfg.profile.v)
     if M:
         dtype, widths = np.complex128, prof.v

@@ -59,7 +59,9 @@ def sample_covariance(Y: np.ndarray) -> np.ndarray:
 
 class CovarianceState:
     """Running gamma, inverse of N0*I + A diag(gamma) A^H, and solve counters:
-    sweeps, rank-one updates, skipped steps and inverse refreshes."""
+    sweeps, rank-one updates, skipped steps and inverse refreshes. It keeps
+    one copy of the dictionary, its columns as contiguous rows, and refuses
+    an N0 that is not finite and positive."""
 
     def __init__(self, sample_cov: np.ndarray, A: SensingMatrix, N0: float):
         n = A.rows
@@ -74,7 +76,6 @@ class CovarianceState:
         self._eye = np.eye(n, dtype=np.complex128)
         self.sigma_inv = self._eye / self.N0
         self.gamma = np.zeros(A.cols)
-        # column k of A as a contiguous row; the state's one copy of A
         self._rows = np.ascontiguousarray(A.columns.T)
         # the rank-one update of each step is written here
         self._outer = np.empty((n, n), dtype=np.complex128)
@@ -170,8 +171,9 @@ def activity_detect(sample_cov: np.ndarray, A: SensingMatrix,
     """Coordinate descent over the column indices S; ascending order within a sweep.
 
     Stops after ``sweeps`` full passes or when the largest absolute gamma
-    change within a pass drops below ``tol``. Entries outside S stay zero.
-    Returns gamma and the final state, which holds the solve's counters.
+    change within a pass drops below ``tol``. Entries outside S stay zero;
+    indices outside [0, 2^v) are refused. Returns gamma and the final state,
+    which holds the solve's counters.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
@@ -190,17 +192,18 @@ def activity_detect(sample_cov: np.ndarray, A: SensingMatrix,
 def decode_mimo(covariances: list[np.ndarray], matrices: list[SensingMatrix],
                 codebook: TreeCodebook, list_size: int, N0: float,
                 **loop) -> DecodeResult:
-    """Recover messages from the sample covariances of L blocks.
+    """Recover messages from the sample covariances of L blocks, the only
+    form in which the decoder sees a block (the trial forms each one once).
 
     Each block runs activity detection over its index set and keeps the
     ``list_size`` largest gamma entries, in index order. They are ranked over
     all columns, so a list short of positive gamma fills up with zero-gamma
-    columns, which may lie outside the set. ``loop`` goes to
+    columns, which may lie outside the set. ``ccs.top_k_support`` is looked
+    up on its module, so that a patched one sees every call. ``loop`` goes to
     interleaved_decode unchanged: mode, force_full_patterns, path_cap, memo.
     """
     def solve_slot(sample_cov, A, S):
         gamma, state = activity_detect(sample_cov, A, S, N0)
-        # looked up on its module, so that a patched top_k_support sees every call
         found = np.sort(ccs.top_k_support(gamma, list_size, np.arange(A.cols)))
         # every visited coordinate costs an n^2 matvec whether or not it moves
         return found, state.sweeps_run, state.sweeps_run * S.size * A.rows ** 2

@@ -88,10 +88,11 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
     """Active-set NNLS. ``max_iter`` caps least-squares subproblem solves
     (default 10 * number of columns); ties in the entering variable go to the
     lowest column index. ``tol`` must be finite and positive: a column enters
-    only when its gradient exceeds it. By default it is DEFAULT_NNLS_TOL or
-    64 eps sqrt(n) ||y||, whichever is larger: with a large ||y|| the
-    gradient A^T r carries rounding noise of about eps sqrt(n) ||y||, which a
-    fixed tolerance would chase until the iteration cap.
+    only when its gradient exceeds it. An explicit ``tol`` is used as is; by
+    default it is DEFAULT_NNLS_TOL or 64 eps sqrt(n) ||y||, whichever is
+    larger: with a large ||y|| the gradient A^T r carries rounding noise of
+    about eps sqrt(n) ||y||, which a fixed tolerance would chase until the
+    iteration cap.
 
     The column with the largest gradient enters only if it passes Lawson &
     Hanson's entry test: its distance from the passive span is nonzero and its
@@ -103,7 +104,8 @@ def nnls_solve(A: np.ndarray, y: np.ndarray, tol: float | None = None,
     rounding no zero distance is divided by, no column enters with a value <= 0
     only to leave, and x stays finite. Columns leave by Lawson & Hanson's rule
     (module docstring). A NaN or infinity in y or A raises ValueError; one in A
-    shows in A^T y."""
+    shows in A^T y. A matrix with no columns gives an empty x with residual
+    ||y||."""
     A = np.asarray(A, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if A.ndim != 2 or y.ndim != 1 or A.shape[0] != y.shape[0]:

@@ -38,7 +38,9 @@ def _table_fits(l: int, items: int) -> bool:
 
 @dataclass(frozen=True)
 class ParityProfile:
-    """Per-section information/parity bit lengths (m, l)."""
+    """Per-section information/parity bit lengths (m, l). Refused: a section
+    over 63 coded bits, the width of an int64 column index, and B >= 2^24,
+    where float32 parity products stop being exact (``TreeCodebook``)."""
 
     m: tuple[int, ...]
     l: tuple[int, ...]
@@ -226,7 +228,8 @@ class TreeCodebook:
     """Seeded GF(2) generator matrices G[j][l] (m_j x l_l) for j < l.
 
     Equal (profile, seed) pairs reproduce identical parity on both sides of
-    the link. Each matrix comes from an independent PCG64 stream seeded by
+    the link; a negative seed is refused, as SeedSequence refuses one. Each
+    matrix comes from an independent PCG64 stream seeded by
     ``SeedSequence`` with the entropy words of the tuple (seed, j, l): the
     seed's 32-bit chunks, low chunk first, then j, then l. Its m_j * l_l
     bits, row by row, are the first m_j * l_l ``bits.stream_bits`` of the
@@ -247,7 +250,6 @@ class TreeCodebook:
     def __init__(self, profile: ParityProfile, seed: int):
         self.profile = profile
         self.seed = int(seed)
-        # SeedSequence's rule; the chunks below would not be its words
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         lay = self._layout = _layout(profile)
@@ -297,7 +299,8 @@ def message_bytes(profile: ParityProfile, K: int) -> int:
 
 
 def encode_messages(W: np.ndarray, codebook: TreeCodebook) -> list[np.ndarray]:
-    """Encode a batch of messages (rows of W); returns L arrays of shape (K, v_l)."""
+    """Encode a batch of messages (rows of W) with one product by ``G``;
+    returns L uint8 arrays of shape (K, v_l)."""
     W = np.atleast_2d(np.asarray(W, dtype=np.uint8))
     prof = codebook.profile
     if W.shape[1] != prof.B:
@@ -347,7 +350,9 @@ class PathTracker:
 
     Paths from all roots advance jointly; per-root books are settled in
     :meth:`finalize`. A root whose live path count would exceed ``path_cap``
-    loses its paths in that stage and is counted once in ``capped_roots``.
+    loses its paths in that stage, before they are built, and is counted once
+    in ``capped_roots``; a negative cap is refused. ``admissible`` and
+    ``advance`` raise after the last stage, ``finalize`` before it.
     """
 
     def __init__(self, codebook: TreeCodebook, path_cap: int = DEFAULT_PATH_CAP):
@@ -387,7 +392,8 @@ class PathTracker:
         return self._roots.shape[0]
 
     def admissible(self) -> np.ndarray:
-        """Admissible parity patterns for the next stage, as sorted integers."""
+        """Admissible parity patterns for the next stage: the live paths'
+        next parities as sorted, distinct int64 values."""
         if self.stage >= self.codebook.profile.L:
             raise ValueError("already at the final stage")
         patterns = np.sort(self._next)
@@ -396,16 +402,16 @@ class PathTracker:
         return patterns[first]
 
     def advance(self, fragments: np.ndarray) -> None:
-        """Extend every live path into the next index list, pruning inconsistent branches."""
+        """Extend every live path into the entries of the next index list
+        that carry its parity, in list order; other branches are pruned."""
         ell = self.stage + 1
         prof = self.codebook.profile
         if ell > prof.L:
             raise ValueError("already at the final stage")
         m, l = prof.m[ell - 1], prof.l[ell - 1]
         fragments = np.asarray(fragments, dtype=np.int64)
-        # each path continues into the list entries that carry its parity, in
-        # list order: one contiguous run of the stably sorted list parities,
-        # found from a count table of the parity values where it is small
+        # a path's entries are one contiguous run of the stably sorted list
+        # parities, found from a count table of the parity values where it is small
         parities = fragments & ((1 << l) - 1)
         order = np.argsort(parities, kind="stable")
         if _table_fits(l, self._next.size + fragments.size):
@@ -431,7 +437,8 @@ class PathTracker:
         self._enter(ell, np.concatenate((self._info[rep], taken), axis=1), self._roots[rep])
 
     def finalize(self) -> DecodeResult:
-        """Settle per-root books: one surviving message per root, else a failure."""
+        """Settle per-root books: a root decodes iff all of its surviving
+        paths carry the same message, else it is a failure."""
         if self.stage != self.codebook.profile.L:
             raise ValueError("finalize called before the final stage")
         # live paths stay in root order, so each root's paths are one run; a

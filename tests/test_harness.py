@@ -1,9 +1,12 @@
 """Tests for the experiment harness: configs, seeding, metrics, CSV output."""
 
 import concurrent.futures
+import functools
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import signal
 import subprocess
@@ -205,6 +208,46 @@ def test_readme_cli_configs_parse():
     assert len(blocks) == 3
     assert sorted(parse_config(json.loads(b)).scenario for b in blocks) == \
         ["mimo", "predict", "siso"]
+
+
+def layout_rows() -> dict[str, str]:
+    """README's Layout table as {module: contents cell}."""
+    section = README.read_text(encoding="utf-8").split("\n## Layout\n")[1].split("\n## ")[0]
+    rows = [line.strip().strip("|").split(" | ") for line in section.splitlines()
+            if line.startswith("| `")]
+    table = {module.strip().strip("`"): cell.strip() for module, cell in rows}
+    assert len(table) == len(rows), "a module has two rows"
+    return table
+
+
+def test_readme_layout_has_one_row_per_module():
+    package = Path(harness.__file__).parent
+    assert set(layout_rows()) == {f"uracs.{path.stem}" for path in package.glob("*.py")
+                                  if path.name != "__init__.py"}
+
+
+def test_readme_layout_cells_are_short():
+    # a cell names the entry points, what they refuse and the docstring that
+    # holds the rules; the rules themselves live in that docstring
+    for module, cell in layout_rows().items():
+        assert len(cell) <= 400, (module, len(cell))
+
+
+def test_readme_layout_names_exist():
+    # every backticked call `name(...)` or dotted name in a row resolves on
+    # that row's module, or by import when it starts with uracs.
+    names = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(\(.*\))?")
+    for module_name, cell in layout_rows().items():
+        module = importlib.import_module(module_name)
+        for code in re.findall(r"`([^`]+)`", cell):
+            match = names.fullmatch(code)
+            if not match or not (match.group(2) or "." in match.group(1)):
+                continue
+            name = match.group(1)
+            if name.startswith("uracs."):
+                pkgutil.resolve_name(name)
+            else:
+                functools.reduce(getattr, name.split("."), module)
 
 
 def test_readme_config_keys_match_the_key_table():
@@ -612,6 +655,24 @@ def test_memory_budget_bounds_the_whole_trial(monkeypatch):
     with pytest.raises(ResourceRefusalError, match="need 145478 bytes, budget is 145477"):
         run_siso_trial(siso, 1, 10.0, 0)
     run_siso_trial(replace(siso, memory_budget=145478), 1, 10.0, 0)
+
+
+def test_default_budget_reaches_as_far_as_its_docstring_says():
+    # _check_trial_memory's docstring states the largest n that the default
+    # budget plans for siso-default at every K <= 100; the plan grows with K
+    reach = re.search(r"up to n = (\d+) at every K <= 100", harness._check_trial_memory.__doc__)
+    n = int(reach.group(1))
+
+    def fits(n):
+        cfg = parse_config({"scenario": "siso", "profile": "siso-default", "K": 100,
+                            "n": n, "ebn0_db": 0.0})
+        try:
+            harness._check_trial_memory(cfg, 100)
+        except ResourceRefusalError:
+            return False
+        return True
+
+    assert fits(n) and not fits(n + 1)
 
 
 def test_memory_budget_refuses_huge_m_and_k_before_any_allocation(monkeypatch):

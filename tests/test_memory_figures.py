@@ -3,7 +3,8 @@
 The trial's memory plan (``harness._check_trial_memory``) adds these
 figures up, taking the larger of a MIMO block's transmission and its
 covariance, which are never held at once, so a figure that misses an
-allocation shows up here, at its own layer. A matrix build has no figure of
+allocation shows up here, at its own layer (``tests/test_harness.py`` checks
+the plan against whole trials). A matrix build has no figure of
 its own: it comes before any slot and holds less beside its matrix than one
 slot, which the build tests check. Every call runs once untraced first, so
 one-off import costs are not traced. A figure counts arrays; the Python
